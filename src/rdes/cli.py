@@ -3,11 +3,19 @@
 Commands
     calc FILE              calculate and print a program's contract
     refine SPEC IMPL       discharge the refinement obligations
+    refine IMPL --peri P [--post Q]
+                           refine an invariant-style specification
+    refine IMPL --invariant I [--peri P]
+                           prove a loop invariant, then that it implies P
     dlf FILE               deadlock-freedom check
     inv-check FILE         loop-invariant check (requires --invariant)
     oracle FILE            dump the bounded enumerator's observations
-    crosscheck FILE|--random N   compare calculus against the enumerator
-    laws                   run the relational and iteration law suites
+    crosscheck FILE|--random N [--loops] [--jobs J] [--seed S]
+                           compare calculus against the enumerator
+    laws [--seed S]        run the relational and iteration law suites
+
+Every command takes --trace-bound (default 4), --wp-bound (default 16) and
+--format text|json.
 
 Exit codes: 0 verified/ok, 1 refuted/differences, 2 inconclusive or error.
 """
@@ -15,6 +23,7 @@ Exit codes: 0 verified/ok, 1 refuted/differences, 2 inconclusive or error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -22,36 +31,29 @@ from . import contracts, dsl, laws, oracle, randgen
 from .verify import (
     Config,
     InvariantRel,
+    Obligation,
     SpecTriple,
     check_deadlock_free,
+    check_rrel_refine,
     deadlock_free_spec,
     inv_check_program,
     refine_check,
 )
 from .relalg import TRUE_PRE, TRUE_R
-from .state import eval_expr
 
 
 def _add_bounds(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace-bound", type=int, default=4)
-    p.add_argument("--star-bound", type=int, default=3)
     p.add_argument("--wp-bound", type=int, default=16)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _config(args) -> Config:
-    for name in ("trace_bound", "star_bound", "wp_bound"):
+    for name in ("trace_bound", "wp_bound"):
         if getattr(args, name) < 1:
             raise SystemExit(f"--{name.replace('_', '-')} must be >= 1")
     return Config(
-        trace_bound=args.trace_bound,
-        star_bound=args.star_bound,
-        wp_bound=args.wp_bound,
-        jobs=args.jobs,
-        seed=args.seed,
-        fmt=args.format,
+        trace_bound=args.trace_bound, wp_bound=args.wp_bound, fmt=args.format
     )
 
 
@@ -147,39 +149,17 @@ def _refine_via_invariant(args, cfg: Config, tp: dsl.TypedProgram) -> int:
     symtab = tp.symtab
     inv_body = dsl.parse_invariant(args.invariant, symtab)
     verdict, reduced = inv_check_program(tp, inv_body, cfg)
-    if not verdict.verified:
-        return _emit_verdict(verdict, cfg)
-    if args.peri:
-        spec_body = dsl.parse_invariant(args.peri, symtab)
-        counter = _implication_gap(
-            reduced.peri.body, spec_body, symtab, cfg
+    if verdict.verified and args.peri:
+        spec = InvariantRel("peri", dsl.parse_invariant(args.peri, symtab))
+        ob = Obligation(
+            spec, reduced.peri, "peri",
+            "reduced invariant implies specification",
         )
-        if counter is not None:
-            from .verify import Verdict
-
-            return _emit_verdict(
-                Verdict("refuted", cfg.bounds(), witness=counter), cfg
-            )
+        verdict = dataclasses.replace(
+            check_rrel_refine(ob, symtab, cfg),
+            obligations=verdict.obligations + (ob,),
+        )
     return _emit_verdict(verdict, cfg)
-
-
-def _implication_gap(stronger, weaker, symtab, cfg: Config):
-    """A ground (state, trace) where the reduced invariant holds but the
-    spec does not; None when the implication holds within bounds."""
-    import itertools
-
-    alphabet = symtab.alphabet()
-    for s in symtab.valuations():
-        for n in range(cfg.trace_bound + 1):
-            for tt in itertools.product(alphabet, repeat=n):
-                if eval_expr(stronger, s, tt=tt) and not eval_expr(
-                    weaker, s, tt=tt
-                ):
-                    return {
-                        "state": str(s),
-                        "trace": "<" + ", ".join(map(str, tt)) + ">",
-                    }
-    return None
 
 
 def cmd_dlf(args) -> int:
@@ -224,17 +204,17 @@ def cmd_crosscheck(args) -> int:
     cfg = _config(args)
     reports = []
     if args.random:
-        rng = randgen.rng_for(cfg.seed)
+        rng = randgen.rng_for(args.seed)
         programs = []
         for _ in range(args.random):
             if args.loops:
                 programs.append(randgen.random_loop_program(rng))
             else:
                 programs.append(randgen.random_program(rng))
-        if cfg.jobs > 1:
+        if args.jobs > 1:
             import concurrent.futures as cf
 
-            with cf.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+            with cf.ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 reports = list(
                     pool.map(_crosscheck_one, programs, [cfg] * len(programs))
                 )
@@ -265,9 +245,9 @@ def cmd_crosscheck(args) -> int:
 
 def cmd_laws(args) -> int:
     cfg = _config(args)
-    rel = laws.run_law_suite(seed=cfg.seed, per_law=args.per_law)
+    rel = laws.run_law_suite(seed=args.seed, per_law=args.per_law)
     ka = laws.run_ka_suite(
-        seed=cfg.seed, terms=args.terms, depth=args.depth
+        seed=args.seed, terms=args.terms, depth=args.depth
     )
     summary = {
         "relational": {
@@ -340,6 +320,10 @@ def main(argv=None) -> int:
     p.add_argument("--random", type=int, default=0, metavar="N")
     p.add_argument("--loops", action="store_true",
                    help="generate loop programs instead of star-free ones")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for --random")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the --random programs")
     _add_bounds(p)
     p.set_defaults(func=cmd_crosscheck)
 
@@ -347,6 +331,7 @@ def main(argv=None) -> int:
     p.add_argument("--per-law", type=int, default=50)
     p.add_argument("--terms", type=int, default=200)
     p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--seed", type=int, default=0)
     _add_bounds(p)
     p.set_defaults(func=cmd_laws)
 

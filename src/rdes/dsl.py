@@ -30,6 +30,7 @@ from .state import (
     SeqType,
     Subst,
     SymbolTable,
+    TIGHT,
     Tail,
     ValueType,
     Var,
@@ -627,7 +628,7 @@ def _pp(a: Action, level: int) -> str:
     if isinstance(a, DoEvent):
         if a.data is None:
             return a.chan
-        return f"{a.chan}!{pp_expr(a.data, 8)}"
+        return f"{a.chan}!{pp_expr(a.data, TIGHT)}"
     if isinstance(a, InputPrefix):
         vals = ""
         if a.values is not None:

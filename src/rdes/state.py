@@ -15,22 +15,6 @@ from typing import Iterator, Optional, Union
 # Runtime value representation: bool must be tested before int (bool <: int).
 Value = Union[int, bool, tuple, frozenset]
 
-_clamp_events = 0
-
-
-def note_clamp() -> None:
-    global _clamp_events
-    _clamp_events += 1
-
-
-def clamp_count() -> int:
-    return _clamp_events
-
-
-def reset_clamp_count() -> None:
-    global _clamp_events
-    _clamp_events = 0
-
 
 # ---------------------------------------------------------------------------
 # Value types
@@ -51,13 +35,10 @@ class IntType:
         if isinstance(v, bool):
             v = int(v)
         if not isinstance(v, int):
-            note_clamp()
             return self.default()
         if v < self.lo:
-            note_clamp()
             return self.lo
         if v > self.hi:
-            note_clamp()
             return self.hi
         return v
 
@@ -95,10 +76,8 @@ class SeqType:
 
     def clamp(self, v: Value) -> tuple:
         if not isinstance(v, tuple):
-            note_clamp()
             return ()
         if len(v) > self.maxlen:
-            note_clamp()
             v = v[: self.maxlen]
         return tuple(self.elem.clamp(x) for x in v)
 
@@ -699,6 +678,10 @@ def substs_equiv(s1: Subst, s2: Subst, symtab: SymbolTable) -> bool:
 # ---------------------------------------------------------------------------
 # Pretty-printing (parseable by the DSL expression grammar)
 
+# Binary operators bind by these levels; `not` sits at 3, the prefix `#` and
+# unary minus at 8, and TIGHT is an operand that admits no operator at all,
+# such as the payload of an event prefix `c!e`.
+TIGHT = 9
 _PREC = {
     "or": 1,
     "and": 2,
@@ -729,7 +712,8 @@ def pp_expr(e: Expr, prec: int = 0) -> str:
     if isinstance(e, Primed):
         return e.name + "'"
     if isinstance(e, Lit):
-        return pp_value(e.value)
+        s = pp_value(e.value)
+        return f"({s})" if s.startswith("-") and prec == TIGHT else s
     if isinstance(e, Proj):
         return f"proj(tt, {e.chan})"
     if isinstance(e, Acc):
@@ -739,9 +723,11 @@ def pp_expr(e: Expr, prec: int = 0) -> str:
     if isinstance(e, Tail):
         return f"tail({pp_expr(e.arg)})"
     if isinstance(e, Len):
-        return f"#{pp_expr(e.arg, 8)}"
+        s = f"#{pp_expr(e.arg, 8)}"
+        return f"({s})" if prec == TIGHT else s
     if isinstance(e, Not):
-        return f"not {pp_expr(e.arg, 3)}"
+        s = f"not {pp_expr(e.arg, 3)}"
+        return f"({s})" if prec > 3 else s
     if isinstance(e, SeqDisplay):
         return "<" + ", ".join(pp_expr(x) for x in e.elems) + ">"
     if isinstance(e, Clamp):

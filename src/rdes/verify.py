@@ -2,45 +2,67 @@
 
 A specification refines into an implementation when the implementation
 weakens the precondition and strengthens the peri- and postconditions under
-the specification's precondition.  Obligations are discharged by enumerating
-ground observations within explicit bounds; every verdict carries its
-bounds, a refutation carries a replayable witness, and anything the bounds
-cannot settle is reported inconclusive rather than guessed.
+the specification's precondition.  Deadlock freedom, the loop-invariant rule
+and the implication between a reduced invariant and a specification are
+obligations of the same shape: every observation of the right-hand side
+must be allowed by the left-hand side.
+
+`check_rrel_refine` discharges every obligation with one search.  Its
+observations come from one of two sources, chosen by the right-hand side:
+
+* a relation generates its ground instances, one initial state at a time;
+* any other side (a precondition, an invariant, a relation followed by an
+  invariant) is tested on a sweep of every trace, state and accepted set or
+  final state within the bounds.
+
+A refutation carries the least failing observation in witness order: trace
+length, then the trace's events, then the initial state, then the accepted
+set or final state, each compared by its printed form.  This is the
+shortest-counterexample order that FDR3 also uses.  Every verdict carries its
+bounds, and anything the bounds cannot settle is reported inconclusive
+rather than guessed.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import dsl, ground
 from .contracts import Contract, calculate
 from .kleene import star_wp
 from .relalg import (
-    FinalAtom,
-    NegClause,
     PreNF,
-    RAtom,
     RRel,
     RSeq,
     RTest,
     RTrue,
     TRUE_PRE,
     TRUE_R,
-    disjuncts,
+    guard_pre,
     normalize,
-    pre_of,
     subst_pre,
     subst_rrel,
 )
 from .state import (
     Acc,
+    BinOp,
+    Clamp,
     Expr,
+    Head,
+    IfE,
+    Len,
+    Lit,
+    Not,
+    SeqDisplay,
     Subst,
     SymbolTable,
+    Tail,
     Valuation,
     apply_subst,
+    assignment_subst,
+    compose_subst,
     eval_expr,
     negate,
     pp_expr,
@@ -48,8 +70,6 @@ from .state import (
 
 
 def _mentions_acc(e: Expr) -> bool:
-    from .state import BinOp, Head, IfE, Len, Not, SeqDisplay, Tail, Clamp
-
     if isinstance(e, Acc):
         return True
     if isinstance(e, BinOp):
@@ -66,18 +86,11 @@ def _mentions_acc(e: Expr) -> bool:
 @dataclass(frozen=True)
 class Config:
     trace_bound: int = 4
-    star_bound: int = 3
     wp_bound: int = 16
-    jobs: int = 1
-    seed: int = 0
     fmt: str = "text"
 
     def bounds(self) -> dict:
-        return {
-            "trace": self.trace_bound,
-            "star": self.star_bound,
-            "wp": self.wp_bound,
-        }
+        return {"trace": self.trace_bound, "wp": self.wp_bound}
 
 
 @dataclass(frozen=True)
@@ -152,8 +165,6 @@ class SpecTriple:
 
 def deadlock_free_spec() -> SpecTriple:
     """Quiescent observations must accept at least one event."""
-    from .state import BinOp, Lit
-
     return SpecTriple(
         TRUE_PRE,
         InvariantRel("peri", BinOp("!=", Acc(), Lit(frozenset()))),
@@ -182,184 +193,104 @@ def refine_obligations(spec, impl: Contract) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Ground satisfaction of obligation sides
-
-
-def _traces(symtab: SymbolTable, bound: int):
-    alphabet = symtab.alphabet()
-    for n in range(bound + 1):
-        yield from itertools.product(alphabet, repeat=n)
-
-
-def _pre_holds(p: PreNF, s: Valuation, tt: tuple, symtab) -> bool:
-    return all(
-        ground.holds_pre_clause(c.cond, c.trace, s, tt, symtab)
-        for c in p.clauses
-    )
-
-
-def _lhs_quiet(lhs: Side, s, tt, acc, symtab: SymbolTable) -> bool:
-    if isinstance(lhs, InvariantRel):
-        return bool(eval_expr(lhs.body, s, tt=tt, acc=acc))
-    if isinstance(lhs, SeqInv):
-        for t1, s1 in ground.final_instances(lhs.prefix, s, symtab, len(tt)):
-            if tt[: len(t1)] == t1 and _lhs_quiet(
-                lhs.inv, s1, tt[len(t1):], acc, symtab
-            ):
-                return True
-        return False
-    return ground.holds_quiet(lhs, s, tt, acc, symtab)
-
-
-def _lhs_term(lhs: Side, s, tt, s2, symtab: SymbolTable) -> bool:
-    if isinstance(lhs, InvariantRel):
-        return bool(eval_expr(lhs.body, s, tt=tt, primed=s2))
-    if isinstance(lhs, SeqInv):
-        for t1, s1 in ground.final_instances(lhs.prefix, s, symtab, len(tt)):
-            if tt[: len(t1)] == t1 and _lhs_term(
-                lhs.inv, s1, tt[len(t1):], s2, symtab
-            ):
-                return True
-        return False
-    return ground.holds_term(lhs, s, tt, s2, symtab)
-
-
-def _k(items) -> tuple:
-    """Canonical sort key for events and event sets."""
-    if isinstance(items, frozenset):
-        return tuple(sorted(str(e) for e in items))
-    return tuple(str(e) for e in items)
-
-
-def _fmt_witness(s: Valuation, tt: tuple, extra: dict) -> dict:
-    out = {"state": str(s), "trace": "<" + ", ".join(str(e) for e in tt) + ">"}
-    out.update(extra)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Obligation discharge
+# Obligation discharge: one least-counterexample search
 
 
 def check_rrel_refine(
     ob: Obligation, symtab: SymbolTable, cfg: Config
 ) -> Verdict:
-    """Discharge one obligation by enumerating the right-hand side's ground
-    observations within the bounds and testing them against the left."""
+    """Discharge one obligation: search the right-hand side's observations
+    within the bounds for the least one the left-hand side does not allow."""
     try:
-        if ob.kind == "pre":
-            return _check_pre(ob, symtab, cfg)
-        if ob.kind == "peri":
-            return _check_quiet(ob, symtab, cfg)
-        return _check_term(ob, symtab, cfg)
+        lhs = _member(ob.lhs, ob.kind, symtab)
+        assume = None
+        if ob.assume.clauses:
+            assume = _member(ob.assume, "pre", symtab)
+        if isinstance(ob.rhs, (PreNF, InvariantRel, SeqInv)):
+            hit = _sweep(ob, lhs, assume, symtab, cfg.trace_bound)
+        else:
+            hit = _from_instances(ob, lhs, assume, symtab, cfg.trace_bound)
     except ground.NotGroundEvaluable as exc:
         return Verdict("inconclusive", cfg.bounds(), reason=str(exc))
+    if hit is None:
+        return Verdict("verified", cfg.bounds())
+    return Verdict("refuted", cfg.bounds(), witness=_witness(ob, *hit))
 
 
-def _check_pre(ob: Obligation, symtab, cfg: Config) -> Verdict:
-    lhs, rhs = ob.lhs, ob.rhs
-    assert isinstance(lhs, PreNF) and isinstance(rhs, PreNF)
-    witnesses = []
-    for s in symtab.valuations():
-        for tt in _traces(symtab, cfg.trace_bound):
-            if _pre_holds(rhs, s, tt, symtab) and not _pre_holds(
-                lhs, s, tt, symtab
-            ):
-                witnesses.append(((len(tt), _k(tt), str(s)), (s, tt)))
-    if witnesses:
-        s, tt = min(witnesses)[1]
-        return Verdict(
-            "refuted",
-            cfg.bounds(),
-            witness=_fmt_witness(s, tt, {"violates": ob.origin}),
+def _member(side: Side, kind: str, symtab: SymbolTable):
+    """The test (s, tt, x) -> bool of whether `side` allows an observation
+    from state s with trace tt, where x is the accepted set (peri), the
+    final state (post) or unused (pre)."""
+    if isinstance(side, PreNF):
+        clauses = [(c.cond, c.trace) for c in side.clauses]
+        return lambda s, tt, x: all(
+            ground.holds_pre_clause(c, t, s, tt, symtab) for c, t in clauses
         )
-    return Verdict("verified", cfg.bounds())
-
-
-def _rhs_quiet_instances(rhs: Side, s, symtab, bound):
-    if isinstance(rhs, (InvariantRel, SeqInv)):
-        raise ground.NotGroundEvaluable(
-            "invariant relations generate no observations"
+    if isinstance(side, InvariantRel):
+        body = side.body
+        if kind == "peri":
+            return lambda s, tt, x: bool(eval_expr(body, s, tt=tt, acc=x))
+        return lambda s, tt, x: bool(eval_expr(body, s, tt=tt, primed=x))
+    if isinstance(side, SeqInv):
+        prefix, inv = side.prefix, _member(side.inv, kind, symtab)
+        return lambda s, tt, x: any(
+            tt[: len(t1)] == t1 and inv(s1, tt[len(t1):], x)
+            for t1, s1 in ground.final_instances(prefix, s, symtab, len(tt))
         )
-    return ground.quiet_instances(rhs, s, symtab, bound)
+    if kind == "peri":
+        return lambda s, tt, x: ground.holds_quiet(side, s, tt, x, symtab)
+    return lambda s, tt, x: ground.holds_term(side, s, tt, x, symtab)
 
 
-def _check_quiet(ob: Obligation, symtab, cfg: Config) -> Verdict:
-    if isinstance(ob.rhs, (InvariantRel, SeqInv)) or isinstance(
-        ob.lhs, PreNF
-    ):
-        return _check_quiet_sweep(ob, symtab, cfg)
-    lhs_mentions_acc = isinstance(ob.lhs, InvariantRel) and _mentions_acc(
-        ob.lhs.body
-    ) or (
-        isinstance(ob.lhs, SeqInv) and _mentions_acc(ob.lhs.inv.body)
-    )
-    alphabet = frozenset(symtab.alphabet())
-    witnesses = []
+def _from_instances(ob: Obligation, lhs, assume, symtab, bound: int):
+    """The least failing ground instance of a right-hand relation.  Instance
+    sets are built one initial state at a time, and a witness key is made
+    only for an observation that fails."""
+    if ob.kind == "peri":
+        instances, x_key = ground.quiet_instances, _order_key
+    else:
+        instances, x_key = ground.final_instances, str
+    # an invariant may reject an acceptance superset that the instance
+    # admits, while a relation allows every superset of what it allows
+    widen = ob.kind == "peri" and _side_mentions_acc(ob.lhs)
+    alphabet = symtab.alphabet()
+    best = best_key = None
     for s in symtab.valuations():
-        for tt, acc in _rhs_quiet_instances(
-            ob.rhs, s, symtab, cfg.trace_bound
-        ):
-            if not _pre_holds(ob.assume, s, tt, symtab):
+        for tt, x in instances(ob.rhs, s, symtab, bound):
+            if assume is not None and not assume(s, tt, None):
                 continue
-            if lhs_mentions_acc:
-                # the observation admits every acceptance superset
-                free = sorted(alphabet - acc, key=str)
-                for k in range(len(free) + 1):
-                    for extra in itertools.combinations(free, k):
-                        a = acc | frozenset(extra)
-                        if not _lhs_quiet(ob.lhs, s, tt, a, symtab):
-                            witnesses.append(
-                                ((len(tt), _k(tt), str(s), _k(a)), (s, tt, a))
-                            )
-            else:
-                if not _lhs_quiet(ob.lhs, s, tt, acc, symtab):
-                    witnesses.append(
-                        ((len(tt), _k(tt), str(s), _k(acc)), (s, tt, acc))
-                    )
-    if witnesses:
-        s, tt, acc = min(witnesses)[1]
-        return Verdict(
-            "refuted",
-            cfg.bounds(),
-            witness=_fmt_witness(
-                s, tt, {"accept": "{" + ", ".join(sorted(map(str, acc))) + "}"}
-            ),
-        )
-    return Verdict("verified", cfg.bounds())
+            for a in _supersets(x, alphabet) if widen else (x,):
+                if not lhs(s, tt, a):
+                    key = (len(tt), _order_key(tt), str(s), x_key(a))
+                    if best is None or key < best_key:
+                        best, best_key = (s, tt, a), key
+    return best
 
 
-def _check_quiet_sweep(ob: Obligation, symtab, cfg: Config) -> Verdict:
-    """Full tuple sweep for right-hand sides that are checked, not
-    enumerated (invariant step obligations)."""
-    needs_acc = _side_mentions_acc(ob.lhs) or _side_mentions_acc(ob.rhs)
-    acc_sets = (
-        [frozenset(c) for c in _subsets(symtab.alphabet())]
-        if needs_acc
-        else [frozenset()]
-    )
-    witnesses = []
-    for s in symtab.valuations():
-        for tt in _traces(symtab, cfg.trace_bound):
-            if not _pre_holds(ob.assume, s, tt, symtab):
-                continue
-            for acc in acc_sets:
-                if _lhs_quiet(ob.rhs, s, tt, acc, symtab) and not _lhs_quiet(
-                    ob.lhs, s, tt, acc, symtab
-                ):
-                    witnesses.append(
-                        ((len(tt), _k(tt), str(s), _k(acc)), (s, tt, acc))
-                    )
-    if witnesses:
-        s, tt, acc = min(witnesses)[1]
-        return Verdict(
-            "refuted",
-            cfg.bounds(),
-            witness=_fmt_witness(
-                s, tt, {"accept": "{" + ", ".join(sorted(map(str, acc))) + "}"}
-            ),
-        )
-    return Verdict("verified", cfg.bounds())
+def _sweep(ob: Obligation, lhs, assume, symtab, bound: int):
+    """The first failing observation of a right-hand side that is tested,
+    not enumerated, over traces, states and accepted sets or final states
+    taken in witness order."""
+    rhs = _member(ob.rhs, ob.kind, symtab)
+    states = sorted(symtab.valuations(), key=str)
+    alphabet = sorted(symtab.alphabet(), key=str)
+    if ob.kind == "pre":
+        xs = (None,)
+    elif ob.kind == "post":
+        xs = states
+    elif _side_mentions_acc(ob.lhs) or _side_mentions_acc(ob.rhs):
+        xs = sorted(_supersets(frozenset(), alphabet), key=_order_key)
+    else:
+        xs = (frozenset(),)
+    for n in range(bound + 1):
+        for tt in itertools.product(alphabet, repeat=n):
+            for s in states:
+                if assume is not None and not assume(s, tt, None):
+                    continue
+                for x in xs:
+                    if rhs(s, tt, x) and not lhs(s, tt, x):
+                        return s, tt, x
+    return None
 
 
 def _side_mentions_acc(side: Side) -> bool:
@@ -370,57 +301,29 @@ def _side_mentions_acc(side: Side) -> bool:
     return False
 
 
-def _subsets(items):
-    items = list(items)
-    for k in range(len(items) + 1):
-        yield from itertools.combinations(items, k)
+def _supersets(x: frozenset, alphabet):
+    free = [e for e in alphabet if e not in x]
+    for k in range(len(free) + 1):
+        for extra in itertools.combinations(free, k):
+            yield x.union(extra)
 
 
-def _check_term(ob: Obligation, symtab, cfg: Config) -> Verdict:
-    if isinstance(ob.rhs, (InvariantRel, SeqInv)):
-        return _check_term_sweep(ob, symtab, cfg)
-    witnesses = []
-    for s in symtab.valuations():
-        for tt, s2 in ground.final_instances(
-            ob.rhs, s, symtab, cfg.trace_bound
-        ):
-            if not _pre_holds(ob.assume, s, tt, symtab):
-                continue
-            if not _lhs_term(ob.lhs, s, tt, s2, symtab):
-                witnesses.append(
-                    ((len(tt), _k(tt), str(s), str(s2)), (s, tt, s2))
-                )
-    if witnesses:
-        s, tt, s2 = min(witnesses)[1]
-        return Verdict(
-            "refuted",
-            cfg.bounds(),
-            witness=_fmt_witness(s, tt, {"state_after": str(s2)}),
-        )
-    return Verdict("verified", cfg.bounds())
+def _order_key(events) -> tuple:
+    """Witness-order key of a trace, or of an event set in sorted order."""
+    if isinstance(events, frozenset):
+        return tuple(sorted(map(str, events)))
+    return tuple(map(str, events))
 
 
-def _check_term_sweep(ob: Obligation, symtab, cfg: Config) -> Verdict:
-    witnesses = []
-    for s in symtab.valuations():
-        for tt in _traces(symtab, cfg.trace_bound):
-            if not _pre_holds(ob.assume, s, tt, symtab):
-                continue
-            for s2 in symtab.valuations():
-                if _lhs_term(ob.rhs, s, tt, s2, symtab) and not _lhs_term(
-                    ob.lhs, s, tt, s2, symtab
-                ):
-                    witnesses.append(
-                        ((len(tt), _k(tt), str(s), str(s2)), (s, tt, s2))
-                    )
-    if witnesses:
-        s, tt, s2 = min(witnesses)[1]
-        return Verdict(
-            "refuted",
-            cfg.bounds(),
-            witness=_fmt_witness(s, tt, {"state_after": str(s2)}),
-        )
-    return Verdict("verified", cfg.bounds())
+def _witness(ob: Obligation, s: Valuation, tt: tuple, x) -> dict:
+    out = {"state": str(s), "trace": "<" + ", ".join(map(str, tt)) + ">"}
+    if ob.kind == "pre":
+        out["violates"] = ob.origin
+    elif ob.kind == "peri":
+        out["accept"] = "{" + ", ".join(_order_key(x)) + "}"
+    else:
+        out["state_after"] = str(x)
+    return out
 
 
 def _combine(verdicts: list, cfg: Config, obligations=()) -> Verdict:
@@ -476,7 +379,7 @@ def check_invariant_loop(
     """
     i1, i2, i3 = inv
     step = normalize(RSeq(RTest(b), body.post), symtab)
-    res = star_wp(step, _guarded_pre(b, body.pre, symtab), symtab, cfg.wp_bound)
+    res = star_wp(step, guard_pre(b, body.pre, symtab), symtab, cfg.wp_bound)
     obs = []
     verdicts = []
     if not res.converged:
@@ -511,12 +414,6 @@ def check_invariant_loop(
     return _combine(verdicts, cfg, obs)
 
 
-def _guarded_pre(b: Expr, p: PreNF, symtab) -> PreNF:
-    from .relalg import guard_pre
-
-    return guard_pre(b, p, symtab)
-
-
 # ---------------------------------------------------------------------------
 # Assignment-prefix reduction
 
@@ -527,10 +424,8 @@ def assign_then_contract_reduction(
     """Distribute an initial assignment into a specification: composing the
     assignment before the contract applies its update as a substitution to
     all three components."""
-    pre = spec.pre if isinstance(spec.pre, PreNF) else spec.pre
-    pre = subst_pre(s, pre, symtab)
     return SpecTriple(
-        pre,
+        subst_pre(s, spec.pre, symtab),
         _subst_side(s, spec.peri, symtab),
         _subst_side(s, spec.post, symtab),
     )
@@ -576,8 +471,6 @@ def inv_check_program(
         loop.cond, body_contract, (TRUE_PRE, i2, i3), symtab, cfg
     )
     spec = SpecTriple(TRUE_PRE, i2, TRUE_R)
-    from .state import assignment_subst, compose_subst
-
     s = None
     for a in prefix:
         step = assignment_subst({a.var: a.expr}, symtab)

@@ -90,6 +90,18 @@ def test_roundtrip_nested_choices():
     assert parse(pp_program(p)) == p
 
 
+@pytest.mark.parametrize(
+    "body",
+    ["c!(#s) -> skip", "c!(-1) -> skip", "b := x = (not b)",
+     "b := not b and (not x = 1)"],
+)
+def test_roundtrip_operators_in_tight_and_comparison_position(body):
+    src = "channel c : int[-1..2]\nvar s : seq int[0..1] maxlen 2\n"
+    src += "var b : bool\nvar x : int[0..2]\n" + body
+    p = parse(src)
+    assert parse(pp_program(p)) == p
+
+
 def test_typecheck_buffer_accepted():
     tp = typecheck(parse(BUFFER_SRC))
     assert set(tp.symtab.variables) == {"bf"}

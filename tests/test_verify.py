@@ -1,21 +1,28 @@
 """Refinement discharge, loop invariants, and deadlock freedom."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from rdes import dsl, ground
+from rdes import cli, dsl, ground
 from rdes.contracts import calculate, chaos_c, miracle_c, while_contract
 from rdes.relalg import (
     EventTerm,
     RAtom,
+    RSeq,
+    RTest,
     TRUE_PRE,
     TRUE_R,
     event_set,
+    normalize,
     quiescent,
 )
 from rdes.state import (
     Acc,
     BinOp,
     Lit,
+    Primed,
     Proj,
     TRUE,
     Var,
@@ -25,11 +32,13 @@ from rdes.verify import (
     Config,
     InvariantRel,
     Obligation,
+    SeqInv,
     SpecTriple,
     assign_then_contract_reduction,
     check_deadlock_free,
     check_invariant_loop,
     check_rrel_refine,
+    deadlock_free_spec,
     inv_check_program,
     refine_check,
     refine_obligations,
@@ -265,3 +274,107 @@ def test_pre_obligation_refuted():
     v = refine_check(spec, impl, tp.symtab, CFG)
     assert v.kind == "refuted"
     assert v.witness["trace"] == "<a>"
+
+
+# ---------------------------------------------------------------------------
+# Pinned witnesses: one refuted obligation per observation source and kind
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def _corpus(name):
+    tp = dsl.load_program((CORPUS / f"{name}.rp").read_text())
+    return tp, calculate(tp)
+
+
+def _inline(source):
+    tp = dsl.load_program(source)
+    return tp, calculate(tp)
+
+
+def _loop_step(tp):
+    loop = tp.body if isinstance(tp.body, dsl.While) else tp.body.second
+    body = calculate(dsl.TypedProgram(tp.symtab, loop.body))
+    return normalize(RSeq(RTest(loop.cond), body.post), tp.symtab)
+
+
+def _pre_sweep():
+    tp, impl = _inline("channel a\na -> chaos")
+    _, spec = _inline("channel a\na -> skip")
+    return refine_obligations(spec, impl)[0], tp.symtab
+
+
+def _peri_instances_widened():
+    tp, c = _corpus("a_stop")
+    return refine_obligations(deadlock_free_spec(), c)[1], tp.symtab
+
+
+def _peri_instances():
+    tp, spec = _corpus("extchoice")
+    _, impl = _corpus("a_stop")
+    return refine_obligations(spec, impl)[1], tp.symtab
+
+
+def _peri_sweep():
+    tp, _ = _corpus("buffer")
+    i2 = InvariantRel(
+        "peri", dsl.parse_invariant("outps(tt)<=bf++inps(tt)", tp.symtab)
+    )
+    ob = Obligation(i2, SeqInv(_loop_step(tp), i2), "peri", "step")
+    return ob, tp.symtab
+
+
+def _post_instances():
+    tp, spec = _corpus("a_stop")
+    _, impl = _corpus("extchoice")
+    return refine_obligations(spec, impl)[2], tp.symtab
+
+
+def _post_sweep():
+    tp, _ = _inline(
+        "var x : int[0..2]\nchannel a\nwhile x < 2 do a -> x := x + 1"
+    )
+    i3 = InvariantRel("post", BinOp("=", Primed("x"), Var("x")))
+    ob = Obligation(i3, SeqInv(_loop_step(tp), i3), "post", "step")
+    return ob, tp.symtab
+
+
+@pytest.mark.parametrize(
+    "build, bound, witness",
+    [
+        (_pre_sweep, 4, {"state": "{}", "trace": "<a>",
+                         "violates": "precondition weakening"}),
+        (_peri_instances_widened, 4,
+         {"state": "{}", "trace": "<a>", "accept": "{}"}),
+        (_peri_instances, 4, {"state": "{}", "trace": "<>", "accept": "{a}"}),
+        (_peri_sweep, 5, {"state": "{bf=<0, 0>}",
+                          "trace": "<inp.0, inp.1, out.0, out.0, out.1>",
+                          "accept": "{}"}),
+        (_post_instances, 4,
+         {"state": "{}", "trace": "<c>", "state_after": "{}"}),
+        (_post_sweep, 4,
+         {"state": "{x=0}", "trace": "<a>", "state_after": "{x=1}"}),
+    ],
+    ids=["pre-sweep", "peri-instances-widened", "peri-instances",
+         "peri-sweep", "post-instances", "post-sweep"],
+)
+def test_least_witness_per_source_and_kind(build, bound, witness):
+    ob, symtab = build()
+    v = check_rrel_refine(ob, symtab, Config(trace_bound=bound))
+    assert v.kind == "refuted"
+    assert v.witness == witness
+
+
+def test_invariant_implies_spec_gives_least_witness(capsys):
+    # bf := <> reduces the invariant to outps(tt) <= inps(tt), which allows
+    # one input from any state; the spec allows none from a non-empty buffer
+    code = cli.main([
+        "refine", str(CORPUS / "buffer.rp"),
+        "--invariant", "outps(tt)<=bf++inps(tt)",
+        "--peri", "(#bf = 0 and #inps(tt) < 3) or (#bf > 0 and #inps(tt) < 1)",
+        "--trace-bound", "4", "--format", "json",
+    ])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["witness"] == {
+        "state": "{bf=<0, 0>}", "trace": "<inp.0>", "accept": "{}",
+    }
