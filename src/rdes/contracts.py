@@ -35,6 +35,7 @@ from .relalg import (
     RTest,
     TRUE_PRE,
     and_pre,
+    canon_set,
     disjuncts,
     event_set,
     filter_r4,
@@ -154,10 +155,10 @@ def assign_c(s: Subst) -> Contract:
     )
 
 
-def do_c(e: EventTerm) -> Contract:
+def do_c(e: EventTerm, symtab: SymbolTable) -> Contract:
     return Contract(
         TRUE_PRE,
-        RAtom(quiescent(TRUE, (), event_set(e))),
+        RAtom(quiescent(TRUE, (), canon_set(event_set(e), symtab))),
         RAtom(final(TRUE, IDENTITY, (e,))),
         productive=True,
         instantaneous=False,
@@ -385,7 +386,7 @@ def _calc(a: dsl.Action, symtab: SymbolTable, wp_bound: int) -> Contract:
     if isinstance(a, dsl.Assign):
         return assign_c(assignment_subst({a.var: a.expr}, symtab))
     if isinstance(a, dsl.DoEvent):
-        return do_c(EventTerm(a.chan, a.data))
+        return do_c(EventTerm(a.chan, a.data), symtab)
     if isinstance(a, dsl.Seq):
         return seq_contract(
             _calc(a.first, symtab, wp_bound),

@@ -10,6 +10,22 @@ term here is an independent reading of relational composition; comparing it
 with the normalised term exercises the rewrite rules.  Iteration is evaluated
 as a reached-set fixpoint pruned at the trace bound, which is exhaustive for
 all observations within the bound.
+
+Restriction: the instances at bound k are the instances at any bound K >= k
+whose trace has length at most k.  Trace lengths add under sequencing and
+every constructor is monotone in the bound, so this holds for every term.
+Sequencing and iteration rely on it to build what follows an intermediate
+state once per state rather than once per (trace, state) pair reached:
+
+* an iteration builds its body's terminated instances once per reached
+  state, at the star's own bound, while it explores the reached states;
+* a sequence, and an iteration's pauses after the reached states, build
+  what follows once per intermediate state, at the most room any trace
+  reaching that state leaves;
+
+and from a state reached by trace t1 both keep the instances (t2, _) with
+len(t1) + len(t2) <= bound.  `verify` relies on it too, answering queries of
+every trace length from one instance set built at an obligation's bound.
 """
 
 from __future__ import annotations
@@ -81,18 +97,10 @@ def final_instances(
             out &= x
         return frozenset(out)
     if isinstance(r, RSeq):
-        out = set()
-        for t1, s1 in final_instances(r.first, s, symtab, bound):
-            for t2, s2 in final_instances(
-                r.second, s1, symtab, bound - len(t1)
-            ):
-                out.add((t1 + t2, s2))
-        return frozenset(out)
+        firsts = final_instances(r.first, s, symtab, bound)
+        return _then(final_instances, r.second, firsts, symtab, bound)
     if isinstance(r, RStar):
-        out = set()
-        for t1, s1 in _star_states(r.body, s, symtab, bound):
-            out.add((t1, s1))
-        return frozenset(out)
+        return _star_states(r.body, s, symtab, bound)
     if isinstance(r, R4Residual):
         return frozenset(
             i for i in final_instances(r.arg, s, symtab, bound) if i[0]
@@ -107,17 +115,38 @@ def final_instances(
 def _star_states(
     body: RRel, s: Valuation, symtab: SymbolTable, bound: int
 ) -> frozenset:
-    """Reached (trace, state) pairs of an iteration, pruned at the bound."""
+    """Reached (trace, state) pairs of an iteration, pruned at the bound.
+    The body's instances are built once per reached state."""
+    steps: dict = {}
     seen = {((), s)}
     frontier = [((), s)]
     while frontier:
         t1, s1 = frontier.pop()
-        for t2, s2 in final_instances(body, s1, symtab, bound - len(t1)):
+        if s1 not in steps:
+            steps[s1] = final_instances(body, s1, symtab, bound)
+        room = bound - len(t1)
+        for t2, s2 in steps[s1]:
             nxt = (t1 + t2, s2)
-            if len(nxt[0]) <= bound and nxt not in seen:
+            if len(t2) <= room and nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
     return frozenset(seen)
+
+
+def _then(instances, second: RRel, firsts, symtab: SymbolTable, bound: int):
+    """(t1 + t2, x) within the bound for each (t1, s1) of `firsts` and each
+    instance (t2, x) of `second` from s1.  The second relation is built
+    once per intermediate state, at the most room any t1 leaves it."""
+    room: dict = {}
+    for t1, s1 in firsts:
+        room[s1] = max(room.get(s1, 0), bound - len(t1))
+    after = {s1: instances(second, s1, symtab, k) for s1, k in room.items()}
+    return frozenset(
+        (t1 + t2, x)
+        for t1, s1 in firsts
+        for t2, x in after[s1]
+        if len(t1) + len(t2) <= bound
+    )
 
 
 def quiet_instances(
@@ -154,21 +183,16 @@ def quiet_instances(
             out &= x
         return frozenset(out)
     if isinstance(r, RSeq):
-        out = set(quiet_instances(r.first, s, symtab, bound))
-        for t1, s1 in final_instances(r.first, s, symtab, bound):
-            for t2, acc in quiet_instances(
-                r.second, s1, symtab, bound - len(t1)
-            ):
-                out.add((t1 + t2, acc))
-        return frozenset(out)
+        firsts = final_instances(r.first, s, symtab, bound)
+        if isinstance(r.first, RStar):
+            # an iteration's terminated instances are its reached pairs
+            pauses = _then(quiet_instances, r.first.body, firsts, symtab, bound)
+        else:
+            pauses = quiet_instances(r.first, s, symtab, bound)
+        return pauses | _then(quiet_instances, r.second, firsts, symtab, bound)
     if isinstance(r, RStar):
-        out = set()
-        for t1, s1 in _star_states(r.body, s, symtab, bound):
-            for t2, acc in quiet_instances(
-                r.body, s1, symtab, bound - len(t1)
-            ):
-                out.add((t1 + t2, acc))
-        return frozenset(out)
+        reached = _star_states(r.body, s, symtab, bound)
+        return _then(quiet_instances, r.body, reached, symtab, bound)
     if isinstance(r, R4Residual):
         return frozenset(
             i for i in quiet_instances(r.arg, s, symtab, bound) if i[0]

@@ -257,8 +257,8 @@ def check_assign_event_swap(rng) -> list:
     symtab = randgen.random_symtab(rng)
     s = randgen.random_subst(rng, symtab)
     e = randgen.random_event(rng, symtab)
-    lhs = seq_contract(assign_c(s), do_c(e), symtab)
-    rhs = seq_contract(do_c(subst_event(s, e)), assign_c(s), symtab)
+    lhs = seq_contract(assign_c(s), do_c(e, symtab), symtab)
+    rhs = seq_contract(do_c(subst_event(s, e), symtab), assign_c(s), symtab)
     if not contracts_equal(lhs, rhs):
         return [_fail("assign_event_swap", f"<{s}> ; Do({e})")]
     return []
@@ -283,7 +283,7 @@ def check_assign_composition(rng) -> list:
 def check_stop_annihilates(rng) -> list:
     symtab = randgen.random_symtab(rng)
     c = seq_contract(
-        do_c(randgen.random_event(rng, symtab)), skip_c(), symtab
+        do_c(randgen.random_event(rng, symtab), symtab), skip_c(), symtab
     )
     lhs = seq_contract(stop_c(), c, symtab)
     if not contracts_equal(lhs, stop_c()):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 # Runtime value representation: bool must be tested before int (bool <: int).
 Value = Union[int, bool, tuple, frozenset]
@@ -101,8 +101,10 @@ def carrier_size(t: ValueType) -> int:
 # Events and symbol tables
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
+    """A ground event.  A named tuple, so that traces and sets of events
+    hash and compare in C; the enumerations hash them millions of times."""
+
     chan: str
     data: Optional[Value] = None
 
@@ -172,9 +174,9 @@ class SymbolTable:
         return Event(chan, t.clamp(data))
 
 
-@dataclass(frozen=True)
-class Valuation:
-    """Total assignment of values to the declared variables (sorted by name)."""
+class Valuation(NamedTuple):
+    """Total assignment of values to the declared variables (sorted by name).
+    A named tuple for the same reason as `Event`."""
 
     items: tuple
 

@@ -15,6 +15,12 @@ observations come from one of two sources, chosen by the right-hand side:
   invariant) is tested on a sweep of every trace, state and accepted set or
   final state within the bounds.
 
+The side that tests an observation is built once per obligation
+(`_member`).  A relation on that side is read through an index from trace
+to accepted sets or final states.  Each initial state's index is filled by
+one instance-set build at the obligation's trace bound, on the first query
+from that state, and is dropped when the obligation's check returns.
+
 A refutation carries the least failing observation in witness order: trace
 length, then the trace's events, then the initial state, then the accepted
 set or final state, each compared by its printed form.  This is the
@@ -202,10 +208,10 @@ def check_rrel_refine(
     """Discharge one obligation: search the right-hand side's observations
     within the bounds for the least one the left-hand side does not allow."""
     try:
-        lhs = _member(ob.lhs, ob.kind, symtab)
+        lhs = _member(ob.lhs, ob.kind, symtab, cfg.trace_bound)
         assume = None
         if ob.assume.clauses:
-            assume = _member(ob.assume, "pre", symtab)
+            assume = _member(ob.assume, "pre", symtab, cfg.trace_bound)
         if isinstance(ob.rhs, (PreNF, InvariantRel, SeqInv)):
             hit = _sweep(ob, lhs, assume, symtab, cfg.trace_bound)
         else:
@@ -217,10 +223,16 @@ def check_rrel_refine(
     return Verdict("refuted", cfg.bounds(), witness=_witness(ob, *hit))
 
 
-def _member(side: Side, kind: str, symtab: SymbolTable):
+def _member(side: Side, kind: str, symtab: SymbolTable, bound: int):
     """The test (s, tt, x) -> bool of whether `side` allows an observation
-    from state s with trace tt, where x is the accepted set (peri), the
-    final state (post) or unused (pre)."""
+    from state s with trace tt, len(tt) <= bound, where x is the accepted
+    set (peri), the final state (post) or unused (pre).
+
+    A relation is read through an index held by the returned closure, so it
+    lives exactly as long as one obligation's check.  It is filled one
+    initial state at a time, by one instance-set build at `bound`, and
+    answers a query of any shorter trace too: the instances at a smaller
+    bound are those at `bound` restricted to shorter traces."""
     if isinstance(side, PreNF):
         clauses = [(c.cond, c.trace) for c in side.clauses]
         return lambda s, tt, x: all(
@@ -232,14 +244,36 @@ def _member(side: Side, kind: str, symtab: SymbolTable):
             return lambda s, tt, x: bool(eval_expr(body, s, tt=tt, acc=x))
         return lambda s, tt, x: bool(eval_expr(body, s, tt=tt, primed=x))
     if isinstance(side, SeqInv):
-        prefix, inv = side.prefix, _member(side.inv, kind, symtab)
+        steps = _index(ground.final_instances, side.prefix, symtab, bound)
+        inv = _member(side.inv, kind, symtab, bound)
         return lambda s, tt, x: any(
-            tt[: len(t1)] == t1 and inv(s1, tt[len(t1):], x)
-            for t1, s1 in ground.final_instances(prefix, s, symtab, len(tt))
+            inv(s1, tt[n:], x)
+            for n in range(len(tt) + 1)
+            for s1 in steps(s).get(tt[:n], ())
         )
+    if isinstance(side, RTrue):
+        return lambda s, tt, x: True
     if kind == "peri":
-        return lambda s, tt, x: ground.holds_quiet(side, s, tt, x, symtab)
-    return lambda s, tt, x: ground.holds_term(side, s, tt, x, symtab)
+        accepts = _index(ground.quiet_instances, side, symtab, bound)
+        # an instance with accepted set E admits every superset of E
+        return lambda s, tt, x: any(e <= x for e in accepts(s).get(tt, ()))
+    finals = _index(ground.final_instances, side, symtab, bound)
+    return lambda s, tt, x: x in finals(s).get(tt, ())
+
+
+def _index(instances, r: RRel, symtab: SymbolTable, bound: int):
+    """s -> {trace: accepted sets or final states} of `r`'s instances from
+    s within `bound`, built on the first query from s."""
+    built: dict = {}
+
+    def at(s: Valuation) -> dict:
+        if s not in built:
+            by_trace = built[s] = {}
+            for tt, x in instances(r, s, symtab, bound):
+                by_trace.setdefault(tt, set()).add(x)
+        return built[s]
+
+    return at
 
 
 def _from_instances(ob: Obligation, lhs, assume, symtab, bound: int):
@@ -271,7 +305,7 @@ def _sweep(ob: Obligation, lhs, assume, symtab, bound: int):
     """The first failing observation of a right-hand side that is tested,
     not enumerated, over traces, states and accepted sets or final states
     taken in witness order."""
-    rhs = _member(ob.rhs, ob.kind, symtab)
+    rhs = _member(ob.rhs, ob.kind, symtab, bound)
     states = sorted(symtab.valuations(), key=str)
     alphabet = sorted(symtab.alphabet(), key=str)
     if ob.kind == "pre":

@@ -1,6 +1,10 @@
 """The command-line front end's JSON output against the shipped schemas."""
 
+import gc
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -80,3 +84,55 @@ def test_flags_only_where_read(capsys, argv, accepted):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "spec, impl, declaration",
+    [
+        ("buffer.rp", "a_stop.rp", "var bf : seq int[0..1] maxlen 2"),
+        ("ex2_lhs.rp", "while_chaos.rp", "channel a : int[0..3]"),
+    ],
+)
+def test_refine_needs_the_specifications_declarations(spec, impl, declaration):
+    # the specification is read over the implementation's declarations
+    proc = subprocess.run(
+        [sys.executable, "-m", "rdes", "refine",
+         str(CORPUS / spec), str(CORPUS / impl)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert declaration in proc.stderr
+
+
+def test_refine_names_a_mistyped_declaration(capsys, tmp_path):
+    spec, impl = tmp_path / "spec.rp", tmp_path / "impl.rp"
+    spec.write_text("channel a : int[0..1]\na!0 -> skip\n")
+    impl.write_text("channel a : int[0..3]\na!0 -> skip\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["refine", str(spec), str(impl)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"error: {spec} declares channel a : int[0..1], "
+        f"but {impl} declares channel a : int[0..3]\n"
+    )
+
+
+def test_collection_thresholds_hold_only_while_a_command_runs(
+    capsys, monkeypatch
+):
+    seen = []
+    real = cli.cmd_dlf
+
+    def spy(args):
+        seen.append(gc.get_threshold())
+        return real(args)
+
+    monkeypatch.setattr(cli, "cmd_dlf", spy)
+    before = gc.get_threshold()
+    assert cli.main(["dlf", str(CORPUS / "a_stop.rp")]) == 1
+    assert seen == [(before[0], before[1], cli.FULL_GC_EVERY)]
+    assert gc.get_threshold() == before

@@ -2,7 +2,7 @@
 
 import pytest
 
-from rdes import dsl
+from rdes import dsl, randgen
 from rdes.contracts import (
     Contract,
     EmptyIndexError,
@@ -93,23 +93,23 @@ def test_example_assign_prefix_assign():
 
 
 def test_skip_is_seq_unit():
-    c = do_c(ev("a", 2))
+    c = do_c(ev("a", 2), XTAB)
     assert contracts_equal(seq_contract(skip_c(), c, XTAB), c)
     assert contracts_equal(seq_contract(c, skip_c(), XTAB), c)
 
 
 def test_stop_left_annihilates():
-    c = do_c(ev("a", 1))
+    c = do_c(ev("a", 1), XTAB)
     assert contracts_equal(seq_contract(stop_c(), c, XTAB), stop_c())
 
 
 def test_chaos_left_annihilates():
-    c = seq_contract(chaos_c(), do_c(ev("a", 1)), XTAB)
+    c = seq_contract(chaos_c(), do_c(ev("a", 1), XTAB), XTAB)
     assert contracts_equal(c, chaos_c())
 
 
 def test_miracle_left_annihilates():
-    c = seq_contract(miracle_c(), do_c(ev("a", 1)), XTAB)
+    c = seq_contract(miracle_c(), do_c(ev("a", 1), XTAB), XTAB)
     assert contracts_equal(c, miracle_c())
 
 
@@ -126,20 +126,20 @@ def test_assign_identity_is_skip():
 
 def test_assign_commutes_with_event():
     s = assignment_subst({"x": Lit(1)}, XTAB)
-    lhs = seq_contract(assign_c(s), do_c(EventTerm("a", Var("x"))), XTAB)
-    rhs = seq_contract(do_c(ev("a", 1)), assign_c(s), XTAB)
+    lhs = seq_contract(assign_c(s), do_c(EventTerm("a", Var("x")), XTAB), XTAB)
+    rhs = seq_contract(do_c(ev("a", 1), XTAB), assign_c(s), XTAB)
     assert contracts_equal(lhs, rhs)
 
 
 def test_do_then_chaos_precondition():
-    c = seq_contract(do_c(ev("a", 1)), chaos_c(), XTAB)
+    c = seq_contract(do_c(ev("a", 1), XTAB), chaos_c(), XTAB)
     assert c.pre.clauses == (NegClause(TRUE, (ev("a", 1),)),)
     assert c.peri == RAtom(quiescent(TRUE, (), event_set(ev("a", 1))))
     assert c.post == FALSE_R
 
 
 def test_intchoice_units():
-    c = do_c(ev("a", 1))
+    c = do_c(ev("a", 1), XTAB)
     assert contracts_equal(intchoice_contract([c], XTAB), c)
     assert contracts_equal(intchoice_contract([c, c], XTAB), c)
     with pytest.raises(EmptyIndexError):
@@ -147,15 +147,15 @@ def test_intchoice_units():
 
 
 def test_prefix_distributes_over_intchoice():
-    p = do_c(EventTerm("b"))
+    p = do_c(EventTerm("b"), ABC)
     q = stop_c()
     lhs = seq_contract(
-        do_c(EventTerm("a")), intchoice_contract([p, q], ABC), ABC
+        do_c(EventTerm("a"), ABC), intchoice_contract([p, q], ABC), ABC
     )
     rhs = intchoice_contract(
         [
-            seq_contract(do_c(EventTerm("a")), p, ABC),
-            seq_contract(do_c(EventTerm("a")), q, ABC),
+            seq_contract(do_c(EventTerm("a"), ABC), p, ABC),
+            seq_contract(do_c(EventTerm("a"), ABC), q, ABC),
         ],
         ABC,
     )
@@ -190,13 +190,13 @@ def test_extchoice_example_pericondition():
 
 
 def test_extchoice_stop_is_unit():
-    p = seq_contract(do_c(EventTerm("a")), skip_c(), ABC)
+    p = seq_contract(do_c(EventTerm("a"), ABC), skip_c(), ABC)
     assert contracts_equal(extchoice_contract([p, stop_c()], ABC), p)
 
 
 def test_extchoice_commutative_idempotent():
-    p = seq_contract(do_c(EventTerm("a")), skip_c(), ABC)
-    q = seq_contract(do_c(EventTerm("b")), stop_c(), ABC)
+    p = seq_contract(do_c(EventTerm("a"), ABC), skip_c(), ABC)
+    q = seq_contract(do_c(EventTerm("b"), ABC), stop_c(), ABC)
     assert contracts_equal(
         extchoice_contract([p, q], ABC), extchoice_contract([q, p], ABC)
     )
@@ -204,16 +204,16 @@ def test_extchoice_commutative_idempotent():
 
 
 def test_extchoice_associative_on_examples():
-    p = do_c(EventTerm("a"))
-    q = do_c(EventTerm("b"))
-    r = do_c(EventTerm("c"))
+    p = do_c(EventTerm("a"), ABC)
+    q = do_c(EventTerm("b"), ABC)
+    r = do_c(EventTerm("c"), ABC)
     lhs = extchoice_contract([extchoice_contract([p, q], ABC), r], ABC)
     rhs = extchoice_contract([p, extchoice_contract([q, r], ABC)], ABC)
     assert contracts_equal(lhs, rhs)
 
 
 def test_guard_false_is_stop_and_true_is_identity():
-    p = do_c(EventTerm("a"))
+    p = do_c(EventTerm("a"), ABC)
     assert contracts_equal(cond_contract(Lit(False), p, stop_c(), ABC), stop_c())
     assert contracts_equal(cond_contract(Lit(True), p, stop_c(), ABC), p)
 
@@ -299,7 +299,7 @@ while true do (
 
 
 def test_while_false_is_skip():
-    body = do_c(ev("a", 1))
+    body = do_c(ev("a", 1), XTAB)
     assert contracts_equal(while_contract(Lit(False), body, XTAB), skip_c())
 
 
@@ -332,13 +332,13 @@ def test_star_of_skip_is_skip():
 
 
 def test_star_contract_trivial_pre():
-    c = star_contract(do_c(ev("a", 1)), XTAB)
+    c = star_contract(do_c(ev("a", 1), XTAB), XTAB)
     assert c.pre == TRUE_PRE
     assert c.post == RStar(RAtom(final(TRUE, IDENTITY, (ev("a", 1),))))
 
 
 def test_classification_base_cases():
-    assert do_c(ev("a", 1)).productive is True
+    assert do_c(ev("a", 1), XTAB).productive is True
     s = classify(skip_c(), XTAB)
     assert s.productive is False and s.instantaneous is True
     c = classify(chaos_c(), XTAB)
@@ -347,7 +347,7 @@ def test_classification_base_cases():
 
 def test_classification_seq_rule():
     c = seq_contract(
-        do_c(ev("a", 1)),
+        do_c(ev("a", 1), XTAB),
         assign_c(assignment_subst({"x": Lit(2)}, XTAB)),
         XTAB,
     )
@@ -377,3 +377,13 @@ def test_instantaneous_distributes_from_left():
     lhs, _ = calc_src(src_lhs)
     rhs, _ = calc_src(src_rhs)
     assert contracts_equal(lhs, rhs)
+
+
+def test_calculated_relations_are_normal_forms():
+    # an event's accepted set is canonical from the start, so a contract
+    # calculated from a bare event is already a fixed point of normalize
+    for seed in range(400):
+        tp = randgen.random_program(randgen.rng_for(seed))
+        c = calculate(tp)
+        for r in (c.peri, c.post):
+            assert normalize(r, tp.symtab) == r, seed

@@ -1,0 +1,62 @@
+"""Ground instance sets: the restriction fact that lets one build at a top
+bound answer every smaller bound."""
+
+from pathlib import Path
+
+import pytest
+
+from rdes import dsl, ground, randgen
+from rdes.contracts import calculate
+from rdes.relalg import ROr, RStar
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+TOP = 5
+
+
+def _corpus_contracts():
+    for path in sorted(CORPUS.glob("*.rp")):
+        if path.stem != "while_bad":
+            tp = dsl.load_program(path.read_text())
+            yield path.stem, tp.symtab, calculate(tp)
+
+
+def _random_contracts(make, count):
+    rng = randgen.rng_for(0)
+    for i in range(count):
+        tp = make(rng)
+        yield f"{make.__name__}-{i}", tp.symtab, calculate(tp)
+
+
+def _contracts():
+    yield from _corpus_contracts()
+    yield from _random_contracts(randgen.random_program, 50)
+    yield from _random_contracts(randgen.random_loop_program, 20)
+
+
+@pytest.mark.parametrize("kind", ["peri", "post"])
+def test_smaller_bound_is_restriction_of_larger(kind):
+    instances = {"peri": ground.quiet_instances,
+                 "post": ground.final_instances}[kind]
+    checked = 0
+    for name, symtab, c in _contracts():
+        # normal forms keep pauses out of iteration bodies, so also iterate
+        # a body that both pauses and terminates
+        for r in (getattr(c, kind), RStar(ROr((c.peri, c.post)))):
+            checked += _check_restriction(instances, r, symtab, name)
+    # (relation, state) pairs with at least one instance, of about 1400
+    assert checked > 700
+
+
+def _check_restriction(instances, r, symtab, name) -> int:
+    checked = 0
+    for s in symtab.valuations():
+        try:
+            at = [instances(r, s, symtab, k) for k in range(TOP + 1)]
+        except ground.NotGroundEvaluable:
+            return checked
+        for big in range(1, TOP + 1):
+            for k in range(big):
+                cut = {i for i in at[big] if len(i[0]) <= k}
+                assert at[k] == cut, (name, str(r), str(s), k, big)
+        checked += bool(at[TOP])
+    return checked

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rdes.state import (
     BinOp,
+    Event,
     BoolType,
     Head,
     IfE,
@@ -217,3 +218,16 @@ def test_symtab_valuations_cover_product():
 def test_alphabet_sorted_and_ground():
     names = [str(e) for e in SYMTAB.alphabet()]
     assert names == ["inp.0", "inp.1", "out.0", "out.1"]
+
+
+def test_events_and_valuations_keep_their_forms():
+    # witness keys sort on str() of traces, which prints events by repr,
+    # and set iteration order follows the hash: both are the field tuple's
+    ev = Event("inp", (0, 1))
+    assert str(ev) == "inp.<0, 1>" and str(Event("a")) == "a"
+    assert repr(ev) == "Event(chan='inp', data=(0, 1))"
+    assert hash(ev) == hash(("inp", (0, 1)))
+    s = val(bf=(1,), v=1)
+    assert str(s) == "{bf=<1>, v=1}"
+    assert hash(s) == hash((s.items,))
+    assert s.set("v", 5, IntType(0, 1)) == val(bf=(1,), v=1)

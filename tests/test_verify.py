@@ -378,3 +378,35 @@ def test_invariant_implies_spec_gives_least_witness(capsys):
     assert json.loads(capsys.readouterr().out)["witness"] == {
         "state": "{bf=<0, 0>}", "trace": "<inp.0>", "accept": "{}",
     }
+
+
+# Bounds that an instance index per obligation brings within seconds
+
+BUFFER_INV = "outps(tt)<=bf++inps(tt)"
+DROPPED_INPUT = {"state": "{bf=<0, 0>}",
+                 "trace": "<inp.0, inp.1, out.0, out.0, out.1>",
+                 "accept": "{}"}
+
+
+def _json_verdict(capsys, *argv):
+    code = cli.main([*argv, "--format", "json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_buffer_self_refinement_at_bound_six(capsys):
+    buffer = str(CORPUS / "buffer.rp")
+    code, v = _json_verdict(capsys, "refine", buffer, buffer,
+                            "--trace-bound", "6")
+    assert (code, v["verdict"]) == (0, "verified")
+
+
+@pytest.mark.parametrize("bound, witness", [(4, None), (5, DROPPED_INPUT),
+                                            (6, DROPPED_INPUT)])
+def test_buffer_invariant_broken_by_saturating_append(capsys, bound, witness):
+    # from the full buffer the append drops inp.0, which takes five events
+    # to show; the least witness stays the same once it is in reach
+    code, v = _json_verdict(capsys, "inv-check", str(CORPUS / "buffer.rp"),
+                            "--invariant", BUFFER_INV,
+                            "--trace-bound", str(bound))
+    assert code == (0 if witness is None else 1)
+    assert v.get("witness") == witness
