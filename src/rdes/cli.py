@@ -370,8 +370,7 @@ def main(argv=None) -> int:
     # A check keeps millions of small tuples and sets alive until it ends,
     # and every full collection traverses all of them: with Python's
     # defaults, `crosscheck buffer` spends about half its time there.  Rarer
-    # full collections leave garbage cycles (the enumerator's per-state
-    # tables) waiting longer, for about 10 % more peak memory.
+    # full collections leave what garbage cycles there are waiting longer.
     thresholds = gc.get_threshold()
     gc.set_threshold(thresholds[0], thresholds[1], FULL_GC_EVERY)
     try:

@@ -22,10 +22,7 @@ from .relalg import (
     FinalAtom,
     KindMismatchError,
     NegClause,
-    NormalizationIncomplete,
     PreNF,
-    R4Residual,
-    R5Residual,
     RAnd,
     RAtom,
     ROr,
@@ -225,34 +222,13 @@ def extchoice_contract(cs: list, symtab: SymbolTable) -> Contract:
     pre = TRUE_PRE
     for c in cs:
         pre = and_pre(pre, c.pre, symtab)
-    unresolved_parts = []
-    resolved_parts = []
-    for c in cs:
-        r5 = filter_r5(c.peri, symtab)
-        r4 = filter_r4(c.peri, symtab)
-        if _has_residual(r5) or _has_residual(r4):
-            raise NormalizationIncomplete(
-                "external choice over a non-literal pericondition"
-            )
-        unresolved_parts.append(r5)
-        resolved_parts.append(r4)
+    unresolved_parts = [filter_r5(c.peri, symtab) for c in cs]
+    resolved_parts = [filter_r4(c.peri, symtab) for c in cs]
     unresolved = normalize(RAnd(tuple(unresolved_parts)), symtab)
     peri = normalize(or_of([unresolved] + resolved_parts), symtab)
     post = normalize(or_of([c.post for c in cs]), symtab)
     productive = True if all(c.productive for c in cs) else None
     return classify(Contract(pre, peri, post, productive), symtab)
-
-
-def _has_residual(r: RRel) -> bool:
-    if isinstance(r, (R4Residual, R5Residual)):
-        return True
-    if isinstance(r, (ROr, RAnd)):
-        return any(_has_residual(a) for a in r.args)
-    if isinstance(r, RSeq):
-        return any(_has_residual(x) for x in seq_items(r))
-    if isinstance(r, RStar):
-        return _has_residual(r.body)
-    return False
 
 
 def cond_contract(
@@ -289,18 +265,6 @@ def _cond_rrel(b: Expr, r1: RRel, r2: RRel, symtab: SymbolTable) -> RRel:
         ROr((guard_rrel(b, n1, symtab), guard_rrel(negate(b), n2, symtab))),
         symtab,
     )
-
-
-def star_contract(c: Contract, symtab: SymbolTable) -> Contract:
-    """Iteration: terminated behaviours iterate the postcondition; quiescent
-    ones do so and then pause in the body's pericondition."""
-    post_n = normalize(c.post, symtab)
-    res = star_wp(post_n, c.pre, symtab)
-    if not res.converged:
-        raise WpNotConvergedError("iterated precondition did not converge")
-    star = normalize(RStar(post_n), symtab)
-    peri = normalize(RSeq(star, c.peri), symtab)
-    return classify(Contract(res.clauses, peri, star), symtab)
 
 
 def while_contract(

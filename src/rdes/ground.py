@@ -32,14 +32,10 @@ from __future__ import annotations
 
 from .relalg import (
     FinalAtom,
-    InitAtom,
     QuiescentAtom,
-    R4Residual,
-    R5Residual,
     RAnd,
     RAtom,
     RFalse,
-    RNegInit,
     ROr,
     RRel,
     RSeq,
@@ -69,8 +65,6 @@ def final_instances(
         return frozenset()
     if isinstance(r, RTrue):
         raise NotGroundEvaluable("the universal relation has no instance set")
-    if isinstance(r, RNegInit):
-        raise NotGroundEvaluable("precondition clauses have no instance set")
     if isinstance(r, RTest):
         if eval_expr(r.cond, s):
             return frozenset({((), s)})
@@ -101,14 +95,6 @@ def final_instances(
         return _then(final_instances, r.second, firsts, symtab, bound)
     if isinstance(r, RStar):
         return _star_states(r.body, s, symtab, bound)
-    if isinstance(r, R4Residual):
-        return frozenset(
-            i for i in final_instances(r.arg, s, symtab, bound) if i[0]
-        )
-    if isinstance(r, R5Residual):
-        return frozenset(
-            i for i in final_instances(r.arg, s, symtab, bound) if not i[0]
-        )
     raise TypeError(f"not a reactive relation: {r!r}")
 
 
@@ -157,7 +143,7 @@ def quiet_instances(
     The accepted set is the atom's evaluated acceptance: the observation
     admits any refusal disjoint from it.
     """
-    if isinstance(r, (RFalse, RTest, RNegInit)):
+    if isinstance(r, (RFalse, RTest)):
         return frozenset()
     if isinstance(r, RTrue):
         raise NotGroundEvaluable("the universal relation has no instance set")
@@ -193,14 +179,6 @@ def quiet_instances(
     if isinstance(r, RStar):
         reached = _star_states(r.body, s, symtab, bound)
         return _then(quiet_instances, r.body, reached, symtab, bound)
-    if isinstance(r, R4Residual):
-        return frozenset(
-            i for i in quiet_instances(r.arg, s, symtab, bound) if i[0]
-        )
-    if isinstance(r, R5Residual):
-        return frozenset(
-            i for i in quiet_instances(r.arg, s, symtab, bound) if not i[0]
-        )
     raise TypeError(f"not a reactive relation: {r!r}")
 
 

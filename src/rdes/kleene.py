@@ -19,8 +19,6 @@ from .relalg import (
     RStar,
     ROr,
     RAnd,
-    R4Residual,
-    R5Residual,
     UNIT_R,
     normalize,
     or_of,
@@ -107,9 +105,6 @@ def unfold_star(r: RRel, k: int, symtab: SymbolTable) -> RRel:
         return normalize(
             RAnd(tuple(unfold_star(a, k, symtab) for a in r.args)), symtab
         )
-    if isinstance(r, (R4Residual, R5Residual)):
-        inner = unfold_star(r.arg, k, symtab)
-        return normalize(type(r)(inner), symtab)
     return normalize(r, symtab)
 
 

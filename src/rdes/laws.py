@@ -21,10 +21,8 @@ from .contracts import (
 )
 from .kleene import ka_laws_check
 from .relalg import (
-    FALSE_R,
     NegClause,
     RAtom,
-    ROr,
     RSeq,
     RTest,
     filter_r4,
@@ -42,7 +40,6 @@ from .relalg import (
     wp_final,
 )
 from .state import eval_expr
-from .verify import Config
 
 
 def _final_obs(r, symtab, bound=4):
@@ -228,7 +225,6 @@ def check_assign_distribution(rng) -> list:
     symtab = randgen.random_symtab(rng)
     s = randgen.random_subst(rng, symtab)
     from .contracts import Contract, classify
-    from .relalg import TRUE_PRE
 
     c = Contract(
         pre_of([NegClause(randgen.random_cond(rng, symtab),

@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import dsl, ground
 from .contracts import Contract
-from .state import Event, SymbolTable, Valuation, eval_expr
+from .state import SymbolTable, Valuation, eval_expr
 
 
 @dataclass(frozen=True)
@@ -160,6 +160,9 @@ def enumerate_program(
         return (o[0], tt) + o[2:]
 
     raw = go(tp.body, s0, depth)
+    # `go` and `_enum` refer to each other, so only a full collection would
+    # free the closures; emptying the table lets reference counting free it
+    memo.clear()
     out = set()
     for o in raw:
         if len(o[1]) > trace_bound:

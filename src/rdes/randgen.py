@@ -30,7 +30,6 @@ from .state import (
     Tail,
     Var,
     assignment_subst,
-    fold,
 )
 
 

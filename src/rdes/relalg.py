@@ -1,10 +1,7 @@
 """Reactive-relation term algebra and its normaliser.
 
-Three atom kinds describe the building blocks of reactive behaviour:
+Two atom kinds describe the building blocks of reactive behaviour:
 
-* ``InitAtom(b, t)`` -- an initial condition: the state satisfies ``b`` and
-  ``t`` is a prefix of the trace contribution.  Used negated in
-  preconditions.
 * ``QuiescentAtom(b, t, E)`` -- a quiescent observation: under ``b`` the
   trace contribution is exactly ``t`` and every event in ``E`` is accepted.
 * ``FinalAtom(b, s, t)`` -- a terminated observation: under ``b`` the state
@@ -13,6 +10,9 @@ Three atom kinds describe the building blocks of reactive behaviour:
 Relations are disjunctions/conjunctions/sequences/iterations of atoms; the
 normaliser pushes sequencing into atoms, yielding disjunctive atom form
 (possibly interrupted by symbolic iteration nodes).
+
+Preconditions are not relations here: they live only in ``PreNF``, a
+conjunction of negated initial conditions (``NegClause``).
 """
 
 from __future__ import annotations
@@ -300,15 +300,6 @@ def sets_equiv(a: EventSetExpr, b: EventSetExpr, symtab: SymbolTable) -> bool:
 
 
 @dataclass(frozen=True)
-class InitAtom:
-    cond: Expr
-    trace: TraceExpr
-
-    def __str__(self) -> str:
-        return f"I({pp_expr(self.cond)} | {pp_trace(self.trace)})"
-
-
-@dataclass(frozen=True)
 class QuiescentAtom:
     cond: Expr
     trace: TraceExpr
@@ -330,7 +321,7 @@ class FinalAtom:
         return f"Phi({pp_expr(self.cond)} | {self.subst} | {pp_trace(self.trace)})"
 
 
-Atom = Union[InitAtom, QuiescentAtom, FinalAtom]
+Atom = Union[QuiescentAtom, FinalAtom]
 
 
 def quiescent(cond: Expr, trace: TraceExpr, accept: EventSetExpr) -> QuiescentAtom:
@@ -364,9 +355,7 @@ def atoms_equiv(a: Atom, b: Atom, symtab: SymbolTable) -> bool:
         return False
     if isinstance(a, FinalAtom):
         return substs_equiv(a.subst, b.subst, symtab)
-    if isinstance(a, QuiescentAtom):
-        return sets_equiv(a.accept, b.accept, symtab)
-    return True
+    return sets_equiv(a.accept, b.accept, symtab)
 
 
 # ---------------------------------------------------------------------------
@@ -444,35 +433,7 @@ class RTest:
         return f"[{pp_expr(self.cond)}]"
 
 
-@dataclass(frozen=True)
-class RNegInit:
-    cond: Expr
-    trace: TraceExpr
-
-    def __str__(self) -> str:
-        return f"not I({pp_expr(self.cond)} | {pp_trace(self.trace)})"
-
-
-@dataclass(frozen=True)
-class R4Residual:
-    arg: "RRel"
-
-    def __str__(self) -> str:
-        return f"R4({self.arg})"
-
-
-@dataclass(frozen=True)
-class R5Residual:
-    arg: "RRel"
-
-    def __str__(self) -> str:
-        return f"R5({self.arg})"
-
-
-RRel = Union[
-    RFalse, RTrue, RAtom, ROr, RAnd, RSeq, RStar, RTest, RNegInit,
-    R4Residual, R5Residual,
-]
+RRel = Union[RFalse, RTrue, RAtom, ROr, RAnd, RSeq, RStar, RTest]
 
 FALSE_R = RFalse()
 TRUE_R = RTrue()
@@ -563,11 +524,6 @@ def seq_final_quiescent(
     )
 
 
-def seq_test(cond: Expr, r: RRel, symtab: SymbolTable) -> RRel:
-    """Precompose a state test: [b];P runs P when b holds initially."""
-    return normalize(RSeq(RTest(cond), r), symtab)
-
-
 def merge_cond(r1: RRel, c: Expr, r2: RRel, symtab: SymbolTable) -> RRel:
     """Pointwise conditional of two same-kind atoms.
 
@@ -641,7 +597,8 @@ def conj_quiescent(atoms: list, symtab: SymbolTable) -> QuiescentAtom:
 
 
 # ---------------------------------------------------------------------------
-# Trace filters (strictly-increasing / unchanged trace)
+# Trace filters (strictly-increasing / unchanged trace), which split a
+# pericondition for external choice
 
 
 def filter_r4(r: RRel, symtab: SymbolTable) -> RRel:
@@ -667,9 +624,9 @@ def _filter(r: RRel, keep_empty: bool) -> RRel:
         if empty == keep_empty:
             return r
         return FALSE_R
-    if keep_empty:
-        return R5Residual(r)
-    return R4Residual(r)
+    raise NormalizationIncomplete(
+        "external choice over a non-literal pericondition"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -698,14 +655,6 @@ class PreNF:
     def is_true(self) -> bool:
         return not self.clauses
 
-    def to_rrel(self) -> RRel:
-        if not self.clauses:
-            return TRUE_R
-        nodes = [RNegInit(c.cond, c.trace) for c in self.clauses]
-        if len(nodes) == 1:
-            return nodes[0]
-        return RAnd(tuple(nodes))
-
     def __str__(self) -> str:
         if not self.clauses:
             return "true_r"
@@ -713,7 +662,6 @@ class PreNF:
 
 
 TRUE_PRE = PreNF(())
-FALSE_PRE = PreNF((NegClause(TRUE, ()),))
 
 
 def pre_of(clauses: list, symtab: SymbolTable) -> PreNF:
@@ -784,16 +732,11 @@ def normalize(r: RRel, symtab: SymbolTable) -> RRel:
     Idempotent: a second pass returns its input unchanged.  What makes the
     form canonical: an atom's condition is never a non-literal that holds
     in every state or in none (``atom_cond``), and no two atoms of one
-    disjunction differ only in their condition.  Iteration nodes and
-    residuals are preserved as explicit barriers rather than guessed at.
+    disjunction differ only in their condition.  Iteration nodes are
+    preserved as explicit barriers rather than guessed at.
     """
     if isinstance(r, (RFalse, RTrue)):
         return r
-    if isinstance(r, RNegInit):
-        cond = fold(r.cond)
-        if cond_is_false(cond, symtab):
-            return TRUE_R
-        return RNegInit(cond, fold_trace(r.trace))
     if isinstance(r, RTest):
         cond = atom_cond(r.cond, symtab)
         if cond is None:
@@ -808,9 +751,7 @@ def normalize(r: RRel, symtab: SymbolTable) -> RRel:
             return RAtom(
                 quiescent(cond, a.trace, canon_set(a.accept, symtab))
             )
-        if isinstance(a, FinalAtom):
-            return RAtom(final(cond, a.subst, a.trace))
-        return RAtom(InitAtom(cond, fold_trace(a.trace)))
+        return RAtom(final(cond, a.subst, a.trace))
     if isinstance(r, ROr):
         return _norm_or(r, symtab)
     if isinstance(r, RAnd):
@@ -819,10 +760,6 @@ def normalize(r: RRel, symtab: SymbolTable) -> RRel:
         return _norm_seq(r, symtab)
     if isinstance(r, RStar):
         return _norm_star(r, symtab)
-    if isinstance(r, R4Residual):
-        return _filter(normalize(r.arg, symtab), keep_empty=False)
-    if isinstance(r, R5Residual):
-        return _filter(normalize(r.arg, symtab), keep_empty=True)
     raise TypeError(f"not a reactive relation: {r!r}")
 
 
@@ -878,9 +815,7 @@ def _merge_same_shape(a: Atom, b: Atom, symtab: SymbolTable) -> Optional[Atom]:
     cond = atom_cond(disj(a.cond, b.cond), symtab)
     if isinstance(a, FinalAtom):
         return final(cond, a.subst, a.trace)
-    if isinstance(a, QuiescentAtom):
-        return quiescent(cond, a.trace, a.accept)
-    return InitAtom(cond, a.trace)
+    return quiescent(cond, a.trace, a.accept)
 
 
 def _norm_and(r: RAnd, symtab: SymbolTable) -> RRel:
@@ -1086,22 +1021,10 @@ def rrel_to_json(r: RRel):
         return {"kind": "star", "body": rrel_to_json(r.body)}
     if isinstance(r, RTest):
         return {"kind": "test", "cond": pp_expr(r.cond)}
-    if isinstance(r, RNegInit):
-        return {
-            "kind": "neg_init",
-            "cond": pp_expr(r.cond),
-            "trace": pp_trace(r.trace),
-        }
-    if isinstance(r, R4Residual):
-        return {"kind": "r4", "arg": rrel_to_json(r.arg)}
-    if isinstance(r, R5Residual):
-        return {"kind": "r5", "arg": rrel_to_json(r.arg)}
     raise TypeError(f"not a reactive relation: {r!r}")
 
 
 def atom_to_json(a: Atom):
-    if isinstance(a, InitAtom):
-        return {"kind": "init", "cond": pp_expr(a.cond), "trace": pp_trace(a.trace)}
     if isinstance(a, QuiescentAtom):
         return {
             "kind": "quiescent",

@@ -114,10 +114,6 @@ class Event(NamedTuple):
         return f"{self.chan}.{pp_value(self.data)}"
 
 
-def event_key(e: Event) -> tuple:
-    return (e.chan, str(e.data))
-
-
 class SymbolTable:
     """Declared variables and channels with their finite carriers.
 
@@ -414,10 +410,6 @@ def mentions_trace(e: Expr) -> bool:
     if isinstance(e, SeqDisplay):
         return any(mentions_trace(x) for x in e.elems)
     return False
-
-
-def is_closed(e: Expr) -> bool:
-    return not free_vars(e) and not mentions_trace(e)
 
 
 _EMPTY_VAL = Valuation(())

@@ -10,7 +10,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from rdes import cli
+from rdes import cli, randgen
+from rdes.contracts import NotProductiveError, calculate
+from rdes.relalg import NormalizationIncomplete
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -64,6 +66,35 @@ def test_contract_and_observations_json_match_schemas(
     _, out = _run(capsys, command, str(CORPUS / f"{program}.rp"),
                   "--trace-bound", "2")
     jsonschema.validate(out, _schema(schema))
+
+
+def test_random_contracts_match_schema():
+    schema = _schema("contract")
+    for seed in range(200):
+        tp = randgen.random_program(randgen.rng_for(seed))
+        jsonschema.validate(calculate(tp).to_json(), schema)
+    for seed in range(50):
+        tp = randgen.random_loop_program(randgen.rng_for(seed))
+        try:
+            c = calculate(tp)
+        except (NotProductiveError, NormalizationIncomplete):
+            continue
+        jsonschema.validate(c.to_json(), schema)
+
+
+def test_calc_rejects_external_choice_over_a_loop(capsys, tmp_path):
+    path = tmp_path / "extloop.rp"
+    path.write_text(
+        "channel a\nchannel b\nvar x : int[0..1]\n"
+        "(a ; while x < 1 do (b ; x := x + 1)) [] b\n"
+    )
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["calc", str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "error: NormalizationIncomplete: "
+        "external choice over a non-literal pericondition\n"
+    )
 
 
 @pytest.mark.parametrize(

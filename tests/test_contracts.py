@@ -19,7 +19,6 @@ from rdes.contracts import (
     miracle_c,
     seq_contract,
     skip_c,
-    star_contract,
     stop_c,
     while_contract,
 )
@@ -325,16 +324,6 @@ def test_while_true_of_prefix_shape():
     assert c.post == FALSE_R
     assert isinstance(c.peri, RSeq)
     assert isinstance(c.peri.first, RStar)
-
-
-def test_star_of_skip_is_skip():
-    assert contracts_equal(star_contract(skip_c(), XTAB), skip_c())
-
-
-def test_star_contract_trivial_pre():
-    c = star_contract(do_c(ev("a", 1), XTAB), XTAB)
-    assert c.pre == TRUE_PRE
-    assert c.post == RStar(RAtom(final(TRUE, IDENTITY, (ev("a", 1),))))
 
 
 def test_classification_base_cases():

@@ -8,7 +8,6 @@ from rdes.relalg import (
     EventTerm,
     FALSE_R,
     FinalAtom,
-    InitAtom,
     KindMismatchError,
     NegClause,
     NormalizationIncomplete,
@@ -37,9 +36,9 @@ from rdes.relalg import (
     quiescent,
     seq_final_final,
     seq_final_quiescent,
-    seq_test,
     subst_rrel,
     union_sets,
+    guard_rrel,
     guarded_set,
     wp_final,
     wp_or_final,
@@ -145,13 +144,13 @@ def test_seq_final_quiescent_true_condition_becomes_literal():
     assert out == quiescent(TRUE, (ev("b"),), event_set(ev("a", 0)))
 
 
-def test_seq_test_unit_and_zero():
+def test_guard_rrel_unit_and_zero():
     p = RAtom(final(TRUE, IDENTITY, (ev("a", 1),)))
-    assert seq_test(TRUE, p, XTAB) == p
-    assert seq_test(Lit(False), p, XTAB) == FALSE_R
+    assert guard_rrel(TRUE, p, XTAB) == p
+    assert guard_rrel(Lit(False), p, XTAB) == FALSE_R
 
 
-def test_seq_test_pushes_condition_into_atom():
+def test_guard_rrel_pushes_condition_into_atom():
     body = RAtom(
         final(
             TRUE,
@@ -159,7 +158,7 @@ def test_seq_test_pushes_condition_into_atom():
             (EventTerm("out", Head(Var("bf"))),),
         )
     )
-    out = seq_test(NONEMPTY, body, BFTAB)
+    out = guard_rrel(NONEMPTY, body, BFTAB)
     assert isinstance(out, RAtom)
     assert out.atom.cond == NONEMPTY
     assert out.atom.trace == (EventTerm("out", Head(Var("bf"))),)
