@@ -12,12 +12,26 @@ Observations are relative to an initial state:
 * ``Div``: divergence reached after a trace (anything may follow);
 * ``BudgetCut``: the unfold budget ran out (never conflated with
   divergence; everything beyond it is simply unknown).
+
+Restriction: the observations at trace bound k are the observations at any
+bound K >= k whose trace has length at most k.  Trace lengths add under
+sequencing and iteration, and no form looks at the traces of its parts
+beyond whether they are empty, so this holds for every program.  The
+enumerator therefore builds only what fits.  Each action is enumerated with
+the room left, the trace bound minus the length of the prefix before it:
+
+* an event with no room left only pauses, offering itself;
+* a sequence, and a loop unfolding, follow a termination after t1 with
+  the rest enumerated in room - len(t1);
+
+so every observation built has a trace within the bound, and none is built
+only to be dropped.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 from . import dsl, ground
 from .contracts import Contract
@@ -69,15 +83,33 @@ def enumerate_program(
     symtab = tp.symtab
     memo: dict = {}
 
-    def go(a: dsl.Action, s: Valuation, d: int) -> frozenset:
-        key = (a, s, d)
+    def go(a: dsl.Action, s: Valuation, d: int, room: int) -> frozenset:
+        key = (a, s, d, room)
         if key in memo:
             return memo[key]
-        out = _enum(a, s, d)
+        out = _enum(a, s, d, room)
         memo[key] = out
         return out
 
-    def _enum(a: dsl.Action, s: Valuation, d: int) -> frozenset:
+    def _then(
+        first: frozenset, second: dsl.Action, d: int, room: int
+    ) -> frozenset:
+        """`first`, with each termination (t1, s1) followed by what
+        `second(s1)` does in the room t1 leaves."""
+        out = set()
+        for o in first:
+            if o[0] != "t":
+                out.add(o)
+                continue
+            _, t1, s1 = o
+            rest = go(second, s1, d, room - len(t1))
+            if t1:
+                out.update((o2[0], t1 + o2[1]) + o2[2:] for o2 in rest)
+            else:
+                out |= rest
+        return frozenset(out)
+
+    def _enum(a: dsl.Action, s: Valuation, d: int, room: int) -> frozenset:
         if isinstance(a, dsl.Skip):
             return frozenset({("t", (), s)})
         if isinstance(a, dsl.Stop):
@@ -94,28 +126,19 @@ def enumerate_program(
         if isinstance(a, dsl.DoEvent):
             data = None if a.data is None else eval_expr(a.data, s)
             ev = symtab.ground_event(a.chan, data)
-            return frozenset(
-                {("q", (), frozenset({ev})), ("t", (ev,), s)}
-            )
+            quiet = ("q", (), frozenset({ev}))
+            if room < 1:
+                return frozenset({quiet})
+            return frozenset({quiet, ("t", (ev,), s)})
         if isinstance(a, dsl.Seq):
-            out = set()
-            for o in go(a.first, s, d):
-                if o[0] == "t":
-                    _, t1, s1 = o
-                    for o2 in go(a.second, s1, d):
-                        shifted = _shift(t1, o2)
-                        if shifted is not None:
-                            out.add(shifted)
-                else:
-                    out.add(o)
-            return frozenset(out)
+            return _then(go(a.first, s, d, room), a.second, d, room)
         if isinstance(a, dsl.IntChoice):
             out = set()
             for b in a.branches:
-                out |= go(b, s, d)
+                out |= go(b, s, d, room)
             return frozenset(out)
         if isinstance(a, dsl.ExtChoice):
-            branch_obs = [go(b, s, d) for b in a.branches]
+            branch_obs = [go(b, s, d, room) for b in a.branches]
             out = set()
             empty_quiets = []
             for obs in branch_obs:
@@ -126,47 +149,28 @@ def enumerate_program(
                         continue  # merged below, if every branch offers
                     out.add(o)
             if all(empty_quiets):
-                import itertools as _it
-
-                for combo in _it.product(*empty_quiets):
+                for combo in itertools.product(*empty_quiets):
                     acc = frozenset().union(*(o[2] for o in combo))
                     out.add(("q", (), acc))
             return frozenset(out)
         if isinstance(a, dsl.Cond):
             branch = a.then if eval_expr(a.cond, s) else a.other
-            return go(branch, s, d)
+            return go(branch, s, d, room)
         if isinstance(a, dsl.While):
             if not eval_expr(a.cond, s):
                 return frozenset({("t", (), s)})
             if d <= 0:
                 return frozenset({("cut", ())})
-            out = set()
-            for o in go(a.body, s, d):
-                if o[0] == "t":
-                    _, t1, s1 = o
-                    for o2 in go(a, s1, d - 1):
-                        shifted = _shift(t1, o2)
-                        if shifted is not None:
-                            out.add(shifted)
-                else:
-                    out.add(o)
-            return frozenset(out)
+            return _then(go(a.body, s, d, room), a, d - 1, room)
         raise TypeError(f"not a core action: {a!r}")
 
-    def _shift(t1: tuple, o: tuple) -> Optional[tuple]:
-        tt = t1 + o[1]
-        if len(tt) > trace_bound:
-            return None
-        return (o[0], tt) + o[2:]
-
-    raw = go(tp.body, s0, depth)
-    # `go` and `_enum` refer to each other, so only a full collection would
-    # free the closures; emptying the table lets reference counting free it
+    raw = go(tp.body, s0, depth, trace_bound)
+    # `go`, `_then` and `_enum` refer to each other, so only a full
+    # collection would free the closures; emptying the table lets reference
+    # counting free it
     memo.clear()
     out = set()
     for o in raw:
-        if len(o[1]) > trace_bound:
-            continue
         if o[0] == "q":
             out.add(Quiet(s0, o[1], o[2]))
         elif o[0] == "t":
@@ -234,7 +238,7 @@ def compare_observations(
     def visible(obs):
         quiets, terms, divs = set(), set(), set()
         for o in obs:
-            if isinstance(o, BudgetCut) or _shadowed(o.tt, cuts):
+            if isinstance(o, BudgetCut) or (cuts and _shadowed(o.tt, cuts)):
                 continue
             if isinstance(o, Quiet):
                 quiets.add((o.tt, o.acc))

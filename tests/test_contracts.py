@@ -25,13 +25,11 @@ from rdes.contracts import (
 from rdes.relalg import (
     EventTerm,
     FALSE_R,
-    ImagePart,
     NegClause,
     RAtom,
     ROr,
     RSeq,
     RStar,
-    SingletonPart,
     TRUE_PRE,
     channel_image,
     event_set,

@@ -21,7 +21,7 @@ from rdes.dsl import (
     pp_program,
     typecheck,
 )
-from rdes.state import BinOp, IntType, Len, Lit, Proj, SeqType, Var
+from rdes.state import BinOp, Len, Lit, Proj, Var
 
 BUFFER_SRC = """\
 channel inp : int[0..1]

@@ -1,4 +1,4 @@
-"""Every name a `rdes` module imports is used in that module.
+"""Every name a `rdes` module or a test module imports is used in it.
 
 Package `__init__.py` files re-export what they import, and `__future__`
 imports are compiler directives, so both are skipped.
@@ -9,8 +9,13 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "rdes"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "rdes"
+MODULES = sorted(
+    p
+    for p in (*SRC.glob("*.py"), *TESTS.glob("*.py"))
+    if p.name != "__init__.py"
+)
 
 
 def unused_imports(source: str) -> list:

@@ -1,9 +1,5 @@
 """Saturation, unfolding, and the iteration identities."""
 
-import itertools
-
-import pytest
-
 from rdes import ground
 from rdes.kleene import ka_laws_check, star_wp, unfold_star
 from rdes.relalg import (
@@ -20,7 +16,6 @@ from rdes.relalg import (
 )
 from rdes.state import (
     BinOp,
-    Clamp,
     IDENTITY,
     IntType,
     Lit,
@@ -28,7 +23,6 @@ from rdes.state import (
     TRUE,
     Var,
     assignment_subst,
-    subst_of,
 )
 
 ATAB = SymbolTable({}, {"a": None})

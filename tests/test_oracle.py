@@ -1,9 +1,9 @@
 """The independent bounded enumerator and the calculus cross-check."""
 
-import pytest
+from pathlib import Path
 
-from rdes import dsl
-from rdes.contracts import calculate, do_c
+from rdes import dsl, randgen
+from rdes.contracts import calculate
 from rdes.oracle import (
     BudgetCut,
     Div,
@@ -16,10 +16,12 @@ from rdes.oracle import (
     observations_json,
 )
 from rdes.relalg import EventTerm
-from rdes.state import Event, Lit, valuation_of
+from rdes.state import Event, valuation_of
 from rdes.verify import Config
 
 CFG = Config()
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+TOP = 5
 
 BUFFER = """\
 channel inp : int[0..1]
@@ -209,3 +211,48 @@ def test_observations_json_shape():
         set(q) == {"state", "trace", "accepts"} for q in dump["quiets"]
     )
     assert dump["terms"] == []  # the buffer never terminates
+
+
+def _programs():
+    for path in sorted(CORPUS.glob("*.rp")):
+        if path.stem != "while_bad":
+            yield path.stem, dsl.load_program(path.read_text())
+    rng = randgen.rng_for(0)
+    for make, count in (
+        (randgen.random_program, 50),
+        (randgen.random_loop_program, 20),
+    ):
+        for i in range(count):
+            yield f"{make.__name__}-{i}", make(rng)
+
+
+def test_smaller_bound_is_restriction_of_larger():
+    # the enumerator builds only what fits the room left, so each bound
+    # must give exactly the larger bound's observations that fit it
+    depth = TOP + 2
+    checked = 0
+    for name, tp in _programs():
+        for s0 in tp.symtab.valuations():
+            at = [enumerate_program(tp, s0, depth, k) for k in range(TOP + 1)]
+            for big in range(1, TOP + 1):
+                for k in range(big):
+                    cut = frozenset(o for o in at[big] if len(o.tt) <= k)
+                    assert at[k] == cut, (name, str(s0), k, big)
+            checked += any(o.tt for o in at[TOP])
+    # (program, state) pairs with an observation beyond the empty trace,
+    # of about 690
+    assert checked > 400
+
+
+UNGUARDED_BUFFER = BUFFER.replace("#bf > 0 & ", "")
+
+
+def test_cross_check_finds_differences():
+    # each program is checked against the contract of a different one
+    for src, other, bound in (
+        ("channel a\na -> stop", "channel a\na -> skip", 4),
+        (BUFFER, UNGUARDED_BUFFER, 3),
+    ):
+        tp = dsl.load_program(src)
+        c = calculate(dsl.load_program(other))
+        assert cross_check(tp, c, Config(trace_bound=bound))["diffs"], src

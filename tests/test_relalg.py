@@ -7,12 +7,9 @@ import pytest
 from rdes.relalg import (
     EventTerm,
     FALSE_R,
-    FinalAtom,
     KindMismatchError,
     NegClause,
     NormalizationIncomplete,
-    PreNF,
-    QuiescentAtom,
     RAtom,
     ROr,
     RSeq,
@@ -58,7 +55,6 @@ from rdes.state import (
     assignment_subst,
     eval_expr,
     subst_of,
-    valuation_of,
 )
 
 XTAB = SymbolTable({"x": IntType(0, 3)}, {"a": IntType(0, 3), "b": None})

@@ -1,15 +1,11 @@
 """Value, expression, and substitution semantics."""
 
-import itertools
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdes.state import (
     BinOp,
     Event,
-    BoolType,
     Head,
     IfE,
     IntType,
