@@ -1,4 +1,4 @@
-"""Refinement obligations and their discharge by finite enumeration.
+"""Refinement obligations and their discharge.
 
 A specification refines into an implementation when the implementation
 weakens the precondition and strengthens the peri- and postconditions under
@@ -7,15 +7,24 @@ and the implication between a reduced invariant and a specification are
 obligations of the same shape: every observation of the right-hand side
 must be allowed by the left-hand side.
 
-`check_rrel_refine` discharges every obligation with one search.  Its
-observations come from one of two sources, chosen by the right-hand side:
+`check_rrel_refine` discharges every obligation as a search for the least
+observation that the right-hand side allows and the left-hand side does
+not.  The observations come from one of three sources, chosen by the
+obligation:
 
-* a relation generates its ground instances, one initial state at a time;
-* any other side (a precondition, an invariant, a relation followed by an
-  invariant) is tested on a sweep of every trace, state and accepted set or
-  final state within the bounds.
+* a precondition obligation is calculated from its clauses
+  (`_pre_failure`).  A clause ¬(c ∧ t ≤ tt) fails exactly on the
+  extensions of t(s) in each state s where c(s) holds.  So the least
+  failing trace is a left-hand clause's own ground trace, unless a
+  right-hand or assumed clause active at s has a prefix of it.  Nothing is
+  enumerated: the search is states times clauses;
+* a right-hand relation generates its ground instances, one initial state
+  at a time (`_from_instances`);
+* a right-hand invariant, or a relation followed by an invariant, is tested
+  on a sweep of every trace, state and accepted set or final state within
+  the bounds (`_sweep`).
 
-The side that tests an observation is built once per obligation
+The left-hand side of an enumerated obligation is built once per obligation
 (`_member`).  A relation on that side is read through an index from trace
 to accepted sets or final states.  Each initial state's index is filled by
 one instance-set build at the obligation's trace bound, on the first query
@@ -26,7 +35,10 @@ length, then the trace's events, then the initial state, then the accepted
 set or final state, each compared by its printed form.  This is the
 shortest-counterexample order that FDR3 also uses.  Every verdict carries its
 bounds, and anything the bounds cannot settle is reported inconclusive
-rather than guessed.
+rather than guessed.  Each obligation's verdict also carries its scope: it
+is "unbounded" only when calculation settles it for every trace length (a
+calculated refutation, or a calculated "verified" with no failing clause at
+any length), and "bounded" otherwise.
 """
 
 from __future__ import annotations
@@ -46,6 +58,7 @@ from .relalg import (
     RTrue,
     TRUE_PRE,
     TRUE_R,
+    ground_trace,
     guard_pre,
     normalize,
     subst_pre,
@@ -138,7 +151,8 @@ class Verdict:
     bounds: dict
     witness: Optional[dict] = None
     reason: Optional[str] = None
-    obligations: tuple = ()
+    obligations: tuple = ()  # of (Obligation, Verdict)
+    scope: str = "bounded"  # or "unbounded": no trace bound can change it
 
     @property
     def verified(self) -> bool:
@@ -155,7 +169,9 @@ class Verdict:
             out["reason"] = self.reason
         if self.obligations:
             out["obligations"] = [
-                {"origin": o.origin, "kind": o.kind} for o in self.obligations
+                {"origin": o.origin, "kind": o.kind, "verdict": v.kind,
+                 "scope": v.scope}
+                for o, v in self.obligations
             ]
         return out
 
@@ -207,12 +223,19 @@ def check_rrel_refine(
 ) -> Verdict:
     """Discharge one obligation: search the right-hand side's observations
     within the bounds for the least one the left-hand side does not allow."""
+    if ob.kind == "pre":
+        hit, beyond = _pre_failure(ob, symtab, cfg.trace_bound)
+        if hit is None:
+            scope = "bounded" if beyond else "unbounded"
+            return Verdict("verified", cfg.bounds(), scope=scope)
+        return Verdict("refuted", cfg.bounds(), witness=_witness(ob, *hit),
+                       scope="unbounded")
     try:
         lhs = _member(ob.lhs, ob.kind, symtab, cfg.trace_bound)
         assume = None
         if ob.assume.clauses:
             assume = _member(ob.assume, "pre", symtab, cfg.trace_bound)
-        if isinstance(ob.rhs, (PreNF, InvariantRel, SeqInv)):
+        if isinstance(ob.rhs, (InvariantRel, SeqInv)):
             hit = _sweep(ob, lhs, assume, symtab, cfg.trace_bound)
         else:
             hit = _from_instances(ob, lhs, assume, symtab, cfg.trace_bound)
@@ -221,6 +244,46 @@ def check_rrel_refine(
     if hit is None:
         return Verdict("verified", cfg.bounds())
     return Verdict("refuted", cfg.bounds(), witness=_witness(ob, *hit))
+
+
+def _pre_failure(ob: Obligation, symtab: SymbolTable, bound: int):
+    """(least failing observation or None, whether a failing clause lies
+    beyond the bound) of a precondition obligation, from its clauses.
+
+    In state s the left-hand clauses whose condition holds fail exactly on
+    the extensions of their ground traces, and the right-hand and assumed
+    clauses whose condition holds exclude the extensions of theirs.  So the
+    least failing trace from s is a left-hand ground trace that no excluded
+    trace prefixes, and the least over all states is the witness a sweep of
+    every trace within the bound would find first.  A trace with an event
+    outside the alphabet is no observation at any length."""
+    alphabet = frozenset(symtab.alphabet())
+    excluding = ob.rhs.clauses + ob.assume.clauses
+    best = best_key = None
+    beyond = False
+    for s in symtab.valuations():
+        failing = [
+            ground_trace(c.trace, symtab, s)
+            for c in ob.lhs.clauses if eval_expr(c.cond, s)
+        ]
+        if not failing:
+            continue
+        excluded = [
+            ground_trace(c.trace, symtab, s)
+            for c in excluding if eval_expr(c.cond, s)
+        ]
+        for t in failing:
+            if not alphabet.issuperset(t) or any(
+                t[: len(e)] == e for e in excluded
+            ):
+                continue
+            if len(t) > bound:
+                beyond = True
+                continue
+            key = (len(t), _order_key(t), str(s))
+            if best is None or key < best_key:
+                best, best_key = (s, t, None), key
+    return best, beyond
 
 
 def _member(side: Side, kind: str, symtab: SymbolTable, bound: int):
@@ -308,9 +371,7 @@ def _sweep(ob: Obligation, lhs, assume, symtab, bound: int):
     rhs = _member(ob.rhs, ob.kind, symtab, bound)
     states = sorted(symtab.valuations(), key=str)
     alphabet = sorted(symtab.alphabet(), key=str)
-    if ob.kind == "pre":
-        xs = (None,)
-    elif ob.kind == "post":
+    if ob.kind == "post":
         xs = states
     elif _side_mentions_acc(ob.lhs) or _side_mentions_acc(ob.rhs):
         xs = sorted(_supersets(frozenset(), alphabet), key=_order_key)
@@ -360,26 +421,34 @@ def _witness(ob: Obligation, s: Valuation, tt: tuple, x) -> dict:
     return out
 
 
-def _combine(verdicts: list, cfg: Config, obligations=()) -> Verdict:
+def _combine(checked: list, cfg: Config, unchecked=()) -> Verdict:
+    """One verdict over (obligation, verdict) pairs and the verdicts of
+    conditions that are no obligation: the first refutation, else the first
+    inconclusive one, else verified."""
+    checked = tuple(checked)
+    verdicts = [*unchecked, *(v for _, v in checked)]
     for v in verdicts:
         if v.kind == "refuted":
             return Verdict(
                 "refuted", cfg.bounds(), witness=v.witness,
-                obligations=tuple(obligations),
+                obligations=checked,
             )
     for v in verdicts:
         if v.kind == "inconclusive":
             return Verdict(
                 "inconclusive", cfg.bounds(), reason=v.reason,
-                obligations=tuple(obligations),
+                obligations=checked,
             )
-    return Verdict("verified", cfg.bounds(), obligations=tuple(obligations))
+    return Verdict("verified", cfg.bounds(), obligations=checked)
+
+
+def _check_all(obs, symtab, cfg: Config) -> list:
+    return [(ob, check_rrel_refine(ob, symtab, cfg)) for ob in obs]
 
 
 def refine_check(spec, impl: Contract, symtab, cfg: Config) -> Verdict:
-    obs = refine_obligations(spec, impl)
-    verdicts = [check_rrel_refine(ob, symtab, cfg) for ob in obs]
-    return _combine(verdicts, cfg, obs)
+    return _combine(_check_all(refine_obligations(spec, impl), symtab, cfg),
+                    cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -415,19 +484,17 @@ def check_invariant_loop(
     step = normalize(RSeq(RTest(b), body.post), symtab)
     res = star_wp(step, guard_pre(b, body.pre, symtab), symtab, cfg.wp_bound)
     obs = []
-    verdicts = []
+    unchecked = ()
     if not res.converged:
-        verdicts.append(
+        unchecked = (
             Verdict(
                 "inconclusive",
                 cfg.bounds(),
                 reason="loop assumption saturation did not converge",
-            )
+            ),
         )
     else:
-        ob1 = Obligation(res.clauses, i1, "pre", "assumption weakening")
-        obs.append(ob1)
-        verdicts.append(check_rrel_refine(ob1, symtab, cfg))
+        obs.append(Obligation(res.clauses, i1, "pre", "assumption weakening"))
     pause = normalize(RSeq(RTest(b), body.peri), symtab)
     ob2a = Obligation(i2, pause, "peri", "pause establishes invariant")
     ob2b = Obligation(
@@ -442,10 +509,8 @@ def check_invariant_loop(
     ob3b = Obligation(
         i3, SeqInv(step, i3), "post", "step preserves exit invariant"
     )
-    for ob in (ob2a, ob2b, ob3a, ob3b):
-        obs.append(ob)
-        verdicts.append(check_rrel_refine(ob, symtab, cfg))
-    return _combine(verdicts, cfg, obs)
+    obs += [ob2a, ob2b, ob3a, ob3b]
+    return _combine(_check_all(obs, symtab, cfg), cfg, unchecked)
 
 
 # ---------------------------------------------------------------------------

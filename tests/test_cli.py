@@ -167,3 +167,82 @@ def test_collection_thresholds_hold_only_while_a_command_runs(
     assert cli.main(["dlf", str(CORPUS / "a_stop.rp")]) == 1
     assert seen == [(before[0], before[1], cli.FULL_GC_EVERY)]
     assert gc.get_threshold() == before
+
+
+def test_obligations_report_their_verdicts_and_scopes(capsys):
+    # the precondition obligation is calculated, so no bound can change it;
+    # the pericondition is read from instances within the bound
+    code, verdict = _run(capsys, "dlf", str(CORPUS / "buffer.rp"))
+    jsonschema.validate(verdict, _schema("verdict"))
+    assert code == 0
+    assert [(o["kind"], o["verdict"], o["scope"])
+            for o in verdict["obligations"]] == [
+        ("pre", "verified", "unbounded"),
+        ("peri", "verified", "bounded"),
+        ("post", "verified", "bounded"),
+    ]
+
+
+def test_refuted_obligation_is_named(capsys):
+    code, verdict = _run(capsys, "inv-check", str(CORPUS / "buffer.rp"),
+                         "--invariant", BUFFER_INV, "--trace-bound", "5")
+    jsonschema.validate(verdict, _schema("verdict"))
+    assert code == 1
+    assert [o["origin"] for o in verdict["obligations"]
+            if o["verdict"] == "refuted"] == ["step preserves pause invariant"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dlf", "buffer.rp", "--trace-bound", "0"],
+         "--trace-bound must be >= 1"),
+        (["crosscheck", "buffer.rp", "--wp-bound", "0"],
+         "--wp-bound must be >= 1"),
+        (["inv-check", "buffer.rp", "--invariant", "outps(tt)<="],
+         "--invariant: 1:12: expected an expression"),
+        (["inv-check", "buffer.rp", "--invariant", "nosuch(tt) <= bf"],
+         "--invariant: no channel matches projection 'nosuch'"),
+        (["refine", "buffer.rp", "--peri", "outps(tt)<="],
+         "--peri: 1:12: expected an expression"),
+        (["refine", "buffer.rp", "--post", "nosuch(tt) <= bf"],
+         "--post: no channel matches projection 'nosuch'"),
+        (["refine", "buffer.rp", "--invariant", "nosuch(tt) <= bf"],
+         "--invariant: no channel matches projection 'nosuch'"),
+        (["refine", "buffer.rp", "--invariant", BUFFER_INV,
+          "--peri", "outps(tt)<="],
+         "--peri: 1:12: expected an expression"),
+    ],
+)
+def test_malformed_options_exit_2_with_a_message(capsys, argv, message):
+    argv = [str(CORPUS / a) if a.endswith(".rp") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command, argv, collecting", [
+    ("cmd_dlf", ["dlf", "a_stop.rp"], False),
+    ("cmd_refine", ["refine", "a_stop.rp", "a_stop.rp"], False),
+    ("cmd_inv_check", ["inv-check", "buffer.rp", "--invariant", "true"],
+     False),
+    ("cmd_crosscheck", ["crosscheck", "a_stop.rp"], True),
+    ("cmd_calc", ["calc", "a_stop.rp"], True),
+])
+def test_only_discharging_commands_run_without_the_cyclic_collector(
+    capsys, monkeypatch, command, argv, collecting
+):
+    seen = []
+    real = getattr(cli, command)
+
+    def spy(args):
+        seen.append(gc.isenabled())
+        return real(args)
+
+    monkeypatch.setattr(cli, command, spy)
+    argv = [str(CORPUS / a) if a.endswith(".rp") else a for a in argv]
+    assert gc.isenabled()
+    cli.main(argv)
+    assert seen == [collecting]
+    assert gc.isenabled()

@@ -1,20 +1,27 @@
 """Refinement discharge, loop invariants, and deadlock freedom."""
 
+import contextlib
+import io
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
-from rdes import cli, dsl, ground
+from rdes import cli, dsl, ground, randgen
 from rdes.contracts import calculate, chaos_c, miracle_c, while_contract
+from rdes.kleene import star_wp
 from rdes.relalg import (
     EventTerm,
+    PreNF,
     RAtom,
     RSeq,
     RTest,
     TRUE_PRE,
     TRUE_R,
     event_set,
+    ground_trace,
+    guard_pre,
     normalize,
     quiescent,
 )
@@ -25,7 +32,9 @@ from rdes.state import (
     Primed,
     Proj,
     TRUE,
+    SymbolTable,
     Var,
+    eval_expr,
     valuation_of,
 )
 from rdes.verify import (
@@ -410,3 +419,184 @@ def test_buffer_invariant_broken_by_saturating_append(capsys, bound, witness):
                             "--trace-bound", str(bound))
     assert code == (0 if witness is None else 1)
     assert v.get("witness") == witness
+
+
+# The paper's buffer: an input only while there is room, so none is dropped
+
+GUARDED = str(CORPUS / "buffer_guarded.rp")
+
+
+@pytest.mark.parametrize("bound", [4, 5, 6])
+def test_guarded_buffer_keeps_the_buffer_invariant(capsys, bound):
+    code, v = _json_verdict(capsys, "inv-check", GUARDED,
+                            "--invariant", BUFFER_INV,
+                            "--trace-bound", str(bound))
+    assert (code, v["verdict"]) == (0, "verified")
+
+
+def test_guarded_buffer_is_deadlock_free(capsys):
+    code, v = _json_verdict(capsys, "dlf", GUARDED)
+    assert (code, v["verdict"]) == (0, "verified")
+
+
+def test_guarded_buffer_contract_agrees_with_the_oracle(capsys):
+    code, report = _json_verdict(capsys, "crosscheck", GUARDED,
+                                 "--trace-bound", "5")
+    assert (code, report["programs"], report["differences"]) == (0, 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# Precondition obligations: calculation against a brute-force sweep
+
+
+def _swept_pre_failure(ob, symtab, bound):
+    """(trace length, witness) of the first observation in witness order
+    that the right-hand side and the assumption allow and the left-hand side
+    does not, found by testing every trace within the bound from every
+    state; None if there is none."""
+    def active(pre, s):
+        return [ground_trace(c.trace, symtab, s)
+                for c in pre.clauses if eval_expr(c.cond, s)]
+
+    def holds(traces, tt):
+        return not any(tt[: len(t)] == t for t in traces)
+
+    # a state where no left-hand clause is active fails nowhere
+    states = [
+        (s, active(ob.lhs, s), active(ob.rhs, s) + active(ob.assume, s))
+        for s in sorted(symtab.valuations(), key=str)
+    ]
+    states = [x for x in states if x[1]]
+    alphabet = sorted(symtab.alphabet(), key=str)
+    for n in range(bound + 1):
+        for tt in itertools.product(alphabet, repeat=n):
+            for s, lhs, rhs in states:
+                if holds(rhs, tt) and not holds(lhs, tt):
+                    return n, {
+                        "state": str(s),
+                        "trace": "<" + ", ".join(map(str, tt)) + ">",
+                        "violates": ob.origin,
+                    }
+    return None
+
+
+def _declared(spec, impl):
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            cli._check_declared("spec", spec.symtab, "impl", impl.symtab)
+    except SystemExit:
+        return False
+    return True
+
+
+def _corpus_pre_obligations():
+    programs = []
+    for path in sorted(CORPUS.glob("*.rp")):
+        if path.stem != "while_bad":
+            programs.append(_corpus(path.stem))
+    for (spec_tp, spec), (impl_tp, impl) in itertools.product(programs,
+                                                              repeat=2):
+        if _declared(spec_tp, impl_tp):
+            yield refine_obligations(spec, impl)[0], impl_tp.symtab
+
+
+def _loop_assumption(loop, symtab, assumed=None):
+    """The loop rule's assumption: the body's precondition, or `assumed`
+    in its place, saturated over the guarded step.  Three saturation steps
+    keep the clause sets small, and a clause set that has not converged is
+    a precondition all the same."""
+    body = calculate(dsl.TypedProgram(symtab, loop.body))
+    step = normalize(RSeq(RTest(loop.cond), body.post), symtab)
+    pre = body.pre if assumed is None else assumed
+    return star_wp(step, guard_pre(loop.cond, pre, symtab), symtab, 3).clauses
+
+
+def _clause_subsets(pre):
+    """Every subset of a precondition's clauses, or for more than three
+    clauses each single clause."""
+    n = len(pre.clauses)
+    sizes = range(n + 1) if n <= 3 else (1,)
+    return {
+        PreNF(sub)
+        for k in sizes
+        for sub in itertools.combinations(pre.clauses, k)
+    }
+
+
+# The sweep's bound, and the most (trace, state) pairs it may test for one
+# obligation of a random program, which keeps this test within seconds
+SWEEP_BOUND = 5
+SWEEP_PAIRS = 10_000
+
+
+def _precondition_families():
+    """(symbol table, preconditions over it): calculated preconditions and
+    loop assumptions saturated by `star_wp`."""
+    for name in ("buffer", "buffer_guarded", "while_chaos"):
+        tp, c = _corpus(name)
+        loop = tp.body if isinstance(tp.body, dsl.While) else tp.body.second
+        yield tp.symtab, [c.pre, _loop_assumption(loop, tp.symtab)]
+    for seed in range(100):
+        rng = randgen.rng_for(seed)
+        tp = randgen.random_program(rng)
+        pre = calculate(tp).pre
+        symtab = tp.symtab
+        pairs = len(symtab.alphabet()) ** SWEEP_BOUND * len(
+            symtab.valuations())
+        if pre.clauses and pairs <= SWEEP_PAIRS:
+            # the calculated precondition, carried back through a loop
+            loop = randgen.random_while_program(rng, symtab)
+            pres = [pre, _loop_assumption(loop, symtab, pre)]
+            yield symtab, pres
+            yield from _without_dataless_channels(symtab, pres)
+    for seed in range(10):
+        tp = randgen.random_loop_program(randgen.rng_for(seed))
+        yield tp.symtab, [calculate(tp).pre,
+                          _loop_assumption(tp.body, tp.symtab)]
+
+
+def _without_dataless_channels(symtab, pres):
+    """The preconditions read over a table that lacks one dataless channel
+    their clauses mention, so that some clause traces leave the alphabet."""
+    mentioned = {e.chan for p in pres for c in p.clauses for e in c.trace}
+    for chan in sorted(mentioned):
+        if symtab.channels[chan] is None:
+            channels = dict(symtab.channels)
+            del channels[chan]
+            yield SymbolTable(symtab.variables, channels), pres
+
+
+def _pre_obligations():
+    """Every corpus refinement's precondition obligation, and obligations
+    between each family's preconditions, `true_r` and clause subsets, each
+    subset also as the assumption."""
+    yield from _corpus_pre_obligations()
+    for symtab, pres in _precondition_families():
+        sides = set(itertools.product([TRUE_PRE, *pres], repeat=2))
+        for pre in pres:
+            for sub in _clause_subsets(pre):
+                sides |= {(pre, sub), (sub, pre)}
+                yield Obligation(pre, TRUE_PRE, "pre", "assumed",
+                                 assume=sub), symtab
+        for lhs, rhs in sorted(sides, key=str):
+            yield Obligation(lhs, rhs, "pre", "weakening"), symtab
+
+
+def test_calculated_pre_obligations_match_the_sweep():
+    refuted = verified_within = bounded = 0
+    for ob, symtab in _pre_obligations():
+        swept = _swept_pre_failure(ob, symtab, SWEEP_BOUND)
+        for bound in range(1, SWEEP_BOUND + 1):
+            v = check_rrel_refine(ob, symtab, Config(trace_bound=bound))
+            if swept is not None and swept[0] <= bound:
+                assert (v.kind, v.witness, v.scope) == (
+                    "refuted", swept[1], "unbounded"), (ob, bound)
+                refuted += 1
+            else:
+                assert v.kind == "verified", (ob, bound)
+                if swept is not None:
+                    # a failure beyond this bound: never relabel as unbounded
+                    assert v.scope == "bounded", (ob, bound)
+                    bounded += 1
+                verified_within += 1
+    assert refuted > 500 and verified_within > 1000 and bounded > 100
