@@ -9,11 +9,13 @@ see only core forms.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from .state import (
+    Acc,
     BinOp,
     BoolType,
     Clamp,
@@ -704,12 +706,31 @@ def _check_finite(t: ValueType, name: str) -> None:
     # BoolType is always finite
 
 
-def infer_type(e: Expr, scope: dict) -> ValueType:
-    """Type of an expression over program variables (no trace projections)."""
-    if isinstance(e, Var):
+# The types of invariant values that only = and != compare
+_EVENT_SET, _NO_DATA = "event set", "no data"
+
+
+def infer_type(
+    e: Expr, scope: dict, invariant: Optional[SymbolTable] = None
+) -> ValueType:
+    """Type of an expression over program variables.  Over the symbol table
+    `invariant`, also of an invariant body: a projection is a sequence of its
+    channel's payloads, x' has the type of x, and `acc` and `{}` are event
+    sets, which only = and != compare."""
+
+    def ty(x: Expr) -> ValueType:
+        return infer_type(x, scope, invariant)
+
+    if isinstance(e, Var) or (invariant and isinstance(e, Primed)):
         if e.name not in scope:
             raise UnboundNameError(f"unbound name {e.name!r}")
         return scope[e.name]
+    if invariant and isinstance(e, Proj):
+        payload = invariant.channels[e.chan]
+        # a trace, and so a projection of it, has no maximum length
+        return SeqType(_NO_DATA if payload is None else payload, math.inf)
+    if invariant and (isinstance(e, Acc) or e == Lit(frozenset())):
+        return _EVENT_SET
     if isinstance(e, Lit):
         return _lit_type(e.value)
     if isinstance(e, Proj):
@@ -719,36 +740,34 @@ def infer_type(e: Expr, scope: dict) -> ValueType:
     if isinstance(e, Clamp):
         return e.vtype
     if isinstance(e, SeqDisplay):
-        elem = infer_type(e.elems[0], scope)
+        elem = ty(e.elems[0])
         for x in e.elems[1:]:
-            elem = _join(elem, infer_type(x, scope), e)
+            elem = _join(elem, ty(x), e)
         return SeqType(elem, len(e.elems))
     if isinstance(e, Not):
-        _require(infer_type(e.arg, scope), BoolType(), e)
+        _require(ty(e.arg), BoolType(), e)
         return BoolType()
     if isinstance(e, Head):
-        t = infer_type(e.arg, scope)
+        t = ty(e.arg)
         if not isinstance(t, SeqType):
             raise TypeMismatchError(f"head applied to non-sequence {pp_expr(e)}")
         return t.elem
     if isinstance(e, Tail):
-        t = infer_type(e.arg, scope)
+        t = ty(e.arg)
         if not isinstance(t, SeqType):
             raise TypeMismatchError(f"tail applied to non-sequence {pp_expr(e)}")
         return t
     if isinstance(e, Len):
-        t = infer_type(e.arg, scope)
+        t = ty(e.arg)
         if not isinstance(t, SeqType):
             raise TypeMismatchError(f"# applied to non-sequence {pp_expr(e)}")
         return IntType(0, t.maxlen)
     if isinstance(e, IfE):
-        _require(infer_type(e.cond, scope), BoolType(), e)
-        t1 = infer_type(e.then, scope)
-        t2 = infer_type(e.other, scope)
-        return _join(t1, t2, e)
+        _require(ty(e.cond), BoolType(), e)
+        return _join(ty(e.then), ty(e.other), e)
     if isinstance(e, BinOp):
-        lt = infer_type(e.left, scope)
-        rt = infer_type(e.right, scope)
+        lt = ty(e.left)
+        rt = ty(e.right)
         if e.op in ("+", "-", "*"):
             for t in (lt, rt):
                 if not isinstance(t, IntType):
@@ -771,7 +790,7 @@ def infer_type(e: Expr, scope: dict) -> ValueType:
             if isinstance(lt, SeqType) and isinstance(rt, SeqType):
                 if e.op == "<":
                     raise TypeMismatchError("< is not defined on sequences")
-                _join(lt.elem, rt.elem, e)
+                _join(lt, rt, e)
                 return BoolType()
             if isinstance(lt, IntType) and isinstance(rt, IntType):
                 return BoolType()
@@ -807,8 +826,8 @@ def _arith_type(op: str, lt: IntType, rt: IntType) -> IntType:
 
 def _join(t1: ValueType, t2: ValueType, at: Expr) -> ValueType:
     """Least common carrier of two types; error when the kinds differ."""
-    if isinstance(t1, BoolType) and isinstance(t2, BoolType):
-        return BoolType()
+    if t1 == t2:
+        return t1
     if isinstance(t1, IntType) and isinstance(t2, IntType):
         return IntType(min(t1.lo, t2.lo), max(t1.hi, t2.hi))
     if isinstance(t1, SeqType) and isinstance(t2, SeqType):
@@ -995,51 +1014,26 @@ def load_program(source: str) -> TypedProgram:
 
 
 def parse_invariant(source: str, symtab: SymbolTable) -> Expr:
-    """Parse an invariant-relation body over st, tt projections, and acc.
+    """Parse and type an invariant-relation body over st, tt projections,
+    primed variables and acc.
 
     `proj(tt, c)` extracts the payload sequence of channel c; for a declared
     channel the shorthand channel-name + "s" or "ps" applied to tt is also
-    accepted, e.g. `inps(tt)` and `outps(tt)` for channels inp and out.
+    accepted, e.g. `inps(tt)` and `outps(tt)` for channels inp and out.  A
+    body that is not a condition is rejected.
     """
-    expr = _resolve_proj(parse_expression(source), symtab)
+    expr = _resolve(parse_expression(source), symtab)
     for name in sorted(free_vars(expr)):
         if name not in symtab.variables:
-            if name == "acc":
-                expr = _replace_var(expr, "acc")
-                continue
             raise UnboundNameError(f"unbound name {name!r} in invariant")
+    _require(infer_type(expr, symtab.variables, symtab), BoolType(), expr)
     return fold(expr)
 
 
-def _replace_var(e: Expr, name: str) -> Expr:
-    """Replace Var(name) by the acceptance-set reference."""
-    from .state import Acc
+def _resolve(e: Expr, symtab: SymbolTable) -> Expr:
+    """Resolve projection shorthands against the declared channels, and an
+    undeclared `acc` to the acceptance set."""
 
-    s = {"target": name}
-
-    def go(x: Expr) -> Expr:
-        if isinstance(x, Var) and x.name == s["target"]:
-            return Acc()
-        if isinstance(x, BinOp):
-            return BinOp(x.op, go(x.left), go(x.right))
-        if isinstance(x, Not):
-            return Not(go(x.arg))
-        if isinstance(x, Head):
-            return Head(go(x.arg))
-        if isinstance(x, Tail):
-            return Tail(go(x.arg))
-        if isinstance(x, Len):
-            return Len(go(x.arg))
-        if isinstance(x, IfE):
-            return IfE(go(x.cond), go(x.then), go(x.other))
-        if isinstance(x, SeqDisplay):
-            return SeqDisplay(tuple(go(y) for y in x.elems))
-        return x
-
-    return go(e)
-
-
-def _resolve_proj(e: Expr, symtab: SymbolTable) -> Expr:
     def resolve(chan: str) -> str:
         if not chan.startswith("?"):
             if chan not in symtab.channels:
@@ -1061,6 +1055,8 @@ def _resolve_proj(e: Expr, symtab: SymbolTable) -> Expr:
     def go(x: Expr) -> Expr:
         if isinstance(x, Proj):
             return Proj(resolve(x.chan))
+        if x == Var("acc") and "acc" not in symtab.variables:
+            return Acc()
         if isinstance(x, BinOp):
             return BinOp(x.op, go(x.left), go(x.right))
         if isinstance(x, Not):

@@ -182,6 +182,13 @@ def quiet_instances(
     raise TypeError(f"not a reactive relation: {r!r}")
 
 
+def observations(instances, r: RRel, symtab: SymbolTable, bound: int):
+    """(s, trace, x) for each state s and each instance (trace, x) of `r`
+    from s within `bound`, as `instances` (final or quiet) gives them."""
+    return frozenset((s, t, x) for s in symtab.valuations()
+                     for t, x in instances(r, s, symtab, bound))
+
+
 def holds_term(
     r: RRel, s: Valuation, tt: tuple, s2: Valuation, symtab: SymbolTable
 ) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import ground
+from .ground import final_instances, observations
 from .relalg import (
     NegClause,
     PreNF,
@@ -112,17 +112,9 @@ def unfold_star(r: RRel, k: int, symtab: SymbolTable) -> RRel:
 # Bounded checks of the iteration identities
 
 
-def _obs(r: RRel, symtab: SymbolTable, depth: int) -> frozenset:
-    out = set()
-    for s in symtab.valuations():
-        for t, s2 in ground.final_instances(r, s, symtab, depth):
-            out.add((s, t, s2))
-    return frozenset(out)
-
-
 def _law(name: str, lhs: RRel, rhs: RRel, symtab: SymbolTable, depth: int):
-    left = _obs(lhs, symtab, depth)
-    right = _obs(rhs, symtab, depth)
+    left, right = (observations(final_instances, r, symtab, depth)
+                   for r in (lhs, rhs))
     ok = left == right
     witness = None
     if not ok:
@@ -133,8 +125,8 @@ def _law(name: str, lhs: RRel, rhs: RRel, symtab: SymbolTable, depth: int):
 
 def _leq(name: str, lhs: RRel, rhs: RRel, symtab: SymbolTable, depth: int):
     """lhs <= rhs in the refinement order: every lhs observation is an rhs one."""
-    left = _obs(lhs, symtab, depth)
-    right = _obs(rhs, symtab, depth)
+    left, right = (observations(final_instances, r, symtab, depth)
+                   for r in (lhs, rhs))
     ok = left <= right
     witness = None
     if not ok:
@@ -210,8 +202,9 @@ def _implication(
     symtab: SymbolTable,
     depth: int,
 ):
-    premise = _obs(prem_lhs, symtab, depth) <= _obs(prem_rhs, symtab, depth)
-    if not premise:
+    left, right = (observations(final_instances, r, symtab, depth)
+                   for r in (prem_lhs, prem_rhs))
+    if not left <= right:
         return {"law": name, "ok": True, "witness": None, "vacuous": True}
     out = _leq(name, conc_lhs, conc_rhs, symtab, depth)
     out["vacuous"] = False

@@ -19,8 +19,10 @@ from .contracts import (
     skip_c,
     stop_c,
 )
+from .ground import final_instances, observations, quiet_instances
 from .kleene import ka_laws_check
 from .relalg import (
+    FALSE_R,
     NegClause,
     RAtom,
     RSeq,
@@ -42,20 +44,8 @@ from .relalg import (
 from .state import eval_expr
 
 
-def _final_obs(r, symtab, bound=4):
-    out = set()
-    for s in symtab.valuations():
-        for t, s2 in ground.final_instances(r, s, symtab, bound):
-            out.add((s, t, s2))
-    return frozenset(out)
-
-
-def _quiet_obs(r, symtab, bound=4):
-    out = set()
-    for s in symtab.valuations():
-        for t, acc in ground.quiet_instances(r, s, symtab, bound):
-            out.add((s, t, acc))
-    return frozenset(out)
+# Trace bound of the ground readings
+BOUND = 4
 
 
 def _fail(law, detail):
@@ -73,7 +63,8 @@ def check_test_precompose(rng) -> list:
     atom = RAtom(randgen.random_final_atom(rng, symtab))
     raw = RSeq(RTest(b), atom)
     rewritten = normalize(raw, symtab)
-    if _final_obs(raw, symtab) != _final_obs(rewritten, symtab):
+    if observations(final_instances, raw, symtab, BOUND) != observations(
+            final_instances, rewritten, symtab, BOUND):
         return [_fail("test_precompose", f"[{b}];{atom}")]
     return []
 
@@ -83,11 +74,10 @@ def check_final_final(rng) -> list:
     f1 = randgen.random_final_atom(rng, symtab)
     f2 = randgen.random_final_atom(rng, symtab)
     merged = seq_final_final(f1, f2, symtab)
-    lhs = _final_obs(RSeq(RAtom(f1), RAtom(f2)), symtab)
-    rhs = (
-        frozenset() if merged is None else _final_obs(RAtom(merged), symtab)
-    )
-    if lhs != rhs:
+    lhs = RSeq(RAtom(f1), RAtom(f2))
+    rhs = FALSE_R if merged is None else RAtom(merged)
+    if observations(final_instances, lhs, symtab, BOUND) != observations(
+            final_instances, rhs, symtab, BOUND):
         return [_fail("final_final", f"{f1} ; {f2}")]
     return []
 
@@ -97,23 +87,21 @@ def check_final_quiescent(rng) -> list:
     f = randgen.random_final_atom(rng, symtab)
     q = randgen.random_quiescent_atom(rng, symtab)
     merged = seq_final_quiescent(f, q, symtab)
-    lhs = _quiet_obs(RSeq(RAtom(f), RAtom(q)), symtab)
-    rhs = (
-        frozenset() if merged is None else _quiet_obs(RAtom(merged), symtab)
-    )
-    if lhs != rhs:
+    lhs = RSeq(RAtom(f), RAtom(q))
+    rhs = FALSE_R if merged is None else RAtom(merged)
+    if observations(quiet_instances, lhs, symtab, BOUND) != observations(
+            quiet_instances, rhs, symtab, BOUND):
         return [_fail("final_quiescent", f"{f} ; {q}")]
     return []
 
 
-def _conditional_obs(c, r1, r2, symtab, kind):
+def _conditional_obs(c, r1, r2, symtab, instances):
     """Ground reading of (c & r1) \\/ (not c & r2), branch chosen per state."""
-    get = _final_obs if kind == "final" else _quiet_obs
     out = set()
-    for s, t, x in get(r1, symtab):
+    for s, t, x in observations(instances, r1, symtab, BOUND):
         if eval_expr(c, s):
             out.add((s, t, x))
-    for s, t, x in get(r2, symtab):
+    for s, t, x in observations(instances, r2, symtab, BOUND):
         if not eval_expr(c, s):
             out.add((s, t, x))
     return frozenset(out)
@@ -124,8 +112,8 @@ def check_cond_final(rng) -> list:
     c = randgen.random_cond(rng, symtab)
     f1, f2 = (randgen.random_final_atom(rng, symtab) for _ in range(2))
     merged = merge_cond(RAtom(f1), c, RAtom(f2), symtab)
-    lhs = _conditional_obs(c, RAtom(f1), RAtom(f2), symtab, "final")
-    if lhs != _final_obs(merged, symtab):
+    lhs = _conditional_obs(c, RAtom(f1), RAtom(f2), symtab, final_instances)
+    if lhs != observations(final_instances, merged, symtab, BOUND):
         return [_fail("cond_final", f"{f1} <|{c}|> {f2}")]
     return []
 
@@ -135,8 +123,8 @@ def check_cond_quiescent(rng) -> list:
     c = randgen.random_cond(rng, symtab)
     q1, q2 = (randgen.random_quiescent_atom(rng, symtab) for _ in range(2))
     merged = merge_cond(RAtom(q1), c, RAtom(q2), symtab)
-    lhs = _conditional_obs(c, RAtom(q1), RAtom(q2), symtab, "quiet")
-    if lhs != _quiet_obs(merged, symtab):
+    lhs = _conditional_obs(c, RAtom(q1), RAtom(q2), symtab, quiet_instances)
+    if lhs != observations(quiet_instances, merged, symtab, BOUND):
         return [_fail("cond_quiescent", f"{q1} <|{c}|> {q2}")]
     return []
 
@@ -202,9 +190,7 @@ def check_wp_final(rng) -> list:
                     for c in result.clauses
                 )
                 expect = True
-                for t1, s1 in ground.final_instances(
-                    RAtom(f), s, symtab, len(tt)
-                ):
+                for t1, s1 in final_instances(RAtom(f), s, symtab, len(tt)):
                     if tt[: len(t1)] != t1:
                         continue
                     if not ground.holds_pre_clause(
@@ -271,7 +257,8 @@ def check_assign_composition(rng) -> list:
     if not contracts_equal(lhs, rhs):
         return [_fail("assign_composition", f"<{s1}> ; <{s2}>")]
     # semantic shadow on the ground
-    if _final_obs(lhs.post, symtab) != _final_obs(rhs.post, symtab):
+    if observations(final_instances, lhs.post, symtab, BOUND) != observations(
+            final_instances, rhs.post, symtab, BOUND):
         return [_fail("assign_composition_ground", f"<{s1}> ; <{s2}>")]
     return []
 
@@ -299,19 +286,18 @@ def check_filter_partition(rng) -> list:
             RAtom(randgen.random_final_atom(rng, symtab))
             for _ in range(rng.randint(1, 3))
         ]
-        get = _final_obs
+        instances = final_instances
     else:
         atoms = [
             RAtom(randgen.random_quiescent_atom(rng, symtab))
             for _ in range(rng.randint(1, 3))
         ]
-        get = _quiet_obs
+        instances = quiet_instances
     r = or_of(atoms)
     grew = filter_r4(r, symtab)
     same = filter_r5(r, symtab)
-    whole = get(r, symtab)
-    got_grew = get(grew, symtab)
-    got_same = get(same, symtab)
+    whole, got_grew, got_same = (observations(instances, x, symtab, BOUND)
+                                 for x in (r, grew, same))
     expect_grew = frozenset(o for o in whole if o[1])
     expect_same = frozenset(o for o in whole if not o[1])
     if got_grew != expect_grew or got_same != expect_same:

@@ -9,8 +9,7 @@ must be allowed by the left-hand side.
 
 `check_rrel_refine` discharges every obligation as a search for the least
 observation that the right-hand side allows and the left-hand side does
-not.  The observations come from one of three sources, chosen by the
-obligation:
+not.  The search has two sources:
 
 * a precondition obligation is calculated from its clauses
   (`_pre_failure`).  A clause ¬(c ∧ t ≤ tt) fails exactly on the
@@ -18,11 +17,12 @@ obligation:
   failing trace is a left-hand clause's own ground trace, unless a
   right-hand or assumed clause active at s has a prefix of it.  Nothing is
   enumerated: the search is states times clauses;
-* a right-hand relation generates its ground instances, one initial state
-  at a time (`_from_instances`);
-* a right-hand invariant, or a relation followed by an invariant, is tested
-  on a sweep of every trace, state and accepted set or final state within
-  the bounds (`_sweep`).
+* every other obligation enumerates the right-hand side's observations
+  from each initial state (`_least_failure`).  A relation gives its ground
+  instance set.  An invariant I is tested on every trace within the bound
+  and every accepted set or final state; after a step, as `SeqInv(step,
+  I)`, it is tested only on the suffixes that follow each of the step's
+  terminated instances, so the step drives the enumeration.
 
 The left-hand side of an enumerated obligation is built once per obligation
 (`_member`).  A relation on that side is read through an index from trace
@@ -88,9 +88,12 @@ from .state import (
 )
 
 
-def _mentions_acc(e: Expr) -> bool:
+def _mentions_acc(e) -> bool:
+    """Does an expression or an invariant read the acceptance set?"""
     if isinstance(e, Acc):
         return True
+    if isinstance(e, InvariantRel):
+        return _mentions_acc(e.body)
     if isinstance(e, BinOp):
         return _mentions_acc(e.left) or _mentions_acc(e.right)
     if isinstance(e, (Not, Head, Tail, Len, Clamp)):
@@ -127,7 +130,8 @@ class InvariantRel:
 
 @dataclass(frozen=True)
 class SeqInv:
-    """A relation followed by an invariant: the step shape of the loop rule."""
+    """A relation followed by an invariant: the step shape of the loop rule,
+    and only ever a right-hand side (`_invariant_observations`)."""
 
     prefix: RRel
     inv: InvariantRel
@@ -231,14 +235,7 @@ def check_rrel_refine(
         return Verdict("refuted", cfg.bounds(), witness=_witness(ob, *hit),
                        scope="unbounded")
     try:
-        lhs = _member(ob.lhs, ob.kind, symtab, cfg.trace_bound)
-        assume = None
-        if ob.assume.clauses:
-            assume = _member(ob.assume, "pre", symtab, cfg.trace_bound)
-        if isinstance(ob.rhs, (InvariantRel, SeqInv)):
-            hit = _sweep(ob, lhs, assume, symtab, cfg.trace_bound)
-        else:
-            hit = _from_instances(ob, lhs, assume, symtab, cfg.trace_bound)
+        hit = _least_failure(ob, symtab, cfg.trace_bound)
     except ground.NotGroundEvaluable as exc:
         return Verdict("inconclusive", cfg.bounds(), reason=str(exc))
     if hit is None:
@@ -306,14 +303,6 @@ def _member(side: Side, kind: str, symtab: SymbolTable, bound: int):
         if kind == "peri":
             return lambda s, tt, x: bool(eval_expr(body, s, tt=tt, acc=x))
         return lambda s, tt, x: bool(eval_expr(body, s, tt=tt, primed=x))
-    if isinstance(side, SeqInv):
-        steps = _index(ground.final_instances, side.prefix, symtab, bound)
-        inv = _member(side.inv, kind, symtab, bound)
-        return lambda s, tt, x: any(
-            inv(s1, tt[n:], x)
-            for n in range(len(tt) + 1)
-            for s1 in steps(s).get(tt[:n], ())
-        )
     if isinstance(side, RTrue):
         return lambda s, tt, x: True
     if kind == "peri":
@@ -339,21 +328,34 @@ def _index(instances, r: RRel, symtab: SymbolTable, bound: int):
     return at
 
 
-def _from_instances(ob: Obligation, lhs, assume, symtab, bound: int):
-    """The least failing ground instance of a right-hand relation.  Instance
-    sets are built one initial state at a time, and a witness key is made
-    only for an observation that fails."""
-    if ob.kind == "peri":
-        instances, x_key = ground.quiet_instances, _order_key
-    else:
-        instances, x_key = ground.final_instances, str
-    # an invariant may reject an acceptance superset that the instance
-    # admits, while a relation allows every superset of what it allows
-    widen = ob.kind == "peri" and _side_mentions_acc(ob.lhs)
+def _least_failure(ob: Obligation, symtab: SymbolTable, bound: int):
+    """The least observation (s, tt, x) that the right-hand side allows, the
+    assumption does not exclude and the left-hand side does not allow, or
+    None.  Observations longer than the least failure so far are skipped."""
+    lhs = _member(ob.lhs, ob.kind, symtab, bound)
+    assume = None
+    if ob.assume.clauses:
+        assume = _member(ob.assume, "pre", symtab, bound)
+    x_key = _order_key if ob.kind == "peri" else str
     alphabet = symtab.alphabet()
+    enumerated = isinstance(ob.rhs, (InvariantRel, SeqInv))
+    # an invariant may reject an acceptance superset that an instance admits
+    widen = not enumerated and ob.kind == "peri" and _mentions_acc(ob.lhs)
     best = best_key = None
+
+    def longest() -> int:
+        return bound if best_key is None else best_key[0]
+
+    if enumerated:
+        observations = _invariant_observations(ob, symtab, bound, longest)
+    else:
+        instances = (ground.quiet_instances if ob.kind == "peri"
+                     else ground.final_instances)
+        observations = lambda s: instances(ob.rhs, s, symtab, bound)
     for s in symtab.valuations():
-        for tt, x in instances(ob.rhs, s, symtab, bound):
+        for tt, x in observations(s):
+            if best_key is not None and len(tt) > best_key[0]:
+                continue
             if assume is not None and not assume(s, tt, None):
                 continue
             for a in _supersets(x, alphabet) if widen else (x,):
@@ -364,36 +366,36 @@ def _from_instances(ob: Obligation, lhs, assume, symtab, bound: int):
     return best
 
 
-def _sweep(ob: Obligation, lhs, assume, symtab, bound: int):
-    """The first failing observation of a right-hand side that is tested,
-    not enumerated, over traces, states and accepted sets or final states
-    taken in witness order."""
-    rhs = _member(ob.rhs, ob.kind, symtab, bound)
-    states = sorted(symtab.valuations(), key=str)
-    alphabet = sorted(symtab.alphabet(), key=str)
+def _invariant_observations(ob: Obligation, symtab, bound: int, longest):
+    """s -> the observations (tt, x) from s of an invariant I, alone or as
+    `SeqInv(step, I)`: from ((), s), or from each terminated step instance
+    (t1, s1) over the alphabet, (t1 + t2, x) for each suffix t2 over the
+    alphabet with len(t1 + t2) <= longest() and each accepted set or final
+    state x with I true at (s1, t2, x)."""
+    inv = ob.rhs.inv if isinstance(ob.rhs, SeqInv) else ob.rhs
+    holds = _member(inv, ob.kind, symtab, bound)
+    alphabet = symtab.alphabet()
     if ob.kind == "post":
-        xs = states
-    elif _side_mentions_acc(ob.lhs) or _side_mentions_acc(ob.rhs):
-        xs = sorted(_supersets(frozenset(), alphabet), key=_order_key)
+        xs = symtab.valuations()
+    elif _mentions_acc(ob.lhs) or _mentions_acc(inv):
+        xs = tuple(_supersets(frozenset(), alphabet))
     else:
         xs = (frozenset(),)
-    for n in range(bound + 1):
-        for tt in itertools.product(alphabet, repeat=n):
-            for s in states:
-                if assume is not None and not assume(s, tt, None):
-                    continue
-                for x in xs:
-                    if rhs(s, tt, x) and not lhs(s, tt, x):
-                        return s, tt, x
-    return None
 
+    def observations(s: Valuation):
+        starts = (((), s),)
+        if isinstance(ob.rhs, SeqInv):
+            starts = ground.final_instances(ob.rhs.prefix, s, symtab, bound)
+        for t1, s1 in starts:
+            if not set(alphabet).issuperset(t1):
+                continue
+            for n in itertools.count(len(t1)):
+                if n > longest():
+                    break
+                for t2 in itertools.product(alphabet, repeat=n - len(t1)):
+                    yield from ((t1 + t2, x) for x in xs if holds(s1, t2, x))
 
-def _side_mentions_acc(side: Side) -> bool:
-    if isinstance(side, InvariantRel):
-        return _mentions_acc(side.body)
-    if isinstance(side, SeqInv):
-        return _mentions_acc(side.inv.body)
-    return False
+    return observations
 
 
 def _supersets(x: frozenset, alphabet):

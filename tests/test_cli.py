@@ -212,6 +212,24 @@ def test_refuted_obligation_is_named(capsys):
         (["refine", "buffer.rp", "--invariant", BUFFER_INV,
           "--peri", "outps(tt)<="],
          "--peri: 1:12: expected an expression"),
+        # an invariant body must be a condition
+        (["inv-check", "buffer.rp", "--invariant", "bf + 1"],
+         "--invariant: + expects integers in bf + 1"),
+        (["inv-check", "buffer.rp", "--invariant", "#bf"],
+         "--invariant: expected bool, found int[0..2] in #bf"),
+        (["refine", "buffer.rp", "--peri", "bf"],
+         "--peri: expected bool, found seq int[0..1] maxlen 2 in bf"),
+        (["refine", "buffer.rp", "--peri", "acc <= {}"],
+         "--peri: <= mixes kinds in acc <= {}"),
+        (["refine", "buffer.rp", "--post", "bf' = #bf"],
+         "--post: incompatible types seq int[0..1] maxlen 2 and int[0..2] "
+         "in bf' = #bf"),
+        (["inv-check", "buffer.rp", "--invariant", "outps(tt) = acc"],
+         "--invariant: incompatible types seq int[0..1] maxlen inf and "
+         "event set in proj(tt, out) = acc"),
+        (["refine", "extchoice.rp", "--peri", "head(as(tt)) = 0"],
+         "--peri: incompatible types no data and int[0..0] in "
+         "head(proj(tt, a)) = 0"),
     ],
 )
 def test_malformed_options_exit_2_with_a_message(capsys, argv, message):

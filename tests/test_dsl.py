@@ -201,6 +201,26 @@ def test_invariant_rejects_unknown_names():
         dsl.parse_invariant("mystery = 1", tp.symtab)
 
 
+@pytest.mark.parametrize("source", [
+    "acc != {}", "acc = {} or #outps(tt) < #inps(tt)", "bf' = bf",
+    "if acc = {} then bf = <> else true", "outps(tt) <= <>",
+    "head(outps(tt)) = 1",
+])
+def test_invariants_of_every_shape_type_as_conditions(source):
+    tp = typecheck(parse(BUFFER_SRC))
+    dsl.parse_invariant(source, tp.symtab)
+
+
+@pytest.mark.parametrize("source", [
+    "bf + 1", "#bf", "bf", "acc", "acc <= {}", "acc = bf", "{} = <>",
+    "outps(tt) = acc", "bf' = 1",
+])
+def test_invariants_that_are_no_condition_are_rejected(source):
+    tp = typecheck(parse(BUFFER_SRC))
+    with pytest.raises(TypeMismatchError):
+        dsl.parse_invariant(source, tp.symtab)
+
+
 def test_expression_precedence():
     p = parse("var x : int[0..5]\nvar b : bool\nif b and x + 1 * 2 <= 4 then skip else stop")
     cond = p.body.cond

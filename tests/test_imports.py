@@ -1,4 +1,5 @@
-"""Every name a `rdes` module or a test module imports is used in it.
+"""Every name a `rdes` module or a test module imports is used in it, and
+every private module-level function or class of `rdes` is used in `rdes`.
 
 Package `__init__.py` files re-export what they import, and `__future__`
 imports are compiler directives, so both are skipped.
@@ -46,3 +47,43 @@ def test_no_unused_imports(path):
 def test_detector_flags_an_unused_name():
     src = "from __future__ import annotations\nimport os\nfrom x import a, b\nb()\n"
     assert unused_imports(src) == ["a (line 3)", "os (line 2)"]
+
+
+def unreferenced_private_defs(sources: dict) -> list:
+    """`module.name` of each module-level function or class whose name
+    starts with `_` and that no code outside its own body refers to, over
+    the modules `sources` maps by name to their source."""
+    trees = {m: ast.parse(src) for m, src in sources.items()}
+    defs = [
+        (m, node)
+        for m, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+    ]
+    used = {}
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            name = n.id if isinstance(n, ast.Name) else (
+                n.attr if isinstance(n, ast.Attribute) else None)
+            if name is not None:
+                used.setdefault(name, []).append(n)
+    out = []
+    for m, node in defs:
+        inside = set(map(id, ast.walk(node)))
+        if all(id(n) in inside for n in used.get(node.name, ())):
+            out.append(f"{m}.{node.name}")
+    return sorted(out)
+
+
+def test_private_definitions_are_used():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert unreferenced_private_defs(sources) == []
+
+
+def test_detector_flags_an_unused_private_definition():
+    sources = {
+        "a": "def _used(): pass\ndef _stale(n): return _stale(n - 1)\n",
+        "b": "from .a import _used\nclass _Gone: pass\n_used()\n",
+    }
+    assert unreferenced_private_defs(sources) == ["a._stale", "b._Gone"]

@@ -1,6 +1,7 @@
 """Refinement discharge, loop invariants, and deadlock freedom."""
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -29,6 +30,7 @@ from rdes.state import (
     Acc,
     BinOp,
     Lit,
+    Not,
     Primed,
     Proj,
     TRUE,
@@ -426,7 +428,7 @@ def test_buffer_invariant_broken_by_saturating_append(capsys, bound, witness):
 GUARDED = str(CORPUS / "buffer_guarded.rp")
 
 
-@pytest.mark.parametrize("bound", [4, 5, 6])
+@pytest.mark.parametrize("bound", [4, 5, 6, 7])
 def test_guarded_buffer_keeps_the_buffer_invariant(capsys, bound):
     code, v = _json_verdict(capsys, "inv-check", GUARDED,
                             "--invariant", BUFFER_INV,
@@ -600,3 +602,179 @@ def test_calculated_pre_obligations_match_the_sweep():
                     bounded += 1
                 verified_within += 1
     assert refuted > 500 and verified_within > 1000 and bounded > 100
+
+
+# ---------------------------------------------------------------------------
+# Enumerated obligations: the step-driven loop against a brute-force sweep
+
+
+def _swept_failure(ob, symtab, bound):
+    """(trace length, witness) of the first observation in witness order
+    that the right-hand side and the assumption allow and the left-hand side
+    does not, found by testing every trace, state and accepted set or final
+    state within the bound; None if there is none.  A step followed by an
+    invariant allows (s, tt, x) when some split tt = t1 + t2 has a
+    terminated step instance (t1, s1) from s and the invariant holds at
+    (s1, t2, x)."""
+    peri = ob.kind == "peri"
+
+    def holds(side, s, tt, x):
+        if side == TRUE_R:
+            return True
+        if peri:
+            return bool(eval_expr(side.body, s, tt=tt, acc=x))
+        return bool(eval_expr(side.body, s, tt=tt, primed=x))
+
+    if isinstance(ob.rhs, SeqInv):
+        steps = {}
+        for s in symtab.valuations():
+            steps[s] = by_trace = {}
+            for t1, s1 in ground.final_instances(ob.rhs.prefix, s, symtab,
+                                                 bound):
+                by_trace.setdefault(t1, []).append(s1)
+
+        def rhs(s, tt, x):
+            return any(
+                holds(ob.rhs.inv, s1, tt[n:], x)
+                for n in range(len(tt) + 1)
+                for s1 in steps[s].get(tt[:n], ())
+            )
+    else:
+        def rhs(s, tt, x):
+            return holds(ob.rhs, s, tt, x)
+
+    def assumed(s, tt):
+        return all(ground.holds_pre_clause(c.cond, c.trace, s, tt, symtab)
+                   for c in ob.assume.clauses)
+
+    states = sorted(symtab.valuations(), key=str)
+    alphabet = sorted(symtab.alphabet(), key=str)
+    if not peri:
+        xs = states
+    elif _reads_acc(ob.lhs) or _reads_acc(ob.rhs):
+        xs = sorted((frozenset(c) for k in range(len(alphabet) + 1)
+                     for c in itertools.combinations(alphabet, k)),
+                    key=lambda x: sorted(map(str, x)))
+    else:
+        xs = [frozenset()]
+    for n in range(bound + 1):
+        for tt in itertools.product(alphabet, repeat=n):
+            for s in states:
+                if not assumed(s, tt):
+                    continue
+                for x in xs:
+                    if rhs(s, tt, x) and not holds(ob.lhs, s, tt, x):
+                        witness = {"state": str(s), "trace": "<" + ", ".join(
+                            map(str, tt)) + ">"}
+                        if peri:
+                            witness["accept"] = "{" + ", ".join(
+                                sorted(map(str, x))) + "}"
+                        else:
+                            witness["state_after"] = str(x)
+                        return n, witness
+    return None
+
+
+def _reads_acc(side):
+    if isinstance(side, SeqInv):
+        side = side.inv
+    return isinstance(side, InvariantRel) and "Acc()" in repr(side.body)
+
+
+def _invariants(symtab, rng):
+    """Peri- and postcondition invariants over a table: `acc`, a projection
+    of its first channel, a primed variable and random state conditions."""
+    cond = randgen.random_cond(rng, symtab)
+    peri = [dsl.parse_invariant("acc != {}", symtab),
+            dsl.parse_invariant("acc = {}", symtab), cond]
+    post = [cond]
+    for chan in sorted(symtab.channels)[:1]:
+        count = dsl.parse_invariant(f"#proj(tt, {chan}) <= 1", symtab)
+        peri += [count, BinOp("or", cond, count)]
+    for name in sorted(symtab.variables)[:1]:
+        same = BinOp("=", Primed(name), Var(name))
+        post += [same, BinOp("or", cond, Not(same))]
+    return ([InvariantRel("peri", b) for b in peri],
+            [InvariantRel("post", b) for b in post])
+
+
+# The most (trace, state, accepted set or final state) triples the sweep may
+# test for one obligation at SWEEP_BOUND, which keeps this test within
+# seconds
+SWEEP_TRIPLES = 10_000
+
+
+def _loop_programs():
+    """(symbol table, loop, further pericondition invariants)"""
+    for name in ("buffer", "buffer_guarded", "while_chaos"):
+        tp, _ = _corpus(name)
+        loop = tp.body if isinstance(tp.body, dsl.While) else tp.body.second
+        extra = [BUFFER_INV] if "bf" in tp.symtab.variables else []
+        yield tp.symtab, loop, [
+            InvariantRel("peri", dsl.parse_invariant(i, tp.symtab))
+            for i in extra]
+    for seed in range(20):
+        tp = randgen.random_loop_program(randgen.rng_for(seed))
+        yield tp.symtab, tp.body, []
+
+
+def _assumption(symtab, rng):
+    """A precondition that excludes every trace from one random event on."""
+    if not symtab.channels:
+        return TRUE_PRE
+    ev = randgen.random_event(rng, symtab)
+    action = dsl.Seq(dsl.DoEvent(ev.chan, ev.data), dsl.Chaos())
+    return calculate(dsl.TypedProgram(symtab, action)).pre
+
+
+def _enumerated_obligations():
+    """Step obligations of each loop with each invariant, the pericondition
+    ones also under an assumption, and ordered pairs of its pericondition
+    invariants as a reduced invariant and a specification."""
+    rng = randgen.rng_for(7)
+    for symtab, loop, extra in _loop_programs():
+        peri, post = _invariants(symtab, rng)
+        peri += extra
+        assumption = _assumption(symtab, rng)
+        states = len(symtab.valuations())
+        events = len(symtab.alphabet())
+        body = calculate(dsl.TypedProgram(symtab, loop.body))
+        step = normalize(RSeq(RTest(loop.cond), body.post), symtab)
+        for inv in peri + post:
+            xs = 2 ** events if _reads_acc(inv) else 1
+            if inv.kind == "post":
+                xs = states
+            if events ** SWEEP_BOUND * states * xs > SWEEP_TRIPLES:
+                continue
+            step_ob = Obligation(inv, SeqInv(step, inv), inv.kind, "step")
+            yield step_ob, symtab
+            if assumption.clauses and inv.kind == "peri":
+                yield dataclasses.replace(step_ob, assume=assumption), symtab
+        if events ** SWEEP_BOUND * states * 2 ** events <= SWEEP_TRIPLES:
+            for spec, reduced in itertools.product(peri[:4], repeat=2):
+                yield Obligation(spec, reduced, "peri", "implied"), symtab
+    for name in ("buffer", "buffer_guarded"):
+        tp, _ = _corpus(name)
+        inv = dsl.parse_invariant(BUFFER_INV, tp.symtab)
+        _, reduced = inv_check_program(tp, inv, Config(trace_bound=1))
+        for spec in ("(#bf = 0 and #inps(tt) < 3) or "
+                     "(#bf > 0 and #inps(tt) < 1)",
+                     "#outps(tt) <= #inps(tt)", "#inps(tt) < 2"):
+            spec = InvariantRel("peri", dsl.parse_invariant(spec, tp.symtab))
+            yield Obligation(spec, reduced.peri, "peri", "implied"), tp.symtab
+
+
+def test_enumerated_obligations_match_the_sweep():
+    refuted = verified = 0
+    for ob, symtab in _enumerated_obligations():
+        swept = _swept_failure(ob, symtab, SWEEP_BOUND)
+        for bound in range(1, SWEEP_BOUND + 1):
+            v = check_rrel_refine(ob, symtab, Config(trace_bound=bound))
+            if swept is not None and swept[0] <= bound:
+                assert (v.kind, v.witness) == ("refuted", swept[1]), (
+                    ob, bound)
+                refuted += 1
+            else:
+                assert v.kind == "verified", (ob, bound)
+                verified += 1
+    assert refuted > 800 and verified > 1500
