@@ -86,7 +86,8 @@ def _load(path: str) -> dsl.TypedProgram:
 def _invariant(flag: str, source: str, symtab):
     """The body of the invariant given to `flag`."""
     try:
-        return dsl.parse_invariant(source, symtab)
+        kind = "post" if flag == "--post" else "peri"
+        return dsl.parse_invariant(source, symtab, kind)
     except INPUT_ERRORS as exc:
         print(f"error: {flag}: {exc}", file=sys.stderr)
         raise SystemExit(2)

@@ -41,6 +41,7 @@ from .state import (
     free_vars,
     pp_expr,
     subst_of,
+    subterms,
 )
 
 
@@ -1013,9 +1014,11 @@ def load_program(source: str) -> TypedProgram:
 # Invariant expressions (state + trace projections + acceptance)
 
 
-def parse_invariant(source: str, symtab: SymbolTable) -> Expr:
+def parse_invariant(source: str, symtab: SymbolTable,
+                    kind: Optional[str] = None) -> Expr:
     """Parse and type an invariant-relation body over st, tt projections,
-    primed variables and acc.
+    acc and primed variables.  Of `kind` "peri" it may not read primed
+    variables, and of `kind` "post" it may not read acc.
 
     `proj(tt, c)` extracts the payload sequence of channel c; for a declared
     channel the shorthand channel-name + "s" or "ps" applied to tt is also
@@ -1026,6 +1029,12 @@ def parse_invariant(source: str, symtab: SymbolTable) -> Expr:
     for name in sorted(free_vars(expr)):
         if name not in symtab.variables:
             raise UnboundNameError(f"unbound name {name!r} in invariant")
+    for x in subterms(expr):
+        if isinstance(x, Acc) and kind == "post":
+            raise TypeMismatchError("acc is only for periconditions")
+        if isinstance(x, Primed) and kind == "peri":
+            raise TypeMismatchError(
+                f"primed variable {x.name}' is only for postconditions")
     _require(infer_type(expr, symtab.variables, symtab), BoolType(), expr)
     return fold(expr)
 

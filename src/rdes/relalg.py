@@ -38,6 +38,7 @@ from .state import (
     eval_expr,
     exprs_equiv,
     fold,
+    free_vars,
     negate,
     pp_expr,
     substs_equiv,
@@ -998,6 +999,61 @@ def subst_pre(s: Subst, p: PreNF, symtab: SymbolTable) -> PreNF:
         ],
         symtab,
     )
+
+
+# ---------------------------------------------------------------------------
+# Reads and writes: a def-use analysis over relations
+
+
+def trace_vars(t: TraceExpr) -> frozenset:
+    """The state variables a trace expression's event data read."""
+    return frozenset().union(
+        *(free_vars(e.data) for e in t if e.data is not None))
+
+
+def set_vars(es: EventSetExpr) -> frozenset:
+    """The state variables an event-set expression's guards and singleton
+    data read."""
+    guards = [p.guard for p in es.parts if p.guard is not None]
+    terms = tuple(p.term for p in es.parts if isinstance(p, SingletonPart))
+    return trace_vars(terms).union(*map(free_vars, guards))
+
+
+def reads_writes(r: RRel, variables: frozenset) -> tuple:
+    """(reads, writes) of a relation over `variables`: from initial states
+    that agree on `reads` it has the same quiescent instances, and from
+    states that also agree on variables X outside `writes` its terminated
+    instances agree on X.  With no terminated instance it writes every
+    variable; a conjunction compares whole final states, so it also reads
+    what it may leave unwritten."""
+    if isinstance(r, RFalse):
+        return frozenset(), variables
+    if isinstance(r, RTrue):
+        return variables, frozenset()
+    if isinstance(r, RTest):
+        return free_vars(r.cond), frozenset()
+    if isinstance(r, RAtom):
+        a = r.atom
+        reads = free_vars(a.cond) | trace_vars(a.trace)
+        if isinstance(a, QuiescentAtom):
+            return reads | set_vars(a.accept), variables
+        reads = reads.union(*(free_vars(x) for _, x in a.subst.entries))
+        return reads, a.subst.domain()
+    if isinstance(r, RSeq):
+        r1, w1 = reads_writes(r.first, variables)
+        r2, w2 = reads_writes(r.second, variables)
+        return r1 | (r2 - w1), w1 | w2
+    if isinstance(r, RStar):
+        return reads_writes(r.body, variables)[0], frozenset()
+    if isinstance(r, (ROr, RAnd)):
+        reads, writes = frozenset(), variables
+        for x in r.args:
+            rx, wx = reads_writes(x, variables)
+            reads, writes = reads | rx, writes & wx
+        if isinstance(r, RAnd):
+            reads |= variables - writes
+        return reads, writes
+    raise TypeError(f"not a reactive relation: {r!r}")
 
 
 # ---------------------------------------------------------------------------

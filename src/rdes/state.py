@@ -377,39 +377,33 @@ def eval_expr(
     raise TypeError(f"not an expression: {e!r}")
 
 
-def free_vars(e: Expr) -> frozenset:
-    if isinstance(e, Var):
-        return frozenset({e.name})
-    if isinstance(e, (Lit, Proj, Acc, Primed)):
-        return frozenset()
+def subterms(e: Expr) -> Iterator[Expr]:
+    """e and every expression inside it."""
+    yield e
     if isinstance(e, BinOp):
-        return free_vars(e.left) | free_vars(e.right)
-    if isinstance(e, (Not, Head, Tail, Len, Clamp)):
-        return free_vars(e.arg)
-    if isinstance(e, IfE):
-        return free_vars(e.cond) | free_vars(e.then) | free_vars(e.other)
-    if isinstance(e, SeqDisplay):
-        out = frozenset()
-        for x in e.elems:
-            out |= free_vars(x)
-        return out
-    raise TypeError(f"not an expression: {e!r}")
+        inner = (e.left, e.right)
+    elif isinstance(e, (Not, Head, Tail, Len, Clamp)):
+        inner = (e.arg,)
+    elif isinstance(e, IfE):
+        inner = (e.cond, e.then, e.other)
+    elif isinstance(e, SeqDisplay):
+        inner = e.elems
+    elif isinstance(e, (Var, Primed, Lit, Proj, Acc)):
+        inner = ()
+    else:
+        raise TypeError(f"not an expression: {e!r}")
+    for x in inner:
+        yield from subterms(x)
+
+
+def free_vars(e: Expr) -> frozenset:
+    return frozenset(x.name for x in subterms(e) if isinstance(x, Var))
 
 
 def mentions_trace(e: Expr) -> bool:
-    if isinstance(e, (Proj, Acc)):
-        return True
-    if isinstance(e, Primed):
-        return True  # treated like trace data: blocks state-only enumeration
-    if isinstance(e, BinOp):
-        return mentions_trace(e.left) or mentions_trace(e.right)
-    if isinstance(e, (Not, Head, Tail, Len, Clamp)):
-        return mentions_trace(e.arg)
-    if isinstance(e, IfE):
-        return any(mentions_trace(x) for x in (e.cond, e.then, e.other))
-    if isinstance(e, SeqDisplay):
-        return any(mentions_trace(x) for x in e.elems)
-    return False
+    # a primed variable is treated like trace data: it blocks state-only
+    # enumeration
+    return any(isinstance(x, (Proj, Acc, Primed)) for x in subterms(e))
 
 
 _EMPTY_VAL = Valuation(())

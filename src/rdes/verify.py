@@ -18,17 +18,24 @@ not.  The search has two sources:
   right-hand or assumed clause active at s has a prefix of it.  Nothing is
   enumerated: the search is states times clauses;
 * every other obligation enumerates the right-hand side's observations
-  from each initial state (`_least_failure`).  A relation gives its ground
-  instance set.  An invariant I is tested on every trace within the bound
-  and every accepted set or final state; after a step, as `SeqInv(step,
-  I)`, it is tested only on the suffixes that follow each of the step's
-  terminated instances, so the step drives the enumeration.
+  (`_least_failure`).  A relation gives its ground instance set.  An
+  invariant I is tested on every trace within the bound and every
+  accepted set or final state; after a step, as `SeqInv(step, I)`, it is
+  tested only on the suffixes that follow each of the step's terminated
+  instances, so the step drives the enumeration.
 
-The left-hand side of an enumerated obligation is built once per obligation
-(`_member`).  A relation on that side is read through an index from trace
-to accepted sets or final states.  Each initial state's index is filled by
-one instance-set build at the obligation's trace bound, on the first query
-from that state, and is dropped when the obligation's check returns.
+An enumerated obligation is discharged from one initial state per class of
+states it cannot tell apart (`_starts`): those that agree on each variable
+whose initial value can change what a side gives or allows (`_depends`, by
+`relalg.reads_writes`).  They have the same failing (trace, accepted set or
+final state) pairs, and the witness order below puts the state after the
+trace.  So a class's least failure is at its state that prints least, the
+one visited, and the witness is the one a visit of every state finds.
+
+The left-hand side is built once per obligation (`_member`): a relation
+there is read through an index from trace to accepted sets or final
+states, filled for each visited state by one instance-set build at the
+obligation's trace bound.
 
 A refutation carries the least failing observation in witness order: trace
 length, then the trace's events, then the initial state, then the accepted
@@ -61,48 +68,34 @@ from .relalg import (
     ground_trace,
     guard_pre,
     normalize,
+    reads_writes,
     subst_pre,
     subst_rrel,
+    trace_vars,
 )
 from .state import (
     Acc,
     BinOp,
-    Clamp,
     Expr,
-    Head,
-    IfE,
-    Len,
     Lit,
-    Not,
-    SeqDisplay,
     Subst,
     SymbolTable,
-    Tail,
     Valuation,
     apply_subst,
     assignment_subst,
     compose_subst,
     eval_expr,
+    free_vars,
     negate,
     pp_expr,
+    subterms,
 )
 
 
-def _mentions_acc(e) -> bool:
-    """Does an expression or an invariant read the acceptance set?"""
-    if isinstance(e, Acc):
-        return True
-    if isinstance(e, InvariantRel):
-        return _mentions_acc(e.body)
-    if isinstance(e, BinOp):
-        return _mentions_acc(e.left) or _mentions_acc(e.right)
-    if isinstance(e, (Not, Head, Tail, Len, Clamp)):
-        return _mentions_acc(e.arg)
-    if isinstance(e, IfE):
-        return any(_mentions_acc(x) for x in (e.cond, e.then, e.other))
-    if isinstance(e, SeqDisplay):
-        return any(_mentions_acc(x) for x in e.elems)
-    return False
+def _mentions_acc(side) -> bool:
+    """Does an invariant side read the acceptance set?"""
+    return isinstance(side, InvariantRel) and any(
+        isinstance(x, Acc) for x in subterms(side.body))
 
 
 @dataclass(frozen=True)
@@ -289,8 +282,8 @@ def _member(side: Side, kind: str, symtab: SymbolTable, bound: int):
     set (peri), the final state (post) or unused (pre).
 
     A relation is read through an index held by the returned closure, so it
-    lives exactly as long as one obligation's check.  It is filled one
-    initial state at a time, by one instance-set build at `bound`, and
+    lives exactly as long as one obligation's check.  It is filled for each
+    visited state (`_starts`) by one instance-set build at `bound`, and
     answers a query of any shorter trace too: the instances at a smaller
     bound are those at `bound` restricted to shorter traces."""
     if isinstance(side, PreNF):
@@ -315,7 +308,7 @@ def _member(side: Side, kind: str, symtab: SymbolTable, bound: int):
 
 def _index(instances, r: RRel, symtab: SymbolTable, bound: int):
     """s -> {trace: accepted sets or final states} of `r`'s instances from
-    s within `bound`, built on the first query from s."""
+    s within `bound`, built on the first query from s (one of `_starts`)."""
     built: dict = {}
 
     def at(s: Valuation) -> dict:
@@ -331,7 +324,8 @@ def _index(instances, r: RRel, symtab: SymbolTable, bound: int):
 def _least_failure(ob: Obligation, symtab: SymbolTable, bound: int):
     """The least observation (s, tt, x) that the right-hand side allows, the
     assumption does not exclude and the left-hand side does not allow, or
-    None.  Observations longer than the least failure so far are skipped."""
+    None, from each visited state s.  Observations longer than the least
+    failure so far are skipped."""
     lhs = _member(ob.lhs, ob.kind, symtab, bound)
     assume = None
     if ob.assume.clauses:
@@ -352,7 +346,7 @@ def _least_failure(ob: Obligation, symtab: SymbolTable, bound: int):
         instances = (ground.quiet_instances if ob.kind == "peri"
                      else ground.final_instances)
         observations = lambda s: instances(ob.rhs, s, symtab, bound)
-    for s in symtab.valuations():
+    for s in _starts(ob, symtab):
         for tt, x in observations(s):
             if best_key is not None and len(tt) > best_key[0]:
                 continue
@@ -364,6 +358,36 @@ def _least_failure(ob: Obligation, symtab: SymbolTable, bound: int):
                     if best is None or key < best_key:
                         best, best_key = (s, tt, a), key
     return best
+
+
+def _starts(ob: Obligation, symtab: SymbolTable) -> list:
+    """The state that prints least in each class of states that agree on
+    every variable the obligation's sides depend on."""
+    depends = (_depends(ob.lhs, ob.kind, symtab)
+               | _depends(ob.rhs, ob.kind, symtab)
+               | _depends(ob.assume, "pre", symtab))
+    least: dict = {}
+    for s in sorted(symtab.valuations(), key=str):
+        least.setdefault(tuple(v for n, v in s.items if n in depends), s)
+    return list(least.values())
+
+
+def _depends(side: Side, kind: str, symtab: SymbolTable) -> frozenset:
+    """The variables whose initial value can change what `side` gives or
+    allows on a `kind` side: a relation's reads, and on a post side, or
+    before an invariant, also what it leaves unwritten."""
+    if isinstance(side, PreNF):
+        return frozenset().union(
+            *(free_vars(c.cond) | trace_vars(c.trace) for c in side.clauses))
+    if isinstance(side, InvariantRel):
+        return free_vars(side.body)
+    if isinstance(side, RTrue):
+        return frozenset()
+    if isinstance(side, SeqInv):
+        side, kind = side.prefix, "post"
+    variables = frozenset(symtab.variables)
+    reads, writes = reads_writes(side, variables)
+    return reads if kind == "peri" else reads | (variables - writes)
 
 
 def _invariant_observations(ob: Obligation, symtab, bound: int, longest):

@@ -230,6 +230,16 @@ def test_refuted_obligation_is_named(capsys):
         (["refine", "extchoice.rp", "--peri", "head(as(tt)) = 0"],
          "--peri: incompatible types no data and int[0..0] in "
          "head(proj(tt, a)) = 0"),
+        # a pericondition has no final state, a postcondition no acceptance
+        (["inv-check", "buffer.rp", "--invariant", "bf' = bf"],
+         "--invariant: primed variable bf' is only for postconditions"),
+        (["refine", "buffer_body.rp", "--post", "acc = {}"],
+         "--post: acc is only for periconditions"),
+        (["refine", "buffer.rp", "--peri", "#bf' < 2"],
+         "--peri: primed variable bf' is only for postconditions"),
+        (["refine", "buffer.rp", "--invariant", BUFFER_INV,
+          "--peri", "acc != {} or bf' = <>"],
+         "--peri: primed variable bf' is only for postconditions"),
     ],
 )
 def test_malformed_options_exit_2_with_a_message(capsys, argv, message):

@@ -221,6 +221,22 @@ def test_invariants_that_are_no_condition_are_rejected(source):
         dsl.parse_invariant(source, tp.symtab)
 
 
+@pytest.mark.parametrize("source, kind", [
+    ("bf' = bf", "peri"), ("acc != {} or bf' = <>", "peri"),
+    ("acc = {}", "post"), ("if acc = {} then bf' = bf else true", "post"),
+])
+def test_invariants_read_only_what_their_kind_observes(source, kind):
+    tp = typecheck(parse(BUFFER_SRC))
+    with pytest.raises(TypeMismatchError, match="only for"):
+        dsl.parse_invariant(source, tp.symtab, kind)
+
+
+def test_invariants_of_their_own_kind_are_accepted():
+    tp = typecheck(parse(BUFFER_SRC))
+    dsl.parse_invariant("acc != {} or #bf = 0", tp.symtab, "peri")
+    dsl.parse_invariant("bf' = bf or #outps(tt) > 0", tp.symtab, "post")
+
+
 def test_expression_precedence():
     p = parse("var x : int[0..5]\nvar b : bool\nif b and x + 1 * 2 <= 4 then skip else stop")
     cond = p.body.cond

@@ -1,20 +1,26 @@
 """Atom composition rules, trace filters, wp, and the normaliser."""
 
 import itertools
+import typing
 
 import pytest
 
 from rdes.relalg import (
+    EMPTY_SET,
     EventTerm,
     FALSE_R,
     KindMismatchError,
     NegClause,
     NormalizationIncomplete,
+    RAnd,
     RAtom,
+    RFalse,
     ROr,
+    RRel,
     RSeq,
     RStar,
     RTest,
+    RTrue,
     TRUE_PRE,
     TRUE_R,
     TraceMismatchError,
@@ -31,6 +37,7 @@ from rdes.relalg import (
     normalize,
     pre_of,
     quiescent,
+    reads_writes,
     seq_final_final,
     seq_final_quiescent,
     subst_rrel,
@@ -461,3 +468,54 @@ def test_canonical_image_collapse():
 def test_guarded_empty_set_drops():
     s = guarded_set(Lit(False), event_set(ev("inp", 0)))
     assert s.parts == ()
+
+
+# ---------------------------------------------------------------------------
+# Reads and writes
+
+
+def test_reads_writes_covers_every_relation_form():
+    """A new relation constructor cannot fall outside the analysis."""
+    xs = frozenset({"x"})
+    samples = {
+        RFalse: FALSE_R,
+        RTrue: TRUE_R,
+        RAtom: UNIT_R,
+        ROr: ROr((UNIT_R, FALSE_R)),
+        RAnd: RAnd((UNIT_R, UNIT_R)),
+        RSeq: RSeq(UNIT_R, UNIT_R),
+        RStar: RStar(UNIT_R),
+        RTest: RTest(TRUE),
+    }
+    assert set(samples) == set(typing.get_args(RRel))
+    for r in samples.values():
+        reads, writes = reads_writes(r, xs)
+        assert reads <= xs and writes <= xs
+    for other in (X, UNIT_R.atom, None):
+        with pytest.raises(TypeError):
+            reads_writes(other, xs)
+
+
+def test_reads_writes_examples():
+    xs = frozenset({"x"})
+    zero = RAtom(final(TRUE, assignment_subst({"x": Lit(0)}, XTAB), ()))
+    send = RAtom(final(TRUE, IDENTITY, (EventTerm("a", X),)))
+    pause = RAtom(quiescent(TRUE, (), event_set(EventTerm("a", X))))
+    cases = [
+        (zero, (set(), {"x"})),
+        (RAtom(final(TRUE, INC, ())), ({"x"}, {"x"})),
+        (send, ({"x"}, set())),
+        (pause, ({"x"}, {"x"})),  # no terminated instance
+        (RSeq(zero, send), (set(), {"x"})),  # written before it is read
+        (RSeq(send, zero), ({"x"}, {"x"})),
+        (RStar(zero), (set(), set())),  # zero iterations write nothing
+        (ROr((zero, UNIT_R)), (set(), set())),
+        (RTest(AT_LEAST_1), ({"x"}, set())),
+        (RTrue(), ({"x"}, set())),
+        (FALSE_R, (set(), {"x"})),
+        # the conjunction of x := 0 and skip holds only where x is already 0
+        (RSeq(RAnd((zero, UNIT_R)), RAtom(quiescent(TRUE, (), EMPTY_SET))),
+         ({"x"}, {"x"})),
+    ]
+    for r, (reads, writes) in cases:
+        assert reads_writes(r, xs) == (reads, writes), r

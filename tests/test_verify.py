@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -9,22 +10,27 @@ from pathlib import Path
 
 import pytest
 
-from rdes import cli, dsl, ground, randgen
+from rdes import cli, dsl, ground, randgen, verify
 from rdes.contracts import calculate, chaos_c, miracle_c, while_contract
 from rdes.kleene import star_wp
 from rdes.relalg import (
+    EMPTY_SET,
     EventTerm,
     PreNF,
+    RAnd,
     RAtom,
     RSeq,
     RTest,
     TRUE_PRE,
     TRUE_R,
+    UNIT_R,
     event_set,
+    final,
     ground_trace,
     guard_pre,
     normalize,
     quiescent,
+    reads_writes,
 )
 from rdes.state import (
     Acc,
@@ -34,9 +40,12 @@ from rdes.state import (
     Primed,
     Proj,
     TRUE,
+    IntType,
     SymbolTable,
     Var,
+    assignment_subst,
     eval_expr,
+    negate,
     valuation_of,
 )
 from rdes.verify import (
@@ -303,10 +312,14 @@ def _inline(source):
     return tp, calculate(tp)
 
 
+def _guarded_step(symtab, loop):
+    body = calculate(dsl.TypedProgram(symtab, loop.body))
+    return normalize(RSeq(RTest(loop.cond), body.post), symtab)
+
+
 def _loop_step(tp):
     loop = tp.body if isinstance(tp.body, dsl.While) else tp.body.second
-    body = calculate(dsl.TypedProgram(tp.symtab, loop.body))
-    return normalize(RSeq(RTest(loop.cond), body.post), tp.symtab)
+    return _guarded_step(tp.symtab, loop)
 
 
 def _pre_sweep():
@@ -738,8 +751,7 @@ def _enumerated_obligations():
         assumption = _assumption(symtab, rng)
         states = len(symtab.valuations())
         events = len(symtab.alphabet())
-        body = calculate(dsl.TypedProgram(symtab, loop.body))
-        step = normalize(RSeq(RTest(loop.cond), body.post), symtab)
+        step = _guarded_step(symtab, loop)
         for inv in peri + post:
             xs = 2 ** events if _reads_acc(inv) else 1
             if inv.kind == "post":
@@ -778,3 +790,217 @@ def test_enumerated_obligations_match_the_sweep():
                 assert v.kind == "verified", (ob, bound)
                 verified += 1
     assert refuted > 800 and verified > 1500
+
+
+# ---------------------------------------------------------------------------
+# One initial state per class of states that an obligation cannot tell apart
+
+
+def _classes(symtab, depends):
+    """The valuations grouped by their values on the variables `depends`."""
+    groups = {}
+    for s in symtab.valuations():
+        key = tuple(v for n, v in s.items if n in depends)
+        groups.setdefault(key, []).append(s)
+    return list(groups.values())
+
+
+# From y = 1 the loop leaves x as it was, and then x = 1 deadlocks
+LOOP_THEN_READ = """\
+var x : int[0..1]
+var y : int[0..1]
+channel a
+channel b
+(while y = 0 do (a -> x := 1 ; y := 1)) ; if x = 0 then b -> skip else stop
+"""
+
+X_TAB = SymbolTable({"x": IntType(0, 3)}, {})
+X_ZERO = RAtom(final(TRUE, assignment_subst({"x": Lit(0)}, X_TAB), ()))
+
+
+def _analysed_relations():
+    """(symbol table, relation): the peri- and postcondition of each corpus
+    contract, random program and `LOOP_THEN_READ`, each corpus and random
+    loop's guarded step, and x := 0 and skip in conjunction, which holds
+    only where x is already 0."""
+    programs = [_corpus(p.stem) for p in sorted(CORPUS.glob("*.rp"))
+                if p.stem != "while_bad"]
+    for tp, c in [*programs, _inline(LOOP_THEN_READ)]:
+        yield from ((tp.symtab, c.peri), (tp.symtab, c.post))
+    for symtab, loop, _ in _loop_programs():
+        yield symtab, _guarded_step(symtab, loop)
+        c = calculate(dsl.TypedProgram(symtab, loop))
+        yield from ((symtab, c.peri), (symtab, c.post))
+    for seed in range(100):
+        tp = randgen.random_program(randgen.rng_for(seed))
+        c = calculate(tp)
+        yield from ((tp.symtab, c.peri), (tp.symtab, c.post))
+    pause = RAtom(quiescent(TRUE, (), EMPTY_SET))
+    yield X_TAB, RSeq(RAnd((X_ZERO, UNIT_R)), pause)
+
+
+def _built(instances, r, s, symtab):
+    try:
+        return instances(r, s, symtab, 4)
+    except ground.NotGroundEvaluable:
+        return None
+
+
+def test_states_that_agree_on_the_reads_have_the_same_instances():
+    """Quiescent instances depend only on the reads, and terminated ones on
+    the reads and the unwritten variables, in the ground reading at bound 4.
+    """
+    compared = 0
+    for symtab, r in _analysed_relations():
+        variables = frozenset(symtab.variables)
+        reads, writes = reads_writes(r, variables)
+        for instances, depends in (
+            (ground.quiet_instances, reads),
+            (ground.final_instances, reads | (variables - writes)),
+        ):
+            for first, *others in _classes(symtab, depends):
+                want = _built(instances, r, first, symtab)
+                for s in others:
+                    assert _built(instances, r, s, symtab) == want, (
+                        r, first, s)
+                    compared += 1
+    assert compared > 1000
+
+
+def _loop_rule_obligations():
+    """Each loop's pause and exit obligations with its invariants.  Its step
+    obligations are `_enumerated_obligations`, whose sweep reference above
+    already visits every state."""
+    rng = randgen.rng_for(11)
+    for symtab, loop, extra in _loop_programs():
+        peri, post = _invariants(symtab, rng)
+        body = calculate(dsl.TypedProgram(symtab, loop.body))
+        pause = normalize(RSeq(RTest(loop.cond), body.peri), symtab)
+        exit_ = normalize(RTest(negate(loop.cond)), symtab)
+        for inv in peri + extra:
+            yield Obligation(inv, pause, "peri", "pause"), symtab
+        for inv in post:
+            yield Obligation(inv, exit_, "post", "exit"), symtab
+
+
+def _random_contract_obligations():
+    """Peri- and postcondition obligations between two random contracts
+    over one table, both ways round, under a random assumption: star-free
+    programs, and a loop against a loop followed by a star-free program."""
+    for seed in range(60):
+        rng = randgen.rng_for(seed)
+        if seed < 40:
+            tp = randgen.random_program(rng)
+            other = randgen.random_star_free(rng, tp.symtab)
+        else:
+            tp = randgen.random_loop_program(rng)
+            other = dsl.Seq(randgen.random_while_program(rng, tp.symtab),
+                            randgen.random_star_free(rng, tp.symtab, 2))
+        symtab = tp.symtab
+        pair = (calculate(tp), calculate(dsl.TypedProgram(symtab, other)))
+        assume = _assumption(symtab, rng)
+        for lhs, rhs in (pair, pair[::-1]):
+            for kind in ("peri", "post"):
+                yield Obligation(getattr(lhs, kind), getattr(rhs, kind), kind,
+                                 kind, assume=assume), symtab
+
+
+def _class_checks():
+    """(label, Config -> Verdict): every refinement and deadlock check of
+    the corpus and `LOOP_THEN_READ`, the loop-rule obligations and random
+    contract obligations."""
+    programs = [(p.stem, *_corpus(p.stem)) for p in sorted(CORPUS.glob("*.rp"))
+                if p.stem != "while_bad"]
+    programs.append(("loop_then_read", *_inline(LOOP_THEN_READ)))
+    for (spec_name, spec_tp, spec), (name, tp, impl) in itertools.product(
+            programs, repeat=2):
+        if _declared(spec_tp, tp):
+            yield (f"refine {spec_name} {name}",
+                   functools.partial(refine_check, spec, impl, tp.symtab))
+    for name, tp, c in programs:
+        yield f"dlf {name}", functools.partial(check_deadlock_free, c,
+                                               tp.symtab)
+    for ob, symtab in itertools.chain(_loop_rule_obligations(),
+                                      _random_contract_obligations()):
+        yield ob, functools.partial(check_rrel_refine, ob, symtab)
+
+
+def _outcome(v):
+    return v.kind, v.witness, v.reason, tuple(
+        (o.origin, w.kind, w.witness, w.scope) for o, w in v.obligations)
+
+
+def test_one_state_per_class_gives_the_verdicts_of_every_state(monkeypatch):
+    checks = list(_class_checks())
+    starts = verify._starts
+    skipped = refuted = 0
+
+    def counted(ob, symtab):
+        nonlocal skipped
+        out = starts(ob, symtab)
+        skipped += len(symtab.valuations()) - len(out)
+        return out
+
+    for bound in range(1, 6):
+        cfg = Config(trace_bound=bound)
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_starts", counted)
+            got = [_outcome(check(cfg)) for _, check in checks]
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_starts", lambda _, symtab: symtab.valuations())
+            want = [_outcome(check(cfg)) for _, check in checks]
+        for (label, _), g, w in zip(checks, got, want):
+            assert g == w, (label, bound)
+        refuted += sum(g[0] == "refuted" for g in got)
+    # the classes skip 9,060 state visits over the five bounds; they would
+    # skip 8,640 if a sequence's first writes did not hide its second reads
+    assert refuted > 800 and skipped >= 9000
+
+
+def _outermost_builds(monkeypatch, capsys, argv):
+    """(quiescent, terminated) instance-set builds that one CLI run starts
+    outside another build."""
+    counts = {"quiet_instances": 0, "final_instances": 0}
+    depth = 0
+
+    def counting(name):
+        original = getattr(ground, name)
+
+        def counted(*args):
+            nonlocal depth
+            counts[name] += depth == 0
+            depth += 1
+            try:
+                return original(*args)
+            finally:
+                depth -= 1
+
+        return counted
+
+    with monkeypatch.context() as m:
+        for name in counts:
+            m.setattr(ground, name, counting(name))
+        cli.main(argv)
+    capsys.readouterr()
+    return counts["quiet_instances"], counts["final_instances"]
+
+
+@pytest.mark.parametrize("argv, builds", [
+    # the buffer starts with bf := <>, so its 7 states form one class
+    (["refine", "buffer.rp", "buffer.rp"], (2, 1)),
+    (["dlf", "buffer.rp"], (1, 1)),
+    # both set x before they read it
+    (["refine", "ex2_lhs.rp", "ex2_rhs.rp"], (2, 2)),
+    # the loop body reads bf: one build per state and side
+    (["refine", "buffer_body.rp", "buffer_body.rp"], (14, 14)),
+    # a -> skip reads nothing but keeps x: one class for the pauses, and
+    # one per value of x for the final states
+    (["refine", "keep_x", "keep_x"], (2, 8)),
+])
+def test_instances_are_built_once_per_class(monkeypatch, capsys, tmp_path,
+                                            argv, builds):
+    keep_x = tmp_path / "keep_x.rp"
+    keep_x.write_text("var x : int[0..3]\nchannel a\na -> skip\n")
+    argv = [str(CORPUS / a) if a.endswith(".rp") else
+            str(keep_x) if a == "keep_x" else a for a in argv]
+    assert _outermost_builds(monkeypatch, capsys, argv) == builds
