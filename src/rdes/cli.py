@@ -14,8 +14,9 @@ Commands
                            compare calculus against the enumerator
     laws [--seed S]        run the relational and iteration law suites
 
-Every command takes --trace-bound (default 4), --wp-bound (default 16) and
---format text|json.
+Every command takes --format text|json, and the bounds it reads:
+--trace-bound (default 4) for every command but calc and laws, and
+--wp-bound (default 16) for calc, refine, dlf, inv-check and crosscheck.
 
 Exit codes: 0 verified/ok, 1 refuted/differences, 2 inconclusive or error.
 """
@@ -33,7 +34,6 @@ from .verify import (
     Config,
     InvariantRel,
     Obligation,
-    SpecTriple,
     check_deadlock_free,
     check_rrel_refine,
     deadlock_free_spec,
@@ -43,9 +43,12 @@ from .verify import (
 from .relalg import TRUE_PRE, TRUE_R
 
 
-def _add_bounds(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trace-bound", type=int, default=4)
-    p.add_argument("--wp-bound", type=int, default=16)
+def _add_bounds(p: argparse.ArgumentParser, trace=True, wp=True) -> None:
+    """--format, and the bound flags the command reads."""
+    if trace:
+        p.add_argument("--trace-bound", type=int, default=Config.trace_bound)
+    if wp:
+        p.add_argument("--wp-bound", type=int, default=Config.wp_bound)
     p.add_argument("--format", choices=["text", "json"], default="text")
 
 
@@ -60,14 +63,14 @@ INPUT_ERRORS = (
 
 
 def _config(args) -> Config:
-    for name in ("trace_bound", "wp_bound"):
-        if getattr(args, name) < 1:
+    bounds = {name: getattr(args, name)
+              for name in ("trace_bound", "wp_bound") if hasattr(args, name)}
+    for name, value in bounds.items():
+        if value < 1:
             print(f"error: --{name.replace('_', '-')} must be >= 1",
                   file=sys.stderr)
             raise SystemExit(2)
-    return Config(
-        trace_bound=args.trace_bound, wp_bound=args.wp_bound, fmt=args.format
-    )
+    return Config(**bounds, fmt=args.format)
 
 
 def _load(path: str) -> dsl.TypedProgram:
@@ -139,7 +142,7 @@ def _spec_for(args, cfg: Config, symtab):
         if args.post:
             post = InvariantRel("post", _invariant("--post", args.post,
                                                    symtab))
-        return SpecTriple(TRUE_PRE, peri, post)
+        return contracts.Contract(TRUE_PRE, peri, post)
     if args.spec == "dlf":
         return deadlock_free_spec()
     spec_tp = _load(args.spec)
@@ -210,6 +213,7 @@ def cmd_dlf(args) -> int:
 def cmd_inv_check(args) -> int:
     cfg = _config(args)
     tp = _load(args.file)
+    _calculate(tp, cfg)  # the loop rule is for programs that calculate
     inv_body = _invariant("--invariant", args.invariant, tp.symtab)
     verdict, reduced = inv_check_program(tp, inv_body, cfg)
     code = _emit_verdict(verdict, cfg)
@@ -332,7 +336,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("calc", help="calculate a program's contract")
     p.add_argument("file")
-    _add_bounds(p)
+    _add_bounds(p, trace=False)
     p.set_defaults(func=cmd_calc)
 
     p = sub.add_parser("refine", help="check spec ⊑ impl")
@@ -359,7 +363,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("oracle", help="dump enumerated observations")
     p.add_argument("file")
     p.add_argument("--emit", help="write observations JSON to a file")
-    _add_bounds(p)
+    _add_bounds(p, wp=False)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("crosscheck", help="calculus vs enumerator")
@@ -379,7 +383,7 @@ def main(argv=None) -> int:
     p.add_argument("--terms", type=int, default=200)
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    _add_bounds(p)
+    _add_bounds(p, trace=False, wp=False)
     p.set_defaults(func=cmd_laws)
 
     args = parser.parse_args(argv)

@@ -4,14 +4,21 @@ A contract is a triple of reactive relations: the precondition (a
 conjunction of negated initial conditions, characterising divergence
 freedom), the pericondition (quiescent observations), and the postcondition
 (terminated observations).  Programs denote contracts; the constructors and
-combinators here calculate that denotation bottom-up, keeping everything in
-normal form.
+combinators here calculate that denotation bottom-up, and each result is
+normalised once, where it is built: a relation taken from a contract is
+already in normal form.
+
+Nothing else is stored.  Whether a contract is productive (every
+terminated observation extends the trace) or instantaneous (no quiescent
+observation, and every terminated one keeps the trace) is read off its
+relations (`relalg.productive`, `relalg.silent`).  A loop needs a
+productive body, and `loop_parts` gives the loop's precondition, guarded
+step and guarded pause to both the calculator and the loop-invariant rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from . import dsl
 from .kleene import WpNotConvergedError, star_wp
@@ -19,7 +26,6 @@ from .relalg import (
     EMPTY_SET,
     EventTerm,
     FALSE_R,
-    FinalAtom,
     KindMismatchError,
     NegClause,
     PreNF,
@@ -33,7 +39,6 @@ from .relalg import (
     TRUE_PRE,
     and_pre,
     canon_set,
-    disjuncts,
     event_set,
     filter_r4,
     filter_r5,
@@ -45,9 +50,11 @@ from .relalg import (
     or_of,
     pre_of,
     pre_to_json,
+    productive,
     quiescent,
     rrel_to_json,
     seq_items,
+    silent,
     wp_or_final,
 )
 from .state import (
@@ -75,11 +82,20 @@ class NotProductiveError(Exception):
 
 @dataclass(frozen=True)
 class Contract:
+    """A contract, or a specification whose peri- or postcondition may be
+    an invariant (`verify.InvariantRel`) instead of a relation."""
+
     pre: PreNF
     peri: RRel
     post: RRel
-    productive: Optional[bool] = None  # None = unknown
-    instantaneous: Optional[bool] = None
+
+    @property
+    def productive(self) -> bool:
+        return productive(self.post)
+
+    @property
+    def instantaneous(self) -> bool:
+        return self.peri == FALSE_R and silent(self.post)
 
     def __str__(self) -> str:
         return f"⦗{self.pre} | {self.peri} | {self.post}⦘"
@@ -94,62 +110,33 @@ class Contract:
         }
 
 
-def contracts_equal(a: Contract, b: Contract) -> bool:
-    """Structural equality of the normalised triples (flags are derived)."""
-    return a.pre == b.pre and a.peri == b.peri and a.post == b.post
-
-
 # ---------------------------------------------------------------------------
 # Basic constructors
 
 
 def skip_c() -> Contract:
-    return Contract(
-        TRUE_PRE,
-        FALSE_R,
-        RAtom(final(TRUE, IDENTITY, ())),
-        productive=False,
-        instantaneous=True,
-    )
+    return Contract(TRUE_PRE, FALSE_R, RAtom(final(TRUE, IDENTITY, ())))
 
 
 def stop_c() -> Contract:
     """Deadlock: quiescent with nothing accepted, no termination."""
-    return Contract(
-        TRUE_PRE,
-        RAtom(quiescent(TRUE, (), EMPTY_SET)),
-        FALSE_R,
-        productive=True,
-        instantaneous=False,
-    )
+    return Contract(TRUE_PRE, RAtom(quiescent(TRUE, (), EMPTY_SET)), FALSE_R)
 
 
 def chaos_c() -> Contract:
     """Divergence from the start: the bottom of the contract lattice."""
     return Contract(
-        pre_of([NegClause(TRUE, ())], _EMPTY_TAB),
-        FALSE_R,
-        FALSE_R,
-        productive=True,
-        instantaneous=True,
+        pre_of([NegClause(TRUE, ())], _EMPTY_TAB), FALSE_R, FALSE_R
     )
 
 
 def miracle_c() -> Contract:
     """The infeasible top: refines everything, never observed."""
-    return Contract(
-        TRUE_PRE, FALSE_R, FALSE_R, productive=True, instantaneous=True
-    )
+    return Contract(TRUE_PRE, FALSE_R, FALSE_R)
 
 
 def assign_c(s: Subst) -> Contract:
-    return Contract(
-        TRUE_PRE,
-        FALSE_R,
-        RAtom(final(TRUE, s, ())),
-        productive=False,
-        instantaneous=True,
-    )
+    return Contract(TRUE_PRE, FALSE_R, RAtom(final(TRUE, s, ())))
 
 
 def do_c(e: EventTerm, symtab: SymbolTable) -> Contract:
@@ -157,8 +144,6 @@ def do_c(e: EventTerm, symtab: SymbolTable) -> Contract:
         TRUE_PRE,
         RAtom(quiescent(TRUE, (), canon_set(event_set(e), symtab))),
         RAtom(final(TRUE, IDENTITY, (e,))),
-        productive=True,
-        instantaneous=False,
     )
 
 
@@ -166,34 +151,31 @@ def do_c(e: EventTerm, symtab: SymbolTable) -> Contract:
 # Combinators
 
 
-def seq_contract(c1: Contract, c2: Contract, symtab: SymbolTable) -> Contract:
+def seq_contract(
+    c1: Contract, c2: Contract, symtab: SymbolTable, wp_bound: int = 16
+) -> Contract:
     """Sequential composition: the first must not violate the second's
     precondition; quiescence comes from either side."""
-    pre = and_pre(c1.pre, _wp_rrel(c1.post, c2.pre, symtab), symtab)
+    pre = and_pre(c1.pre, _wp_rrel(c1.post, c2.pre, symtab, wp_bound), symtab)
     peri = normalize(ROr((c1.peri, RSeq(c1.post, c2.peri))), symtab)
     post = normalize(RSeq(c1.post, c2.post), symtab)
-    productive = True if (c1.productive or c2.productive) else None
-    instantaneous = (
-        True if (c1.instantaneous and c2.instantaneous) else None
-    )
-    return classify(
-        Contract(pre, peri, post, productive, instantaneous), symtab
-    )
+    return Contract(pre, peri, post)
 
 
-def _wp_rrel(post: RRel, pre: PreNF, symtab: SymbolTable) -> PreNF:
+def _wp_rrel(
+    post: RRel, pre: PreNF, symtab: SymbolTable, wp_bound: int
+) -> PreNF:
     """Weakest precondition of a normalised postcondition (which may be a
     chain around iteration nodes) against a clause set."""
     if pre.is_true():
         return TRUE_PRE
-    post = normalize(post, symtab)
     if isinstance(post, RSeq):
         out = pre
         for item in reversed(seq_items(post)):
-            out = _wp_rrel(item, out, symtab)
+            out = _wp_rrel(item, out, symtab, wp_bound)
         return out
     if isinstance(post, RStar):
-        res = star_wp(post.body, pre, symtab)
+        res = star_wp(post.body, pre, symtab, wp_bound)
         if not res.converged:
             raise WpNotConvergedError(
                 f"precondition saturation did not converge for {post}"
@@ -210,8 +192,7 @@ def intchoice_contract(cs: list, symtab: SymbolTable) -> Contract:
         pre = and_pre(pre, c.pre, symtab)
     peri = normalize(or_of([c.peri for c in cs]), symtab)
     post = normalize(or_of([c.post for c in cs]), symtab)
-    productive = True if all(c.productive for c in cs) else None
-    return classify(Contract(pre, peri, post, productive), symtab)
+    return Contract(pre, peri, post)
 
 
 def extchoice_contract(cs: list, symtab: SymbolTable) -> Contract:
@@ -222,13 +203,11 @@ def extchoice_contract(cs: list, symtab: SymbolTable) -> Contract:
     pre = TRUE_PRE
     for c in cs:
         pre = and_pre(pre, c.pre, symtab)
-    unresolved_parts = [filter_r5(c.peri, symtab) for c in cs]
-    resolved_parts = [filter_r4(c.peri, symtab) for c in cs]
-    unresolved = normalize(RAnd(tuple(unresolved_parts)), symtab)
-    peri = normalize(or_of([unresolved] + resolved_parts), symtab)
+    unresolved = normalize(RAnd(tuple(filter_r5(c.peri) for c in cs)), symtab)
+    resolved = [filter_r4(c.peri) for c in cs]
+    peri = normalize(or_of([unresolved] + resolved), symtab)
     post = normalize(or_of([c.post for c in cs]), symtab)
-    productive = True if all(c.productive for c in cs) else None
-    return classify(Contract(pre, peri, post, productive), symtab)
+    return Contract(pre, peri, post)
 
 
 def cond_contract(
@@ -247,22 +226,17 @@ def cond_contract(
     )
     peri = _cond_rrel(b, c1.peri, c2.peri, symtab)
     post = _cond_rrel(b, c1.post, c2.post, symtab)
-    productive = (
-        True if (c1.productive is True and c2.productive is True) else None
-    )
-    return classify(Contract(pre, peri, post, productive), symtab)
+    return Contract(pre, peri, post)
 
 
 def _cond_rrel(b: Expr, r1: RRel, r2: RRel, symtab: SymbolTable) -> RRel:
-    n1 = normalize(r1, symtab)
-    n2 = normalize(r2, symtab)
-    if isinstance(n1, RAtom) and isinstance(n2, RAtom):
+    if isinstance(r1, RAtom) and isinstance(r2, RAtom):
         try:
-            return merge_cond(n1, b, n2, symtab)
+            return merge_cond(r1, b, r2, symtab)
         except KindMismatchError:
             pass
     return normalize(
-        ROr((guard_rrel(b, n1, symtab), guard_rrel(negate(b), n2, symtab))),
+        ROr((guard_rrel(b, r1, symtab), guard_rrel(negate(b), r2, symtab))),
         symtab,
     )
 
@@ -279,54 +253,32 @@ def while_contract(
     """
     if cond_is_false(b, symtab):
         return skip_c()
-    body = classify(body, symtab)
-    if body.productive is not True:
-        if cond_is_true(b, symtab) and body.instantaneous is True:
+    if not body.productive:
+        if cond_is_true(b, symtab) and body.instantaneous:
             return chaos_c()
         raise NotProductiveError(
             "loop body admits a terminated observation without events"
         )
-    step = normalize(RSeq(RTest(b), body.post), symtab)
+    pre, step, pause = loop_parts(b, body, symtab, wp_bound)
+    star = normalize(RStar(step), symtab)
+    peri = normalize(RSeq(star, pause), symtab)
+    post = normalize(RSeq(star, RTest(negate(b))), symtab)
+    return Contract(pre, peri, post)
+
+
+def loop_parts(
+    b: Expr, body: Contract, symtab: SymbolTable, wp_bound: int
+) -> tuple:
+    """(precondition, guarded step [b] ; body.post, guarded pause
+    [b] ; body.peri) of `while b do body`.  The precondition is the body's
+    under the guard, saturated over every number of steps; it raises
+    `WpNotConvergedError` when `wp_bound` saturation steps do not settle
+    it."""
+    step = guard_rrel(b, body.post, symtab)
     res = star_wp(step, guard_pre(b, body.pre, symtab), symtab, wp_bound)
     if not res.converged:
         raise WpNotConvergedError("loop precondition did not converge")
-    star = normalize(RStar(step), symtab)
-    peri = normalize(
-        RSeq(star, normalize(RSeq(RTest(b), body.peri), symtab)), symtab
-    )
-    post = normalize(RSeq(star, RTest(negate(b))), symtab)
-    return classify(Contract(res.clauses, peri, post), symtab)
-
-
-# ---------------------------------------------------------------------------
-# Classification
-
-
-def classify(c: Contract, symtab: SymbolTable) -> Contract:
-    """Derive productivity/instantaneity from the normal forms.
-
-    Productive: every terminated observation strictly extends the trace.
-    Instantaneous: no quiescent observations and trace-preserving
-    termination.  Where the normal form is symbolic the structural flags
-    carried by the combinators are kept; unknown stays unknown.
-    """
-    post = normalize(c.post, symtab)
-    peri = normalize(c.peri, symtab)
-    productive = c.productive
-    instantaneous = c.instantaneous
-    ds = disjuncts(post)
-    literal_post = all(
-        isinstance(d, RAtom) and isinstance(d.atom, FinalAtom) for d in ds
-    )
-    if literal_post:
-        productive = all(len(d.atom.trace) > 0 for d in ds)
-        if peri == FALSE_R:
-            instantaneous = all(len(d.atom.trace) == 0 for d in ds)
-        else:
-            instantaneous = False
-    elif peri != FALSE_R:
-        instantaneous = False
-    return Contract(c.pre, peri, post, productive, instantaneous)
+    return res.clauses, step, guard_rrel(b, body.peri, symtab)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +308,7 @@ def _calc(a: dsl.Action, symtab: SymbolTable, wp_bound: int) -> Contract:
             _calc(a.first, symtab, wp_bound),
             _calc(a.second, symtab, wp_bound),
             symtab,
+            wp_bound,
         )
     if isinstance(a, dsl.ExtChoice):
         return extchoice_contract(

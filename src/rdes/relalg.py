@@ -602,15 +602,15 @@ def conj_quiescent(atoms: list, symtab: SymbolTable) -> QuiescentAtom:
 # pericondition for external choice
 
 
-def filter_r4(r: RRel, symtab: SymbolTable) -> RRel:
-    """Keep only the observations that strictly extend the trace."""
-    r = normalize(r, symtab)
+def filter_r4(r: RRel) -> RRel:
+    """Keep only the observations of a normal form that strictly extend
+    the trace."""
     return _filter(r, keep_empty=False)
 
 
-def filter_r5(r: RRel, symtab: SymbolTable) -> RRel:
-    """Keep only the observations that leave the trace unchanged."""
-    r = normalize(r, symtab)
+def filter_r5(r: RRel) -> RRel:
+    """Keep only the observations of a normal form that leave the trace
+    unchanged."""
     return _filter(r, keep_empty=True)
 
 
@@ -1053,6 +1053,48 @@ def reads_writes(r: RRel, variables: frozenset) -> tuple:
         if isinstance(r, RAnd):
             reads |= variables - writes
         return reads, writes
+    raise TypeError(f"not a reactive relation: {r!r}")
+
+
+# ---------------------------------------------------------------------------
+# Trace growth: what every terminated observation does to the trace
+
+
+def productive(r: RRel) -> bool:
+    """Does every terminated observation of `r` extend the trace?  Read off
+    the structure: an iteration (zero passes), a test or the universal
+    relation may keep it."""
+    return _every_final(r, extends=True)
+
+
+def silent(r: RRel) -> bool:
+    """Does every terminated observation of `r` keep the trace?"""
+    return _every_final(r, extends=False)
+
+
+def _every_final(r: RRel, extends: bool) -> bool:
+    """Does every terminated observation of `r` extend (or keep) the trace?
+    A relation with none, such as a quiescent atom, does both."""
+    if isinstance(r, RFalse):
+        return True
+    if isinstance(r, RTrue):
+        return False
+    if isinstance(r, RTest):
+        return not extends
+    if isinstance(r, RAtom):
+        a = r.atom
+        return isinstance(a, QuiescentAtom) or bool(a.trace) == extends
+    if isinstance(r, RStar):
+        return not extends and _every_final(r.body, extends)
+    if isinstance(r, RSeq):
+        # one extending part extends the whole; keeping it takes both
+        parts = (_every_final(r.first, extends),
+                 _every_final(r.second, extends))
+        return any(parts) if extends else all(parts)
+    if isinstance(r, ROr):
+        return all(_every_final(x, extends) for x in r.args)
+    if isinstance(r, RAnd):
+        return any(_every_final(x, extends) for x in r.args)
     raise TypeError(f"not a reactive relation: {r!r}")
 
 

@@ -9,7 +9,8 @@ must be allowed by the left-hand side.
 
 `check_rrel_refine` discharges every obligation as a search for the least
 observation that the right-hand side allows and the left-hand side does
-not.  The search has two sources:
+not.  The universal relation on the left allows every observation, so
+there is nothing to search.  Otherwise the search has two sources:
 
 * a precondition obligation is calculated from its clauses
   (`_pre_failure`).  A clause ¬(c ∧ t ≤ tt) fails exactly on the
@@ -55,18 +56,15 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import dsl, ground
-from .contracts import Contract, calculate
-from .kleene import star_wp
+from .contracts import Contract, calculate, loop_parts
 from .relalg import (
     PreNF,
     RRel,
-    RSeq,
     RTest,
     RTrue,
     TRUE_PRE,
     TRUE_R,
     ground_trace,
-    guard_pre,
     normalize,
     reads_writes,
     subst_pre,
@@ -173,18 +171,9 @@ class Verdict:
         return out
 
 
-@dataclass(frozen=True)
-class SpecTriple:
-    """An invariant-style specification contract."""
-
-    pre: PreNF
-    peri: Union[RRel, InvariantRel]
-    post: Union[RRel, InvariantRel]
-
-
-def deadlock_free_spec() -> SpecTriple:
+def deadlock_free_spec() -> Contract:
     """Quiescent observations must accept at least one event."""
-    return SpecTriple(
+    return Contract(
         TRUE_PRE,
         InvariantRel("peri", BinOp("!=", Acc(), Lit(frozenset()))),
         TRUE_R,
@@ -219,7 +208,10 @@ def check_rrel_refine(
     ob: Obligation, symtab: SymbolTable, cfg: Config
 ) -> Verdict:
     """Discharge one obligation: search the right-hand side's observations
-    within the bounds for the least one the left-hand side does not allow."""
+    within the bounds for the least one the left-hand side does not allow.
+    The universal relation on the left allows every observation."""
+    if isinstance(ob.lhs, RTrue):
+        return Verdict("verified", cfg.bounds())
     if ob.kind == "pre":
         hit, beyond = _pre_failure(ob, symtab, cfg.trace_bound)
         if hit is None:
@@ -296,8 +288,6 @@ def _member(side: Side, kind: str, symtab: SymbolTable, bound: int):
         if kind == "peri":
             return lambda s, tt, x: bool(eval_expr(body, s, tt=tt, acc=x))
         return lambda s, tt, x: bool(eval_expr(body, s, tt=tt, primed=x))
-    if isinstance(side, RTrue):
-        return lambda s, tt, x: True
     if kind == "peri":
         accepts = _index(ground.quiet_instances, side, symtab, bound)
         # an instance with accepted set E admits every superset of E
@@ -381,8 +371,6 @@ def _depends(side: Side, kind: str, symtab: SymbolTable) -> frozenset:
             *(free_vars(c.cond) | trace_vars(c.trace) for c in side.clauses))
     if isinstance(side, InvariantRel):
         return free_vars(side.body)
-    if isinstance(side, RTrue):
-        return frozenset()
     if isinstance(side, SeqInv):
         side, kind = side.prefix, "post"
     variables = frozenset(symtab.variables)
@@ -447,24 +435,15 @@ def _witness(ob: Obligation, s: Valuation, tt: tuple, x) -> dict:
     return out
 
 
-def _combine(checked: list, cfg: Config, unchecked=()) -> Verdict:
-    """One verdict over (obligation, verdict) pairs and the verdicts of
-    conditions that are no obligation: the first refutation, else the first
-    inconclusive one, else verified."""
+def _combine(checked: list, cfg: Config) -> Verdict:
+    """One verdict over (obligation, verdict) pairs: the first refutation,
+    else the first inconclusive one, else verified."""
     checked = tuple(checked)
-    verdicts = [*unchecked, *(v for _, v in checked)]
-    for v in verdicts:
-        if v.kind == "refuted":
-            return Verdict(
-                "refuted", cfg.bounds(), witness=v.witness,
-                obligations=checked,
-            )
-    for v in verdicts:
-        if v.kind == "inconclusive":
-            return Verdict(
-                "inconclusive", cfg.bounds(), reason=v.reason,
-                obligations=checked,
-            )
+    for kind in ("refuted", "inconclusive"):
+        for _, v in checked:
+            if v.kind == kind:
+                return Verdict(kind, cfg.bounds(), witness=v.witness,
+                               reason=v.reason, obligations=checked)
     return Verdict("verified", cfg.bounds(), obligations=checked)
 
 
@@ -504,39 +483,24 @@ def check_invariant_loop(
        preserves it;
     3. I3 holds on immediate exit, and a guarded body step preserves it.
 
-    Conditions 2 and 3 are single-step (iteration-free) by design.
+    Conditions 2 and 3 are single-step (iteration-free) by design.  The
+    assumption, step and pause are the loop calculation's (`loop_parts`),
+    so an assumption that does not saturate within the wp bound raises
+    `WpNotConvergedError` here as it does there.
     """
     i1, i2, i3 = inv
-    step = normalize(RSeq(RTest(b), body.post), symtab)
-    res = star_wp(step, guard_pre(b, body.pre, symtab), symtab, cfg.wp_bound)
-    obs = []
-    unchecked = ()
-    if not res.converged:
-        unchecked = (
-            Verdict(
-                "inconclusive",
-                cfg.bounds(),
-                reason="loop assumption saturation did not converge",
-            ),
-        )
-    else:
-        obs.append(Obligation(res.clauses, i1, "pre", "assumption weakening"))
-    pause = normalize(RSeq(RTest(b), body.peri), symtab)
-    ob2a = Obligation(i2, pause, "peri", "pause establishes invariant")
-    ob2b = Obligation(
-        i2, SeqInv(step, i2), "peri", "step preserves pause invariant"
-    )
-    ob3a = Obligation(
-        i3,
-        normalize(RTest(negate(b)), symtab),
-        "post",
-        "exit establishes invariant",
-    )
-    ob3b = Obligation(
-        i3, SeqInv(step, i3), "post", "step preserves exit invariant"
-    )
-    obs += [ob2a, ob2b, ob3a, ob3b]
-    return _combine(_check_all(obs, symtab, cfg), cfg, unchecked)
+    assumption, step, pause = loop_parts(b, body, symtab, cfg.wp_bound)
+    exit_ = normalize(RTest(negate(b)), symtab)
+    obs = [
+        Obligation(assumption, i1, "pre", "assumption weakening"),
+        Obligation(i2, pause, "peri", "pause establishes invariant"),
+        Obligation(i2, SeqInv(step, i2), "peri",
+                   "step preserves pause invariant"),
+        Obligation(i3, exit_, "post", "exit establishes invariant"),
+        Obligation(i3, SeqInv(step, i3), "post",
+                   "step preserves exit invariant"),
+    ]
+    return _combine(_check_all(obs, symtab, cfg), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +508,12 @@ def check_invariant_loop(
 
 
 def assign_then_contract_reduction(
-    s: Subst, spec, symtab: SymbolTable
-) -> SpecTriple:
+    s: Subst, spec: Contract, symtab: SymbolTable
+) -> Contract:
     """Distribute an initial assignment into a specification: composing the
     assignment before the contract applies its update as a substitution to
     all three components."""
-    return SpecTriple(
+    return Contract(
         subst_pre(s, spec.pre, symtab),
         _subst_side(s, spec.peri, symtab),
         _subst_side(s, spec.post, symtab),
@@ -595,7 +559,7 @@ def inv_check_program(
     verdict = check_invariant_loop(
         loop.cond, body_contract, (TRUE_PRE, i2, i3), symtab, cfg
     )
-    spec = SpecTriple(TRUE_PRE, i2, TRUE_R)
+    spec = Contract(TRUE_PRE, i2, TRUE_R)
     s = None
     for a in prefix:
         step = assignment_subst({a.var: a.expr}, symtab)

@@ -18,6 +18,13 @@ ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 BUFFER_INV = "outps(tt)<=bf++inps(tt)"
 
+# A program the calculator rejects, written out by the tests that name it
+REJECTED = {
+    "ext_over_loop.rp": "channel a\nchannel b\nvar x : int[0..1]\n"
+                        "while x < 1 do ((a -> (while x < 1 do "
+                        "(b -> x := x + 1))) [] b -> skip)\n",
+}
+
 
 def _schema(name):
     path = ROOT / "src" / "rdes" / "schemas" / f"{name}.schema.json"
@@ -63,8 +70,9 @@ def test_verdict_json_matches_schema(capsys, argv, code):
 def test_contract_and_observations_json_match_schemas(
     capsys, command, schema, program
 ):
-    _, out = _run(capsys, command, str(CORPUS / f"{program}.rp"),
-                  "--trace-bound", "2")
+    # calc reads no trace bound
+    bound = ["--trace-bound", "2"] if command == "oracle" else []
+    _, out = _run(capsys, command, str(CORPUS / f"{program}.rp"), *bound)
     jsonschema.validate(out, _schema(schema))
 
 
@@ -105,6 +113,16 @@ def test_calc_rejects_external_choice_over_a_loop(capsys, tmp_path):
         (["dlf", "skip.rp", "--seed", "1"], False),
         (["refine", "skip.rp", "skip.rp", "--jobs", "2"], False),
         (["dlf", "skip.rp", "--star-bound", "3"], False),
+        # calc reads only the wp bound, oracle only the trace bound, and
+        # laws neither
+        (["calc", "skip.rp", "--wp-bound", "3"], True),
+        (["oracle", "skip.rp", "--trace-bound", "2"], True),
+        (["calc", "skip.rp", "--trace-bound", "3"], False),
+        (["oracle", "skip.rp", "--wp-bound", "3"], False),
+        (["laws", "--per-law", "1", "--terms", "1", "--trace-bound", "3"],
+         False),
+        (["laws", "--per-law", "1", "--terms", "1", "--wp-bound", "3"],
+         False),
     ],
 )
 def test_flags_only_where_read(capsys, argv, accepted):
@@ -240,14 +258,40 @@ def test_refuted_obligation_is_named(capsys):
         (["refine", "buffer.rp", "--invariant", BUFFER_INV,
           "--peri", "acc != {} or bf' = <>"],
          "--peri: primed variable bf' is only for postconditions"),
+        # the loop rule is only for programs the calculator accepts
+        (["inv-check", "while_bad.rp", "--invariant", "true"],
+         "NotProductive: loop body admits a terminated observation without "
+         "events"),
+        (["inv-check", "ext_over_loop.rp", "--invariant", "true"],
+         "NormalizationIncomplete: external choice over a non-literal "
+         "pericondition"),
     ],
 )
-def test_malformed_options_exit_2_with_a_message(capsys, argv, message):
-    argv = [str(CORPUS / a) if a.endswith(".rp") else a for a in argv]
+def test_malformed_options_exit_2_with_a_message(capsys, tmp_path, argv,
+                                                 message):
+    for name, source in REJECTED.items():
+        (tmp_path / name).write_text(source)
+    argv = [str((tmp_path if a in REJECTED else CORPUS) / a)
+            if a.endswith(".rp") else a for a in argv]
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_wp_bound_holds_after_a_loop(capsys, tmp_path):
+    # the chaos after the loop takes four saturation steps
+    path = tmp_path / "count_then_chaos.rp"
+    path.write_text("channel a\nvar x : int[0..3]\n"
+                    "x := 0 ; (while x < 3 do (a -> x := x + 1)) ; chaos\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["calc", str(path), "--wp-bound", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: WpNotConvergedError: precondition saturation did not "
+        "converge for ")
+    assert cli.main(["calc", str(path), "--wp-bound", "4"]) == 0
+    assert capsys.readouterr().out.startswith("⦗not I(true | <a, a, a>) | ")
 
 
 @pytest.mark.parametrize("command, argv, collecting", [

@@ -1,8 +1,10 @@
-"""Contract constructors, combinators, classification, and calculation."""
+"""Contract constructors, combinators, derived facts, and calculation."""
+
+from pathlib import Path
 
 import pytest
 
-from rdes import dsl, randgen
+from rdes import dsl, ground, randgen
 from rdes.contracts import (
     Contract,
     EmptyIndexError,
@@ -10,9 +12,7 @@ from rdes.contracts import (
     assign_c,
     calculate,
     chaos_c,
-    classify,
     cond_contract,
-    contracts_equal,
     do_c,
     extchoice_contract,
     intchoice_contract,
@@ -31,12 +31,15 @@ from rdes.relalg import (
     RSeq,
     RStar,
     TRUE_PRE,
+    NormalizationIncomplete,
     channel_image,
+    disjuncts,
     event_set,
     final,
     guarded_set,
     normalize,
     quiescent,
+    silent,
     union_sets,
 )
 from rdes.state import (
@@ -54,6 +57,8 @@ from rdes.state import (
     assignment_subst,
     subst_of,
 )
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 XTAB = SymbolTable({"x": IntType(0, 3)}, {"a": IntType(0, 3)})
 ABC = SymbolTable({}, {"a": None, "b": None, "c": None})
@@ -85,47 +90,47 @@ def test_example_assign_prefix_assign():
         RAtom(quiescent(TRUE, (), event_set(ev("a", 1)))),
         RAtom(final(TRUE, subst_of({"x": Lit(3)}), (ev("a", 1),))),
     )
-    assert contracts_equal(lhs, rhs)
-    assert contracts_equal(lhs, expected)
+    assert lhs == rhs
+    assert lhs == expected
 
 
 def test_skip_is_seq_unit():
     c = do_c(ev("a", 2), XTAB)
-    assert contracts_equal(seq_contract(skip_c(), c, XTAB), c)
-    assert contracts_equal(seq_contract(c, skip_c(), XTAB), c)
+    assert seq_contract(skip_c(), c, XTAB) == c
+    assert seq_contract(c, skip_c(), XTAB) == c
 
 
 def test_stop_left_annihilates():
     c = do_c(ev("a", 1), XTAB)
-    assert contracts_equal(seq_contract(stop_c(), c, XTAB), stop_c())
+    assert seq_contract(stop_c(), c, XTAB) == stop_c()
 
 
 def test_chaos_left_annihilates():
     c = seq_contract(chaos_c(), do_c(ev("a", 1), XTAB), XTAB)
-    assert contracts_equal(c, chaos_c())
+    assert c == chaos_c()
 
 
 def test_miracle_left_annihilates():
     c = seq_contract(miracle_c(), do_c(ev("a", 1), XTAB), XTAB)
-    assert contracts_equal(c, miracle_c())
+    assert c == miracle_c()
 
 
 def test_assign_composition():
     s1 = assignment_subst({"x": Lit(1)}, XTAB)
     s2 = assignment_subst({"x": BinOp("+", Var("x"), Lit(1))}, XTAB)
     lhs = seq_contract(assign_c(s1), assign_c(s2), XTAB)
-    assert contracts_equal(lhs, assign_c(subst_of({"x": Lit(2)})))
+    assert lhs == assign_c(subst_of({"x": Lit(2)}))
 
 
 def test_assign_identity_is_skip():
-    assert contracts_equal(assign_c(IDENTITY), skip_c())
+    assert assign_c(IDENTITY) == skip_c()
 
 
 def test_assign_commutes_with_event():
     s = assignment_subst({"x": Lit(1)}, XTAB)
     lhs = seq_contract(assign_c(s), do_c(EventTerm("a", Var("x")), XTAB), XTAB)
     rhs = seq_contract(do_c(ev("a", 1), XTAB), assign_c(s), XTAB)
-    assert contracts_equal(lhs, rhs)
+    assert lhs == rhs
 
 
 def test_do_then_chaos_precondition():
@@ -137,8 +142,8 @@ def test_do_then_chaos_precondition():
 
 def test_intchoice_units():
     c = do_c(ev("a", 1), XTAB)
-    assert contracts_equal(intchoice_contract([c], XTAB), c)
-    assert contracts_equal(intchoice_contract([c, c], XTAB), c)
+    assert intchoice_contract([c], XTAB) == c
+    assert intchoice_contract([c, c], XTAB) == c
     with pytest.raises(EmptyIndexError):
         intchoice_contract([], XTAB)
 
@@ -156,7 +161,7 @@ def test_prefix_distributes_over_intchoice():
         ],
         ABC,
     )
-    assert contracts_equal(lhs, rhs)
+    assert lhs == rhs
 
 
 def test_extchoice_example_pericondition():
@@ -188,16 +193,15 @@ def test_extchoice_example_pericondition():
 
 def test_extchoice_stop_is_unit():
     p = seq_contract(do_c(EventTerm("a"), ABC), skip_c(), ABC)
-    assert contracts_equal(extchoice_contract([p, stop_c()], ABC), p)
+    assert extchoice_contract([p, stop_c()], ABC) == p
 
 
 def test_extchoice_commutative_idempotent():
     p = seq_contract(do_c(EventTerm("a"), ABC), skip_c(), ABC)
     q = seq_contract(do_c(EventTerm("b"), ABC), stop_c(), ABC)
-    assert contracts_equal(
-        extchoice_contract([p, q], ABC), extchoice_contract([q, p], ABC)
-    )
-    assert contracts_equal(extchoice_contract([p, p], ABC), p)
+    assert (extchoice_contract([p, q], ABC)
+            == extchoice_contract([q, p], ABC))
+    assert extchoice_contract([p, p], ABC) == p
 
 
 def test_extchoice_associative_on_examples():
@@ -206,13 +210,13 @@ def test_extchoice_associative_on_examples():
     r = do_c(EventTerm("c"), ABC)
     lhs = extchoice_contract([extchoice_contract([p, q], ABC), r], ABC)
     rhs = extchoice_contract([p, extchoice_contract([q, r], ABC)], ABC)
-    assert contracts_equal(lhs, rhs)
+    assert lhs == rhs
 
 
 def test_guard_false_is_stop_and_true_is_identity():
     p = do_c(EventTerm("a"), ABC)
-    assert contracts_equal(cond_contract(Lit(False), p, stop_c(), ABC), stop_c())
-    assert contracts_equal(cond_contract(Lit(True), p, stop_c(), ABC), p)
+    assert cond_contract(Lit(False), p, stop_c(), ABC) == stop_c()
+    assert cond_contract(Lit(True), p, stop_c(), ABC) == p
 
 
 def test_buffer_body_contract():
@@ -297,7 +301,7 @@ while true do (
 
 def test_while_false_is_skip():
     body = do_c(ev("a", 1), XTAB)
-    assert contracts_equal(while_contract(Lit(False), body, XTAB), skip_c())
+    assert while_contract(Lit(False), body, XTAB) == skip_c()
 
 
 def test_while_true_instantaneous_is_chaos():
@@ -305,7 +309,7 @@ def test_while_true_instantaneous_is_chaos():
         assignment_subst({"x": BinOp("+", Var("x"), Lit(1))}, XTAB)
     )
     c = while_contract(Lit(True), body, XTAB)
-    assert contracts_equal(c, chaos_c())
+    assert c == chaos_c()
 
 
 def test_while_nonproductive_rejected():
@@ -326,9 +330,9 @@ def test_while_true_of_prefix_shape():
 
 def test_classification_base_cases():
     assert do_c(ev("a", 1), XTAB).productive is True
-    s = classify(skip_c(), XTAB)
+    s = skip_c()
     assert s.productive is False and s.instantaneous is True
-    c = classify(chaos_c(), XTAB)
+    c = chaos_c()
     assert c.productive is True and c.instantaneous is True
 
 
@@ -344,10 +348,10 @@ def test_classification_seq_rule():
 
 def test_calculate_skip_and_echo_choice():
     c, _ = calc_src("skip")
-    assert contracts_equal(c, skip_c())
+    assert c == skip_c()
     c1, tab = calc_src("channel a\na -> skip [] a -> skip")
     c2, _ = calc_src("channel a\na -> skip")
-    assert contracts_equal(c1, c2)
+    assert c1 == c2
 
 
 def test_extchoice_distributes_into_seq_for_productive_branches():
@@ -355,7 +359,7 @@ def test_extchoice_distributes_into_seq_for_productive_branches():
     src_rhs = "channel a\nchannel b\nchannel c\n(a -> skip ; c -> skip) [] (b -> skip ; c -> skip)"
     lhs, _ = calc_src(src_lhs)
     rhs, _ = calc_src(src_rhs)
-    assert contracts_equal(lhs, rhs)
+    assert lhs == rhs
 
 
 def test_instantaneous_distributes_from_left():
@@ -363,7 +367,7 @@ def test_instantaneous_distributes_from_left():
     src_rhs = "channel a\nchannel b\nvar x : int[0..1]\n(x := 1 ; a -> skip) [] (x := 1 ; b -> skip)"
     lhs, _ = calc_src(src_lhs)
     rhs, _ = calc_src(src_rhs)
-    assert contracts_equal(lhs, rhs)
+    assert lhs == rhs
 
 
 def test_calculated_relations_are_normal_forms():
@@ -374,3 +378,62 @@ def test_calculated_relations_are_normal_forms():
         c = calculate(tp)
         for r in (c.peri, c.post):
             assert normalize(r, tp.symtab) == r, seed
+
+
+# ---------------------------------------------------------------------------
+# Derived facts against the ground reading
+
+
+def _calculated_contracts():
+    """(symbol table, contract) of every corpus program the calculator
+    accepts, of `random_program` seeds 0-199 and of `random_loop_program`
+    seeds 0-49."""
+    programs = [dsl.load_program(p.read_text())
+                for p in sorted(CORPUS.glob("*.rp"))]
+    programs += [randgen.random_program(randgen.rng_for(seed))
+                 for seed in range(200)]
+    programs += [randgen.random_loop_program(randgen.rng_for(seed))
+                 for seed in range(50)]
+    for tp in programs:
+        try:
+            yield tp.symtab, calculate(tp)
+        except (NotProductiveError, NormalizationIncomplete):
+            continue
+
+
+def _trace_growth(c, symtab, bound):
+    """Whether some terminated instance within `bound` extends the trace,
+    and whether some keeps it."""
+    grows = {bool(tt) for s in symtab.valuations()
+             for tt, _ in ground.final_instances(c.post, s, symtab, bound)}
+    return True in grows, False in grows
+
+
+def test_derived_facts_hold_on_the_ground():
+    told = 0
+    for symtab, c in _calculated_contracts():
+        extends, keeps = _trace_growth(c, symtab, 3)
+        if c.productive:
+            assert not keeps, c
+        if silent(c.post):
+            assert not extends, c
+        if c.instantaneous:
+            assert c.peri == FALSE_R and not extends, c
+        told += c.productive or silent(c.post)
+    assert told > 200
+
+
+def test_derived_facts_are_exact_on_star_free_postconditions():
+    # a star-free postcondition in normal form is a disjunction of
+    # terminated atoms whose conditions hold somewhere: each has an instance
+    # as long as its trace
+    checked = 0
+    for symtab, c in _calculated_contracts():
+        atoms = disjuncts(c.post)
+        if not all(isinstance(d, RAtom) for d in atoms):
+            continue
+        longest = max((len(d.atom.trace) for d in atoms), default=0)
+        extends, keeps = _trace_growth(c, symtab, longest)
+        assert (c.productive, silent(c.post)) == (not keeps, not extends), c
+        checked += 1
+    assert checked > 200

@@ -36,10 +36,12 @@ from rdes.relalg import (
     merge_cond,
     normalize,
     pre_of,
+    productive,
     quiescent,
     reads_writes,
     seq_final_final,
     seq_final_quiescent,
+    silent,
     subst_rrel,
     union_sets,
     guard_rrel,
@@ -259,9 +261,9 @@ def test_conj_quiescent_trace_mismatch():
 def test_filters_on_atoms():
     tab = SymbolTable({"x": IntType(0, 1)}, {"a": None})
     empty_final = RAtom(final(TRUE, IDENTITY, ()))
-    assert filter_r4(empty_final, tab) == FALSE_R
+    assert filter_r4(empty_final) == FALSE_R
     q0 = RAtom(quiescent(TRUE, (), event_set(EventTerm("a"))))
-    assert filter_r5(q0, tab) == q0
+    assert filter_r5(q0) == q0
 
 
 def test_filter_r5_keeps_unchanged_trace_disjunct():
@@ -269,8 +271,8 @@ def test_filter_r5_keeps_unchanged_trace_disjunct():
     q1 = RAtom(quiescent(TRUE, (ev("a"),), event_set(EventTerm("b"))))
     q2 = RAtom(quiescent(TRUE, (), event_set(EventTerm("a"))))
     r = ROr((q1, q2))
-    assert filter_r5(r, tab) == q2
-    assert filter_r4(r, tab) == q1
+    assert filter_r5(r) == q2
+    assert filter_r4(r) == q1
 
 
 def test_filters_partition_literal_relations():
@@ -284,7 +286,7 @@ def test_filters_partition_literal_relations():
         for combo in itertools.combinations(atoms, n):
             r = ROr(tuple(combo))
             both = set()
-            for part in (filter_r4(r, tab), filter_r5(r, tab)):
+            for part in (filter_r4(r), filter_r5(r)):
                 if part == FALSE_R:
                     continue
                 if isinstance(part, ROr):
@@ -474,19 +476,23 @@ def test_guarded_empty_set_drops():
 # Reads and writes
 
 
+# One relation of each constructor
+ONE_OF_EACH_FORM = {
+    RFalse: FALSE_R,
+    RTrue: TRUE_R,
+    RAtom: UNIT_R,
+    ROr: ROr((UNIT_R, FALSE_R)),
+    RAnd: RAnd((UNIT_R, UNIT_R)),
+    RSeq: RSeq(UNIT_R, UNIT_R),
+    RStar: RStar(UNIT_R),
+    RTest: RTest(TRUE),
+}
+
+
 def test_reads_writes_covers_every_relation_form():
     """A new relation constructor cannot fall outside the analysis."""
     xs = frozenset({"x"})
-    samples = {
-        RFalse: FALSE_R,
-        RTrue: TRUE_R,
-        RAtom: UNIT_R,
-        ROr: ROr((UNIT_R, FALSE_R)),
-        RAnd: RAnd((UNIT_R, UNIT_R)),
-        RSeq: RSeq(UNIT_R, UNIT_R),
-        RStar: RStar(UNIT_R),
-        RTest: RTest(TRUE),
-    }
+    samples = ONE_OF_EACH_FORM
     assert set(samples) == set(typing.get_args(RRel))
     for r in samples.values():
         reads, writes = reads_writes(r, xs)
@@ -519,3 +525,50 @@ def test_reads_writes_examples():
     ]
     for r, (reads, writes) in cases:
         assert reads_writes(r, xs) == (reads, writes), r
+
+
+# ---------------------------------------------------------------------------
+# Trace growth
+
+
+def test_trace_growth_covers_every_relation_form():
+    """A new relation constructor cannot fall outside the two readings."""
+    assert set(ONE_OF_EACH_FORM) == set(typing.get_args(RRel))
+    # (productive, silent) of each sample: only the empty relation both
+    # extends and keeps the trace, and the universal one does neither
+    expected = {
+        RFalse: (True, True),
+        RTrue: (False, False),
+        RAtom: (False, True),
+        ROr: (False, True),
+        RAnd: (False, True),
+        RSeq: (False, True),
+        RStar: (False, True),
+        RTest: (False, True),
+    }
+    for form, r in ONE_OF_EACH_FORM.items():
+        assert (productive(r), silent(r)) == expected[form], form
+    for other in (X, UNIT_R.atom, None):
+        with pytest.raises(TypeError):
+            productive(other)
+        with pytest.raises(TypeError):
+            silent(other)
+
+
+def test_trace_growth_examples():
+    send = RAtom(final(TRUE, IDENTITY, (EventTerm("a", X),)))
+    pause = RAtom(quiescent(TRUE, (), event_set(EventTerm("a", X))))
+    cases = [
+        (send, (True, False)),
+        (pause, (True, True)),  # no terminated instance
+        (RSeq(send, UNIT_R), (True, False)),
+        (RSeq(UNIT_R, send), (True, False)),
+        (RStar(send), (False, False)),  # zero passes keep the trace
+        (ROr((send, UNIT_R)), (False, False)),
+        (ROr((send, pause)), (True, False)),
+        # an observation of both extends the trace and keeps it: none
+        (RAnd((send, UNIT_R)), (True, True)),
+        (RSeq(RTest(AT_LEAST_1), send), (True, False)),
+    ]
+    for r, facts in cases:
+        assert (productive(r), silent(r)) == facts, r
