@@ -10,9 +10,12 @@ Commands
     dlf FILE               deadlock-freedom check
     inv-check FILE         loop-invariant check (requires --invariant)
     oracle FILE            dump the bounded enumerator's observations
-    crosscheck FILE|--random N [--loops] [--jobs J] [--seed S]
+    crosscheck FILE|--random N [--loops] [--seed S]
                            compare calculus against the enumerator
     laws [--seed S]        run the relational and iteration law suites
+
+The refine forms exclude each other: SPEC (a program file, or dlf) goes
+with none of --peri, --post and --invariant, and --invariant with no --post.
 
 Every command takes --format text|json, and the bounds it reads:
 --trace-bound (default 4) for every command but calc and laws, and
@@ -86,25 +89,34 @@ def _load(path: str) -> dsl.TypedProgram:
         raise SystemExit(2)
 
 
-def _invariant(flag: str, source: str, symtab):
-    """The body of the invariant given to `flag`."""
+def _invariant(flag: str, source: str, tp: dsl.TypedProgram, cfg: Config):
+    """The body of the invariant given to `flag`.  A program the calculator
+    rejects is reported before a malformed invariant."""
     try:
         kind = "post" if flag == "--post" else "peri"
-        return dsl.parse_invariant(source, symtab, kind)
+        return dsl.parse_invariant(source, tp.symtab, kind)
     except INPUT_ERRORS as exc:
+        _calculate(tp, cfg)
         print(f"error: {flag}: {exc}", file=sys.stderr)
         raise SystemExit(2)
 
 
-def _calculate(tp: dsl.TypedProgram, cfg: Config) -> contracts.Contract:
+def _calculating(f, *args):
+    """f(*args), with what it raises printed as one `error:` line, exit 2.
+    The calculator rejects a program by `NotProductiveError`,
+    `WpNotConvergedError` or `NormalizationIncomplete`."""
     try:
-        return contracts.calculate(tp, cfg.wp_bound)
+        return f(*args)
     except contracts.NotProductiveError as exc:
         print(f"error: NotProductive: {exc}", file=sys.stderr)
         raise SystemExit(2)
-    except Exception as exc:  # WpNotConverged, NormalizationIncomplete
+    except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         raise SystemExit(2)
+
+
+def _calculate(tp: dsl.TypedProgram, cfg: Config) -> contracts.Contract:
+    return _calculating(contracts.calculate, tp, cfg.wp_bound)
 
 
 def _emit_verdict(verdict, cfg: Config) -> int:
@@ -131,22 +143,21 @@ def cmd_calc(args) -> int:
     return 0
 
 
-def _spec_for(args, cfg: Config, symtab):
+def _spec_for(args, cfg: Config, tp: dsl.TypedProgram):
     """Resolve the specification side of a refinement."""
     if args.peri or args.post:
-        peri = TRUE_R
-        post = TRUE_R
+        peri = post = TRUE_R
         if args.peri:
-            peri = InvariantRel("peri", _invariant("--peri", args.peri,
-                                                   symtab))
+            peri = InvariantRel("peri", _invariant("--peri", args.peri, tp,
+                                                   cfg))
         if args.post:
-            post = InvariantRel("post", _invariant("--post", args.post,
-                                                   symtab))
+            post = InvariantRel("post", _invariant("--post", args.post, tp,
+                                                   cfg))
         return contracts.Contract(TRUE_PRE, peri, post)
     if args.spec == "dlf":
         return deadlock_free_spec()
     spec_tp = _load(args.spec)
-    _check_declared(args.spec, spec_tp.symtab, args.impl, symtab)
+    _check_declared(args.spec, spec_tp.symtab, args.impl, tp.symtab)
     return _calculate(spec_tp, cfg)
 
 
@@ -173,33 +184,36 @@ def _check_declared(spec_path: str, spec, impl_path: str, impl) -> None:
 def cmd_refine(args) -> int:
     cfg = _config(args)
     tp = _load(args.impl)
-    impl = _calculate(tp, cfg)
     if args.invariant:
-        return _refine_via_invariant(args, cfg, tp)
-    spec = _spec_for(args, cfg, tp.symtab)
+        verdict, _ = _loop_rule(tp, cfg, args.invariant, args.peri)
+        return _emit_verdict(verdict, cfg)
+    impl = _calculate(tp, cfg)
+    spec = _spec_for(args, cfg, tp)
     verdict = refine_check(spec, impl, tp.symtab, cfg)
     return _emit_verdict(verdict, cfg)
 
 
-def _refine_via_invariant(args, cfg: Config, tp: dsl.TypedProgram) -> int:
-    """Prove an invariant-style spec of a loop program: discharge the loop
-    conditions for the supplied invariant, distribute the leading
-    assignments in, and check the reduced invariant implies the spec."""
-    symtab = tp.symtab
-    inv_body = _invariant("--invariant", args.invariant, symtab)
-    if args.peri:
-        spec = InvariantRel("peri", _invariant("--peri", args.peri, symtab))
-    verdict, reduced = inv_check_program(tp, inv_body, cfg)
-    if verdict.verified and args.peri:
+def _loop_rule(tp: dsl.TypedProgram, cfg: Config, invariant: str,
+               peri=None) -> tuple:
+    """(verdict, reduced invariant) of the loop rule for `invariant` on
+    `assignments ; while`: discharge the loop conditions, distribute the
+    leading assignments in and, given `peri`, check that the reduced
+    invariant implies it.  The rule calculates the loop once, and reports
+    what the calculator rejects as `_calculate` does."""
+    inv_body = _invariant("--invariant", invariant, tp, cfg)
+    if peri:
+        spec = InvariantRel("peri", _invariant("--peri", peri, tp, cfg))
+    verdict, reduced = _calculating(inv_check_program, tp, inv_body, cfg)
+    if verdict.verified and peri:
         ob = Obligation(
             spec, reduced.peri, "peri",
             "reduced invariant implies specification",
         )
-        implied = check_rrel_refine(ob, symtab, cfg)
+        implied = check_rrel_refine(ob, tp.symtab, cfg)
         verdict = dataclasses.replace(
             implied, obligations=verdict.obligations + ((ob, implied),)
         )
-    return _emit_verdict(verdict, cfg)
+    return verdict, reduced
 
 
 def cmd_dlf(args) -> int:
@@ -212,10 +226,7 @@ def cmd_dlf(args) -> int:
 
 def cmd_inv_check(args) -> int:
     cfg = _config(args)
-    tp = _load(args.file)
-    _calculate(tp, cfg)  # the loop rule is for programs that calculate
-    inv_body = _invariant("--invariant", args.invariant, tp.symtab)
-    verdict, reduced = inv_check_program(tp, inv_body, cfg)
+    verdict, reduced = _loop_rule(_load(args.file), cfg, args.invariant)
     code = _emit_verdict(verdict, cfg)
     if reduced is not None and cfg.fmt == "text":
         print(f"reduced spec pericondition: {reduced.peri}")
@@ -236,31 +247,17 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _crosscheck_one(tp: dsl.TypedProgram, cfg: Config):
-    c = contracts.calculate(tp, cfg.wp_bound)
-    return oracle.cross_check(tp, c, cfg)
-
-
 def cmd_crosscheck(args) -> int:
     cfg = _config(args)
-    reports = []
     if args.random:
         rng = randgen.rng_for(args.seed)
-        programs = []
-        for _ in range(args.random):
-            if args.loops:
-                programs.append(randgen.random_loop_program(rng))
-            else:
-                programs.append(randgen.random_program(rng))
-        if args.jobs > 1:
-            import concurrent.futures as cf
-
-            with cf.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                reports = list(
-                    pool.map(_crosscheck_one, programs, [cfg] * len(programs))
-                )
-        else:
-            reports = [_crosscheck_one(tp, cfg) for tp in programs]
+        make = (randgen.random_loop_program if args.loops
+                else randgen.random_program)
+        programs = [make(rng) for _ in range(args.random)]
+        reports = [
+            oracle.cross_check(tp, contracts.calculate(tp, cfg.wp_bound), cfg)
+            for tp in programs
+        ]
     else:
         if not args.file:
             print("error: give a file or --random N", file=sys.stderr)
@@ -371,8 +368,6 @@ def main(argv=None) -> int:
     p.add_argument("--random", type=int, default=0, metavar="N")
     p.add_argument("--loops", action="store_true",
                    help="generate loop programs instead of star-free ones")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for --random")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the --random programs")
     _add_bounds(p)
@@ -387,12 +382,20 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_laws)
 
     args = parser.parse_args(argv)
-    if args.command == "refine" and args.spec is None and not (
-        args.peri or args.post or args.invariant
-    ):
-        parser.error(
-            "refine needs a spec file, 'dlf', --peri/--post or --invariant"
-        )
+    if args.command == "refine":
+        # exactly one form of refine, so that no input is ignored
+        flags = [f"--{name}" for name in ("peri", "post", "invariant")
+                 if getattr(args, name)]
+        if args.spec is None and not flags:
+            parser.error(
+                "refine needs a spec file, 'dlf', --peri/--post or --invariant"
+            )
+        if args.spec is not None and flags:
+            parser.error(f"refine reads no spec with {flags[0]}, "
+                         f"so {args.spec} would be ignored")
+        if args.invariant and args.post:
+            parser.error("refine --invariant proves no postcondition, "
+                         "so --post would be ignored")
     # A check keeps millions of small tuples and sets alive until it ends,
     # and every full collection traverses all of them: with Python's
     # defaults, `crosscheck buffer` spends about half its time there.  Rarer

@@ -11,9 +11,10 @@ already in normal form.
 Nothing else is stored.  Whether a contract is productive (every
 terminated observation extends the trace) or instantaneous (no quiescent
 observation, and every terminated one keeps the trace) is read off its
-relations (`relalg.productive`, `relalg.silent`).  A loop needs a
-productive body, and `loop_parts` gives the loop's precondition, guarded
-step and guarded pause to both the calculator and the loop-invariant rule.
+relations (`relalg.productive`, `relalg.silent`).  `loop_parts` is the one
+loop calculation: it decides whether a loop's fixed point is guarded (its
+body is productive), and it gives the loop's precondition, guarded step
+and guarded pause to both the calculator and the loop-invariant rule.
 """
 
 from __future__ import annotations
@@ -246,19 +247,15 @@ def while_contract(
 ) -> Contract:
     """Loop calculation.
 
-    Requires a productive body so the fixed point is guarded.  A vacuously
-    false guard yields the identity; an always-true guard over an
-    instantaneous body runs forever without any observation, which is
-    divergence.
+    A vacuously false guard yields the identity; an always-true guard over
+    an instantaneous, unproductive body runs forever without any
+    observation, which is divergence.  Every other loop is the star of its
+    guarded step (`loop_parts`).
     """
     if cond_is_false(b, symtab):
         return skip_c()
-    if not body.productive:
-        if cond_is_true(b, symtab) and body.instantaneous:
-            return chaos_c()
-        raise NotProductiveError(
-            "loop body admits a terminated observation without events"
-        )
+    if not body.productive and body.instantaneous and cond_is_true(b, symtab):
+        return chaos_c()
     pre, step, pause = loop_parts(b, body, symtab, wp_bound)
     star = normalize(RStar(step), symtab)
     peri = normalize(RSeq(star, pause), symtab)
@@ -270,10 +267,17 @@ def loop_parts(
     b: Expr, body: Contract, symtab: SymbolTable, wp_bound: int
 ) -> tuple:
     """(precondition, guarded step [b] ; body.post, guarded pause
-    [b] ; body.peri) of `while b do body`.  The precondition is the body's
-    under the guard, saturated over every number of steps; it raises
-    `WpNotConvergedError` when `wp_bound` saturation steps do not settle
-    it."""
+    [b] ; body.peri) of `while b do body`.
+
+    Unless the guard holds nowhere, the body must be productive, so that
+    the fixed point is guarded; otherwise this raises `NotProductiveError`.
+    The precondition is the body's under the guard, saturated over every
+    number of steps; it raises `WpNotConvergedError` when `wp_bound`
+    saturation steps do not settle it."""
+    if not body.productive and not cond_is_false(b, symtab):
+        raise NotProductiveError(
+            "loop body admits a terminated observation without events"
+        )
     step = guard_rrel(b, body.post, symtab)
     res = star_wp(step, guard_pre(b, body.pre, symtab), symtab, wp_bound)
     if not res.converged:

@@ -40,6 +40,7 @@ from .state import (
     fold,
     free_vars,
     pp_expr,
+    pp_value,
     subst_of,
     subterms,
 )
@@ -635,8 +636,6 @@ def _pp(a: Action, level: int) -> str:
     if isinstance(a, InputPrefix):
         vals = ""
         if a.values is not None:
-            from .state import pp_value
-
             vals = ":{" + ", ".join(pp_value(v) for v in a.values) + "}"
         s = f"{a.chan}?{a.var}{vals} -> {_pp(a.body, 2)}"
         return f"({s})" if level > 2 else s

@@ -27,6 +27,7 @@ from .relalg import (
     RAtom,
     RSeq,
     RTest,
+    conj_quiescent,
     filter_r4,
     filter_r5,
     ground_trace,
@@ -41,7 +42,7 @@ from .relalg import (
     subst_rrel,
     wp_final,
 )
-from .state import eval_expr
+from .state import compose_subst, eval_expr
 
 
 # Trace bound of the ground readings
@@ -132,8 +133,6 @@ def check_cond_quiescent(rng) -> list:
 def check_conj_quiescent_union(rng) -> list:
     """A conjunction of same-trace offers accepts the union, as predicates
     over (state, trace, acceptance)."""
-    from .relalg import conj_quiescent
-
     symtab = randgen.random_symtab(rng)
     shared = randgen.random_trace(rng, symtab)
     atoms = [
@@ -241,8 +240,6 @@ def check_assign_event_swap(rng) -> list:
 
 
 def check_assign_composition(rng) -> list:
-    from .state import compose_subst
-
     symtab = randgen.random_symtab(rng)
     s1 = randgen.random_subst(rng, symtab)
     s2 = randgen.random_subst(rng, symtab)

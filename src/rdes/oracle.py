@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 from . import dsl, ground
 from .contracts import Contract
-from .state import SymbolTable, Valuation, eval_expr
+from .relalg import ground_trace, pp_trace
+from .state import SymbolTable, Valuation, eval_expr, pp_value
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,6 @@ class Div:
 class BudgetCut:
     st: Valuation
     tt: tuple
-
-
-def _fmt_trace(tt: tuple) -> str:
-    return "<" + ", ".join(str(e) for e in tt) + ">"
 
 
 # internal observation tuples: ("q", tt, acc) | ("t", tt, s2)
@@ -196,8 +193,6 @@ def contract_obs(
     out = set()
     for clause in c.pre.clauses:
         if eval_expr(clause.cond, s0):
-            from .relalg import ground_trace
-
             tt = ground_trace(clause.trace, symtab, s0)
             if len(tt) <= trace_bound:
                 out.add(Div(s0, tt))
@@ -255,23 +250,21 @@ def compare_observations(
         ("term", ot, ct),
         ("divergence", od, cd),
     ):
-        for missing in sorted(left - right, key=str):
-            diffs.append(
-                {"kind": kind, "only_in": "oracle", "obs": _fmt_obs(missing)}
-            )
-        for missing in sorted(right - left, key=str):
-            diffs.append(
-                {"kind": kind, "only_in": "calculus", "obs": _fmt_obs(missing)}
+        for only_in, missing in (("oracle", left - right),
+                                 ("calculus", right - left)):
+            diffs.extend(
+                {"kind": kind, "only_in": only_in, "obs": _fmt_obs(kind, o)}
+                for o in sorted(missing, key=str)
             )
     return diffs
 
 
-def _fmt_obs(o) -> str:
-    if isinstance(o, tuple) and len(o) == 2 and isinstance(o[1], frozenset):
-        return f"({_fmt_trace(o[0])}, accepts {{{', '.join(sorted(map(str, o[1])))}}})"
-    if isinstance(o, tuple) and len(o) == 2:
-        return f"({_fmt_trace(o[0])}, {o[1]})"
-    return _fmt_trace(o)
+def _fmt_obs(kind: str, o) -> str:
+    if kind == "quiet":
+        return f"({pp_trace(o[0])}, accepts {pp_value(o[1])})"
+    if kind == "term":
+        return f"({pp_trace(o[0])}, {o[1]})"
+    return pp_trace(o)
 
 
 def cross_check(tp: dsl.TypedProgram, calc: Contract, cfg) -> dict:
@@ -303,7 +296,7 @@ def observations_json(tp: dsl.TypedProgram, cfg, s0=None) -> dict:
             quiets.append(
                 {
                     "state": str(o.st),
-                    "trace": _fmt_trace(o.tt),
+                    "trace": pp_trace(o.tt),
                     "accepts": sorted(str(e) for e in o.acc),
                 }
             )
@@ -311,14 +304,14 @@ def observations_json(tp: dsl.TypedProgram, cfg, s0=None) -> dict:
             terms.append(
                 {
                     "state": str(o.st),
-                    "trace": _fmt_trace(o.tt),
+                    "trace": pp_trace(o.tt),
                     "state'": str(o.st2),
                 }
             )
         elif isinstance(o, Div):
-            divs.append({"state": str(o.st), "trace": _fmt_trace(o.tt)})
+            divs.append({"state": str(o.st), "trace": pp_trace(o.tt)})
         else:
-            cuts.append({"state": str(o.st), "trace": _fmt_trace(o.tt)})
+            cuts.append({"state": str(o.st), "trace": pp_trace(o.tt)})
     out = {"quiets": quiets, "terms": terms}
     if divs:
         out["divergences"] = divs

@@ -23,6 +23,7 @@ from .state import (
     IntType,
     Len,
     Lit,
+    Not,
     SeqType,
     Subst,
     SymbolTable,
@@ -133,8 +134,6 @@ def random_cond(rng, symtab: SymbolTable, depth: int = 1):
             random_int_expr(rng, symtab, 1),
         )
     if pick == "not":
-        from .state import Not
-
         return Not(random_cond(rng, symtab, depth - 1))
     return BinOp(
         "and" if pick == "and" else "or",

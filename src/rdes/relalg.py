@@ -17,6 +17,7 @@ conjunction of negated initial conditions (``NegClause``).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -41,6 +42,7 @@ from .state import (
     free_vars,
     negate,
     pp_expr,
+    subst_of,
     substs_equiv,
 )
 from .state import Event  # re-exported for ground consumers
@@ -143,9 +145,6 @@ class ImagePart:
         if self.guard is None:
             return f"{self.chan}.*"
         return f"{self.chan}.* if {pp_expr(self.guard)}"
-
-
-Part = Union[SingletonPart, ImagePart]
 
 
 @dataclass(frozen=True)
@@ -555,8 +554,6 @@ def merge_cond(r1: RRel, c: Expr, r2: RRel, symtab: SymbolTable) -> RRel:
             mapping = {}
             for n in a1.subst.domain() | a2.subst.domain():
                 mapping[n] = fold(IfE(c, a1.subst.get(n), a2.subst.get(n)))
-            from .state import subst_of
-
             return normalize(
                 RAtom(final(cond, subst_of(mapping), trace)), symtab
             )
@@ -844,9 +841,7 @@ def _norm_and(r: RAnd, symtab: SymbolTable) -> RRel:
     ):
         # distribute the conjunction over the disjuncts and merge each
         # combination of quiescent observations
-        import itertools as _it
-
-        combos = _it.product(*[disjuncts(arg) for arg in flat])
+        combos = itertools.product(*[disjuncts(arg) for arg in flat])
         out = []
         for combo in combos:
             atoms = [d.atom for d in combo]

@@ -188,9 +188,6 @@ class Valuation(NamedTuple):
             tuple((n, clamped if n == name else v) for n, v in self.items)
         )
 
-    def as_dict(self) -> dict:
-        return dict(self.items)
-
     def __str__(self) -> str:
         return "{" + ", ".join(f"{n}={pp_value(v)}" for n, v in self.items) + "}"
 

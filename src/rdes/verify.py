@@ -66,6 +66,7 @@ from .relalg import (
     TRUE_R,
     ground_trace,
     normalize,
+    pp_trace,
     reads_writes,
     subst_pre,
     subst_rrel,
@@ -86,6 +87,7 @@ from .state import (
     free_vars,
     negate,
     pp_expr,
+    pp_value,
     subterms,
 )
 
@@ -425,11 +427,11 @@ def _order_key(events) -> tuple:
 
 
 def _witness(ob: Obligation, s: Valuation, tt: tuple, x) -> dict:
-    out = {"state": str(s), "trace": "<" + ", ".join(map(str, tt)) + ">"}
+    out = {"state": str(s), "trace": pp_trace(tt)}
     if ob.kind == "pre":
         out["violates"] = ob.origin
     elif ob.kind == "peri":
-        out["accept"] = "{" + ", ".join(_order_key(x)) + "}"
+        out["accept"] = pp_value(x)
     else:
         out["state_after"] = str(x)
     return out
@@ -485,8 +487,10 @@ def check_invariant_loop(
 
     Conditions 2 and 3 are single-step (iteration-free) by design.  The
     assumption, step and pause are the loop calculation's (`loop_parts`),
-    so an assumption that does not saturate within the wp bound raises
-    `WpNotConvergedError` here as it does there.
+    so this raises the calculator's errors for the loop:
+    `NotProductiveError` for a body that does not guard the fixed point,
+    and `WpNotConvergedError` for an assumption that does not saturate
+    within the wp bound.
     """
     i1, i2, i3 = inv
     assumption, step, pause = loop_parts(b, body, symtab, cfg.wp_bound)
@@ -539,37 +543,30 @@ def inv_check_program(
 
     Returns (verdict, reduced specification) where the reduced specification
     is the invariant contract with the leading assignments distributed in.
+    The loop body is calculated once and the loop once
+    (`check_invariant_loop`), so this raises the calculator's errors
+    (`NotProductiveError`, `WpNotConvergedError`, `NormalizationIncomplete`).
+    A program of another shape is calculated whole, so that its own error is
+    raised, and then the verdict is inconclusive.
     """
     symtab = tp.symtab
     prefix, loop = _split_assign_while(tp.body)
     if loop is None:
-        return (
-            Verdict(
-                "inconclusive",
-                cfg.bounds(),
-                reason="program is not of the shape assignments ; while",
-            ),
-            None,
-        )
-    body_contract = calculate(
-        dsl.TypedProgram(symtab, loop.body), cfg.wp_bound
-    )
+        calculate(tp, cfg.wp_bound)
+        reason = "program is not of the shape assignments ; while"
+        return Verdict("inconclusive", cfg.bounds(), reason=reason), None
+    body = calculate(dsl.TypedProgram(symtab, loop.body), cfg.wp_bound)
     i2 = InvariantRel("peri", i2_body)
-    i3 = TRUE_R
-    verdict = check_invariant_loop(
-        loop.cond, body_contract, (TRUE_PRE, i2, i3), symtab, cfg
-    )
+    verdict = check_invariant_loop(loop.cond, body, (TRUE_PRE, i2, TRUE_R),
+                                   symtab, cfg)
     spec = Contract(TRUE_PRE, i2, TRUE_R)
     s = None
     for a in prefix:
         step = assignment_subst({a.var: a.expr}, symtab)
         s = step if s is None else compose_subst(s, step)
-    reduced = (
-        assign_then_contract_reduction(s, spec, symtab)
-        if s is not None
-        else spec
-    )
-    return verdict, reduced
+    if s is not None:
+        spec = assign_then_contract_reduction(s, spec, symtab)
+    return verdict, spec
 
 
 def _split_assign_while(a: dsl.Action):

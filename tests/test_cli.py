@@ -108,7 +108,7 @@ def test_calc_rejects_external_choice_over_a_loop(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv, accepted",
     [
-        (["crosscheck", "--random", "1", "--seed", "1", "--jobs", "1"], True),
+        (["crosscheck", "--random", "1", "--seed", "1"], True),
         (["laws", "--per-law", "1", "--terms", "1", "--seed", "1"], True),
         (["dlf", "skip.rp", "--seed", "1"], False),
         (["refine", "skip.rp", "skip.rp", "--jobs", "2"], False),
@@ -123,6 +123,15 @@ def test_calc_rejects_external_choice_over_a_loop(capsys, tmp_path):
          False),
         (["laws", "--per-law", "1", "--terms", "1", "--wp-bound", "3"],
          False),
+        # the refine forms exclude each other
+        (["refine", "buffer.rp", "--invariant", "true", "--post", "false"],
+         False),
+        (["refine", "buffer.rp", "buffer.rp", "--invariant", "true"], False),
+        (["refine", "buffer.rp", "buffer.rp", "--peri", "true"], False),
+        (["refine", "buffer.rp", "buffer.rp", "--post", "true"], False),
+        (["refine", "dlf", "buffer.rp", "--peri", "true"], False),
+        (["refine", "dlf", "buffer.rp", "--invariant", "true"], False),
+        (["crosscheck", "--random", "1", "--jobs", "2"], False),
     ],
 )
 def test_flags_only_where_read(capsys, argv, accepted):
@@ -133,6 +142,26 @@ def test_flags_only_where_read(capsys, argv, accepted):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, ignored",
+    [
+        (["refine", "skip.rp", "--invariant", "true", "--post", "false"],
+         "refine --invariant proves no postcondition, so --post would be "
+         "ignored"),
+        (["refine", "stop.rp", "skip.rp", "--invariant", "true"],
+         "refine reads no spec with --invariant, so stop.rp would be "
+         "ignored"),
+        (["refine", "dlf", "skip.rp", "--post", "true"],
+         "refine reads no spec with --post, so dlf would be ignored"),
+    ],
+)
+def test_refine_names_the_input_it_would_ignore(capsys, argv, ignored):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {ignored}\n")
 
 
 @pytest.mark.parametrize(
@@ -265,6 +294,18 @@ def test_refuted_obligation_is_named(capsys):
         (["inv-check", "ext_over_loop.rp", "--invariant", "true"],
          "NormalizationIncomplete: external choice over a non-literal "
          "pericondition"),
+        # and it is reported before a malformed invariant
+        (["inv-check", "while_bad.rp", "--invariant", "bf' = bf"],
+         "NotProductive: loop body admits a terminated observation without "
+         "events"),
+        # the calculator makes a chaos of this loop, not a star, so the loop
+        # rule has no fixed point to read
+        (["inv-check", "while_chaos.rp", "--invariant", "true"],
+         "NotProductive: loop body admits a terminated observation without "
+         "events"),
+        (["refine", "while_chaos.rp", "--invariant", "true", "--peri", "true"],
+         "NotProductive: loop body admits a terminated observation without "
+         "events"),
     ],
 )
 def test_malformed_options_exit_2_with_a_message(capsys, tmp_path, argv,

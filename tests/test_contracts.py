@@ -16,6 +16,7 @@ from rdes.contracts import (
     do_c,
     extchoice_contract,
     intchoice_contract,
+    loop_parts,
     miracle_c,
     seq_contract,
     skip_c,
@@ -318,6 +319,24 @@ def test_while_nonproductive_rejected():
     )
     with pytest.raises(NotProductiveError):
         while_contract(BinOp("<", Var("x"), Lit(2)), body, XTAB)
+
+
+def test_loop_parts_decide_productivity():
+    body = assign_c(
+        assignment_subst({"x": BinOp("+", Var("x"), Lit(1))}, XTAB)
+    )
+    # no guarded fixed point, also where the calculator gives chaos instead
+    for b in (BinOp("<", Var("x"), Lit(2)), Lit(True)):
+        with pytest.raises(NotProductiveError):
+            loop_parts(b, body, XTAB, 16)
+    # a guard that holds nowhere never runs the body
+    never = BinOp("<", Lit(5), Var("x"))
+    assert loop_parts(never, body, XTAB, 16) == (TRUE_PRE, FALSE_R, FALSE_R)
+    # a miracle is instantaneous, yet productive: no terminated observation
+    miracle = miracle_c()
+    assert loop_parts(Lit(True), miracle, XTAB, 16) == (
+        TRUE_PRE, FALSE_R, FALSE_R)
+    assert while_contract(Lit(True), miracle, XTAB) == miracle
 
 
 def test_while_true_of_prefix_shape():

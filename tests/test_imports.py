@@ -1,5 +1,6 @@
-"""Every name a `rdes` module or a test module imports is used in it, and
-every private module-level function or class of `rdes` is used in `rdes`.
+"""Every name a `rdes` module or a test module imports is used in it, every
+`rdes` module imports only at its top level, and every private
+module-level function or class of `rdes` is used in `rdes`.
 
 Package `__init__.py` files re-export what they import, and `__future__`
 imports are compiler directives, so both are skipped.
@@ -47,6 +48,28 @@ def test_no_unused_imports(path):
 def test_detector_flags_an_unused_name():
     src = "from __future__ import annotations\nimport os\nfrom x import a, b\nb()\n"
     assert unused_imports(src) == ["a (line 3)", "os (line 2)"]
+
+
+def nested_imports(source: str) -> list:
+    """Lines of the imports that are not statements of the module itself."""
+    tree = ast.parse(source)
+    top = set(map(id, tree.body))
+    return sorted(
+        n.lineno for n in ast.walk(tree)
+        if isinstance(n, (ast.Import, ast.ImportFrom)) and id(n) not in top
+    )
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_imports_only_at_module_level(path):
+    assert nested_imports(path.read_text()) == []
+
+
+def test_detector_flags_a_nested_import():
+    src = ("import os\n\ndef f():\n    from x import a\n    return a\n\n"
+           "class C:\n    import sys\n")
+    assert nested_imports(src) == [4, 8]
 
 
 def unreferenced_private_defs(sources: dict) -> list:

@@ -203,6 +203,20 @@ def test_compare_excludes_cut_shadowed_observations():
     assert compare_observations(oracle_side, calc_side) == []
 
 
+def test_differences_print_each_kind():
+    # a divergence's trace of two events prints as a trace, not as a pair
+    s, t = valuation_of({"x": 0}), valuation_of({"x": 1})
+    a, b = Event("a"), Event("b", 1)
+    oracle_side = frozenset({Div(s, (a, b)), Term(s, (a,), t)})
+    calc_side = frozenset({Quiet(s, (b,), frozenset({b, a}))})
+    assert [(d["kind"], d["only_in"], d["obs"])
+            for d in compare_observations(oracle_side, calc_side)] == [
+        ("quiet", "calculus", "(<b.1>, accepts {a, b.1})"),
+        ("term", "oracle", "(<a>, {x=1})"),
+        ("divergence", "oracle", "<a, b.1>"),
+    ]
+
+
 def test_observations_json_shape():
     tp = dsl.load_program(BUFFER)
     dump = observations_json(tp, Config(trace_bound=2))

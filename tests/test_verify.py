@@ -6,6 +6,7 @@ import functools
 import io
 import itertools
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from rdes import cli, dsl, ground, randgen, verify
 from rdes.contracts import (
     Contract,
+    NotProductiveError,
     calculate,
     chaos_c,
     miracle_c,
@@ -281,6 +283,21 @@ def test_assign_reduction_on_atoms():
     assert reduced.peri == RAtom(
         quiescent(TRUE, (), event_set(ET("a", Lit(1))))
     )
+
+
+def test_the_loop_rule_reads_the_calculated_loop():
+    # the calculator makes chaos of this loop, so it has no step to read
+    chaos = dsl.load_program("var x : int[0..3]\nwhile true do x := x + 1")
+    assert calculate(chaos) == chaos_c()
+    with pytest.raises(NotProductiveError):
+        inv_check_program(chaos, TRUE, CFG)
+    # a guard that holds nowhere calculates as skip, and the rule holds
+    never = dsl.load_program(
+        "var x : int[0..3]\nx := 0 ; while x > 5 do x := x + 1")
+    assert calculate(never) == calculate(
+        dsl.load_program("var x : int[0..3]\nx := 0"))
+    verdict, _ = inv_check_program(never, Lit(False), CFG)
+    assert verdict.verified
 
 
 def test_inconclusive_on_wrong_shape():
@@ -962,32 +979,42 @@ def test_one_state_per_class_gives_the_verdicts_of_every_state(monkeypatch):
     assert refuted > 800 and skipped >= 8900
 
 
-def _outermost_builds(monkeypatch, capsys, argv):
-    """(quiescent, terminated) instance-set builds that one CLI run starts
-    outside another build."""
-    counts = {"quiet_instances": 0, "final_instances": 0}
+def _outermost_calls(monkeypatch, capsys, argv, functions):
+    """The calls of each of `functions` that one CLI run starts outside
+    any call of them, through every `rdes` module that binds it."""
+    counts = [0] * len(functions)
     depth = 0
 
-    def counting(name):
-        original = getattr(ground, name)
-
-        def counted(*args):
+    def counting(i, original):
+        def counted(*args, **kwargs):
             nonlocal depth
-            counts[name] += depth == 0
+            counts[i] += depth == 0
             depth += 1
             try:
-                return original(*args)
+                return original(*args, **kwargs)
             finally:
                 depth -= 1
 
         return counted
 
+    wrappers = {id(f): counting(i, f) for i, f in enumerate(functions)}
     with monkeypatch.context() as m:
-        for name in counts:
-            m.setattr(ground, name, counting(name))
+        for module in list(sys.modules.values()):
+            if module is None or not module.__name__.startswith("rdes"):
+                continue
+            for name, value in list(vars(module).items()):
+                if id(value) in wrappers:
+                    m.setattr(module, name, wrappers[id(value)])
         cli.main(argv)
     capsys.readouterr()
-    return counts["quiet_instances"], counts["final_instances"]
+    return tuple(counts)
+
+
+def _outermost_builds(monkeypatch, capsys, argv):
+    """(quiescent, terminated) instance-set builds that one CLI run starts
+    outside another build."""
+    return _outermost_calls(monkeypatch, capsys, argv,
+                            (ground.quiet_instances, ground.final_instances))
 
 
 @pytest.mark.parametrize("argv, builds", [
@@ -1010,3 +1037,16 @@ def test_instances_are_built_once_per_class(monkeypatch, capsys, tmp_path,
     argv = [str(CORPUS / a) if a.endswith(".rp") else
             str(keep_x) if a == "keep_x" else a for a in argv]
     assert _outermost_builds(monkeypatch, capsys, argv) == builds
+
+
+@pytest.mark.parametrize("argv", [
+    ["inv-check", "buffer_guarded.rp", "--invariant", BUFFER_INV],
+    ["refine", "buffer.rp", "--invariant", BUFFER_INV,
+     "--peri", "outps(tt)<=inps(tt)"],
+], ids=" ".join)
+def test_the_loop_rule_calculates_the_loop_once(monkeypatch, capsys, argv):
+    # one calculation of the loop body, one saturation of the loop's
+    # precondition, and no calculation of the whole program
+    argv = [str(CORPUS / a) if a.endswith(".rp") else a for a in argv]
+    for f in (calculate, star_wp):
+        assert _outermost_calls(monkeypatch, capsys, argv, (f,)) == (1,)
