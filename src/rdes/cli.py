@@ -44,6 +44,7 @@ from .verify import (
     refine_check,
 )
 from .relalg import TRUE_PRE, TRUE_R
+from .state import StateSpaceTooLarge
 
 
 def _add_bounds(p: argparse.ArgumentParser, trace=True, wp=True) -> None:
@@ -65,14 +66,19 @@ INPUT_ERRORS = (
 )
 
 
+# The least value of each numeric option
+LEAST = {"trace_bound": 1, "wp_bound": 1, "random": 0, "per_law": 0,
+         "terms": 0, "depth": 0}
+
+
 def _config(args) -> Config:
-    bounds = {name: getattr(args, name)
-              for name in ("trace_bound", "wp_bound") if hasattr(args, name)}
-    for name, value in bounds.items():
-        if value < 1:
-            print(f"error: --{name.replace('_', '-')} must be >= 1",
+    for name, least in LEAST.items():
+        if getattr(args, name, least) < least:
+            print(f"error: --{name.replace('_', '-')} must be >= {least}",
                   file=sys.stderr)
             raise SystemExit(2)
+    bounds = {name: getattr(args, name)
+              for name in ("trace_bound", "wp_bound") if hasattr(args, name)}
     return Config(**bounds, fmt=args.format)
 
 
@@ -239,8 +245,12 @@ def cmd_oracle(args) -> int:
     dump = oracle.observations_json(tp, cfg)
     text = json.dumps(dump, indent=2)
     if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.emit, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: --emit: {exc.strerror}", file=sys.stderr)
+            raise SystemExit(2)
         print(f"wrote {args.emit}")
     else:
         print(text)
@@ -409,6 +419,9 @@ def main(argv=None) -> int:
         gc.disable()
     try:
         return args.func(args)
+    except StateSpaceTooLarge as exc:
+        print(f"error: StateSpaceTooLarge: {exc}", file=sys.stderr)
+        raise SystemExit(2)
     finally:
         gc.set_threshold(*thresholds)
         if collecting:

@@ -27,7 +27,6 @@ from .relalg import (
     EMPTY_SET,
     EventTerm,
     FALSE_R,
-    KindMismatchError,
     NegClause,
     PreNF,
     RAnd,
@@ -225,21 +224,9 @@ def cond_contract(
         guard_pre(negate(b), c2.pre, symtab),
         symtab,
     )
-    peri = _cond_rrel(b, c1.peri, c2.peri, symtab)
-    post = _cond_rrel(b, c1.post, c2.post, symtab)
+    peri = merge_cond(c1.peri, b, c2.peri, symtab)
+    post = merge_cond(c1.post, b, c2.post, symtab)
     return Contract(pre, peri, post)
-
-
-def _cond_rrel(b: Expr, r1: RRel, r2: RRel, symtab: SymbolTable) -> RRel:
-    if isinstance(r1, RAtom) and isinstance(r2, RAtom):
-        try:
-            return merge_cond(r1, b, r2, symtab)
-        except KindMismatchError:
-            pass
-    return normalize(
-        ROr((guard_rrel(b, r1, symtab), guard_rrel(negate(b), r2, symtab))),
-        symtab,
-    )
 
 
 def while_contract(

@@ -4,7 +4,9 @@ Source files (`.rp`) declare channels and variables with finite carriers and
 give one action built from skip/stop/chaos/miracle, assignment, event prefix,
 input prefix, guard, sequencing, external/internal choice, conditional, and
 while.  Input prefixes and guards are desugared here, so downstream modules
-see only core forms.
+see only core forms.  Desugaring substitutes as it expands: one walk over
+the action carries the input values bound so far and applies them to each
+expression it rebuilds.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .state import (
     Clamp,
     Expr,
     Head,
+    IDENTITY,
     IfE,
     IntType,
     Len,
@@ -37,10 +40,12 @@ from .state import (
     ValueType,
     Var,
     apply_subst,
+    compose_subst,
     fold,
     free_vars,
     pp_expr,
     pp_value,
+    rebuild,
     subst_of,
     subterms,
 )
@@ -944,64 +949,45 @@ def _value_in(v, t: ValueType) -> bool:
     return any(v == x for x in t.values())
 
 
-def _desugar(a: Action, symtab: SymbolTable) -> Action:
-    """Expand input prefixes over their finite domains; guards to conditionals."""
-    if isinstance(a, (Skip, Stop, Chaos, Miracle, Assign, DoEvent)):
-        return a
-    if isinstance(a, InputPrefix):
-        declared = symtab.channels[a.chan]
-        values = a.values if a.values is not None else tuple(declared.values())
-        branches = []
-        for v in values:
-            s = subst_of({a.var: Lit(v)})
-            cont = _subst_action(s, _desugar(a.body, symtab))
-            branches.append(Seq(DoEvent(a.chan, Lit(v)), cont))
-        return ExtChoice(tuple(branches))
-    if isinstance(a, Guard):
-        return Cond(a.cond, _desugar(a.body, symtab), Stop())
-    if isinstance(a, Seq):
-        return Seq(_desugar(a.first, symtab), _desugar(a.second, symtab))
-    if isinstance(a, ExtChoice):
-        return ExtChoice(tuple(_desugar(b, symtab) for b in a.branches))
-    if isinstance(a, IntChoice):
-        return IntChoice(tuple(_desugar(b, symtab) for b in a.branches))
-    if isinstance(a, Cond):
-        return Cond(
-            a.cond, _desugar(a.then, symtab), _desugar(a.other, symtab)
-        )
-    if isinstance(a, While):
-        return While(a.cond, _desugar(a.body, symtab))
-    raise TypeError(f"not an action: {a!r}")
+def _desugar(a: Action, symtab: SymbolTable, s: Subst = IDENTITY) -> Action:
+    """Expand input prefixes over their finite domains and guards to
+    conditionals, applying `s`, the input values bound by the enclosing
+    prefixes, to every expression on the way.  The typechecker rejects an
+    input variable that shadows another name, so the values of nested
+    prefixes substitute simultaneously."""
 
+    def sub(e: Expr) -> Expr:
+        # outside every input prefix an expression stays as written
+        return e if s.is_identity() else apply_subst(s, e)
 
-def _subst_action(s: Subst, a: Action) -> Action:
+    def go(b: Action) -> Action:
+        return _desugar(b, symtab, s)
+
     if isinstance(a, (Skip, Stop, Chaos, Miracle)):
         return a
     if isinstance(a, Assign):
-        return Assign(a.var, apply_subst(s, a.expr))
+        return Assign(a.var, sub(a.expr))
     if isinstance(a, DoEvent):
-        if a.data is None:
-            return a
-        return DoEvent(a.chan, apply_subst(s, a.data))
-    if isinstance(a, Guard):
-        return Guard(apply_subst(s, a.cond), _subst_action(s, a.body))
-    if isinstance(a, Seq):
-        return Seq(_subst_action(s, a.first), _subst_action(s, a.second))
-    if isinstance(a, ExtChoice):
-        return ExtChoice(tuple(_subst_action(s, b) for b in a.branches))
-    if isinstance(a, IntChoice):
-        return IntChoice(tuple(_subst_action(s, b) for b in a.branches))
-    if isinstance(a, Cond):
-        return Cond(
-            apply_subst(s, a.cond),
-            _subst_action(s, a.then),
-            _subst_action(s, a.other),
-        )
-    if isinstance(a, While):
-        return While(apply_subst(s, a.cond), _subst_action(s, a.body))
+        return a if a.data is None else DoEvent(a.chan, sub(a.data))
     if isinstance(a, InputPrefix):
-        # binders are expanded before substitution reaches them
-        raise TypeError("substitution into an unexpanded input prefix")
+        declared = symtab.channels[a.chan]
+        values = a.values if a.values is not None else tuple(declared.values())
+        return ExtChoice(tuple(
+            Seq(DoEvent(a.chan, Lit(v)), _desugar(
+                a.body, symtab, compose_subst(s, subst_of({a.var: Lit(v)}))))
+            for v in values))
+    if isinstance(a, Guard):
+        return Cond(sub(a.cond), go(a.body), Stop())
+    if isinstance(a, Seq):
+        return Seq(go(a.first), go(a.second))
+    if isinstance(a, ExtChoice):
+        return ExtChoice(tuple(go(b) for b in a.branches))
+    if isinstance(a, IntChoice):
+        return IntChoice(tuple(go(b) for b in a.branches))
+    if isinstance(a, Cond):
+        return Cond(sub(a.cond), go(a.then), go(a.other))
+    if isinstance(a, While):
+        return While(sub(a.cond), go(a.body))
     raise TypeError(f"not an action: {a!r}")
 
 
@@ -1065,20 +1051,6 @@ def _resolve(e: Expr, symtab: SymbolTable) -> Expr:
             return Proj(resolve(x.chan))
         if x == Var("acc") and "acc" not in symtab.variables:
             return Acc()
-        if isinstance(x, BinOp):
-            return BinOp(x.op, go(x.left), go(x.right))
-        if isinstance(x, Not):
-            return Not(go(x.arg))
-        if isinstance(x, Head):
-            return Head(go(x.arg))
-        if isinstance(x, Tail):
-            return Tail(go(x.arg))
-        if isinstance(x, Len):
-            return Len(go(x.arg))
-        if isinstance(x, IfE):
-            return IfE(go(x.cond), go(x.then), go(x.other))
-        if isinstance(x, SeqDisplay):
-            return SeqDisplay(tuple(go(y) for y in x.elems))
-        return x
+        return rebuild(x, go)
 
     return go(e)

@@ -5,6 +5,11 @@ Relations denote sets of observations from an initial valuation:
 * terminated instances ``(trace, final valuation)``
 * quiescent instances ``(trace, accepted event set)``
 
+The two readers differ on tests, atoms, sequences and iterations.  The
+empty, universal, disjunctive and conjunctive relations read alike in both
+(`_shared`): no instance, no instance set, the union and the intersection
+of the arguments' sets, each argument read by the caller's own reader.
+
 Sequencing steps through intermediate states, so evaluating an *unnormalised*
 term here is an independent reading of relational composition; comparing it
 with the normalised term exercises the rewrite rules.  Iteration is evaluated
@@ -61,10 +66,6 @@ def final_instances(
     r: RRel, s: Valuation, symtab: SymbolTable, bound: int
 ) -> frozenset:
     """All terminated observations (trace, state') with trace length <= bound."""
-    if isinstance(r, RFalse):
-        return frozenset()
-    if isinstance(r, RTrue):
-        raise NotGroundEvaluable("the universal relation has no instance set")
     if isinstance(r, RTest):
         if eval_expr(r.cond, s):
             return frozenset({((), s)})
@@ -79,22 +80,28 @@ def final_instances(
                 return frozenset()
             return frozenset({(tt, apply_to_valuation(a.subst, s, symtab))})
         return frozenset()
-    if isinstance(r, ROr):
-        out = set()
-        for x in r.args:
-            out |= final_instances(x, s, symtab, bound)
-        return frozenset(out)
-    if isinstance(r, RAnd):
-        sets = [final_instances(x, s, symtab, bound) for x in r.args]
-        out = sets[0]
-        for x in sets[1:]:
-            out &= x
-        return frozenset(out)
     if isinstance(r, RSeq):
         firsts = final_instances(r.first, s, symtab, bound)
         return _then(final_instances, r.second, firsts, symtab, bound)
     if isinstance(r, RStar):
         return _star_states(r.body, s, symtab, bound)
+    return _shared(final_instances, r, s, symtab, bound)
+
+
+def _shared(instances, r: RRel, s: Valuation, symtab: SymbolTable,
+            bound: int) -> frozenset:
+    """The instances of a form that both readers read alike, each argument
+    read by `instances`."""
+    if isinstance(r, RFalse):
+        return frozenset()
+    if isinstance(r, RTrue):
+        raise NotGroundEvaluable("the universal relation has no instance set")
+    if isinstance(r, ROr):
+        return frozenset().union(
+            *[instances(x, s, symtab, bound) for x in r.args])
+    if isinstance(r, RAnd):
+        return frozenset.intersection(
+            *[instances(x, s, symtab, bound) for x in r.args])
     raise TypeError(f"not a reactive relation: {r!r}")
 
 
@@ -143,10 +150,8 @@ def quiet_instances(
     The accepted set is the atom's evaluated acceptance: the observation
     admits any refusal disjoint from it.
     """
-    if isinstance(r, (RFalse, RTest)):
+    if isinstance(r, RTest):
         return frozenset()
-    if isinstance(r, RTrue):
-        raise NotGroundEvaluable("the universal relation has no instance set")
     if isinstance(r, RAtom):
         a = r.atom
         if isinstance(a, QuiescentAtom):
@@ -157,17 +162,6 @@ def quiet_instances(
                 return frozenset()
             return frozenset({(tt, ground_set(a.accept, symtab, s))})
         return frozenset()
-    if isinstance(r, ROr):
-        out = set()
-        for x in r.args:
-            out |= quiet_instances(x, s, symtab, bound)
-        return frozenset(out)
-    if isinstance(r, RAnd):
-        sets = [quiet_instances(x, s, symtab, bound) for x in r.args]
-        out = sets[0]
-        for x in sets[1:]:
-            out &= x
-        return frozenset(out)
     if isinstance(r, RSeq):
         firsts = final_instances(r.first, s, symtab, bound)
         if isinstance(r.first, RStar):
@@ -179,7 +173,7 @@ def quiet_instances(
     if isinstance(r, RStar):
         reached = _star_states(r.body, s, symtab, bound)
         return _then(quiet_instances, r.body, reached, symtab, bound)
-    raise TypeError(f"not a reactive relation: {r!r}")
+    return _shared(quiet_instances, r, s, symtab, bound)
 
 
 def observations(instances, r: RRel, symtab: SymbolTable, bound: int):

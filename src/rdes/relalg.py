@@ -344,20 +344,6 @@ def is_unit_final(a: Atom) -> bool:
     )
 
 
-def atoms_equiv(a: Atom, b: Atom, symtab: SymbolTable) -> bool:
-    if a == b:
-        return True
-    if type(a) is not type(b):
-        return False
-    if not exprs_equiv(a.cond, b.cond, symtab):
-        return False
-    if not traces_equiv(a.trace, b.trace, symtab):
-        return False
-    if isinstance(a, FinalAtom):
-        return substs_equiv(a.subst, b.subst, symtab)
-    return sets_equiv(a.accept, b.accept, symtab)
-
-
 # ---------------------------------------------------------------------------
 # Relation nodes
 
@@ -525,10 +511,9 @@ def seq_final_quiescent(
 
 
 def merge_cond(r1: RRel, c: Expr, r2: RRel, symtab: SymbolTable) -> RRel:
-    """Pointwise conditional of two same-kind atoms.
-
-    Falls back to the guarded disjunction when the traces cannot be aligned
-    pointwise.
+    """Conditional of two relations: pointwise for two same-kind atoms
+    whose traces align, and the guarded disjunction otherwise.  Atoms of
+    two kinds do not merge (`KindMismatchError`).
     """
     c = fold(c)
     if cond_is_true(c, symtab):
@@ -775,45 +760,40 @@ def _norm_or(r: ROr, symtab: SymbolTable) -> RRel:
 
 def _merge_disjuncts(ds: list, symtab: SymbolTable) -> RRel:
     """Disjoin normal-form disjuncts, merging atoms that differ at most in
-    their condition, in the order given."""
+    their condition, in the order given: an atom whose condition is
+    equivalent to that of an earlier atom of the same shape is dropped, and
+    otherwise the two conditions are disjoined."""
     merged: list = []
     for d in ds:
         if isinstance(d, RAtom):
-            placed = False
             for i, seen in enumerate(merged):
-                if not isinstance(seen, RAtom):
-                    continue
-                if atoms_equiv(d.atom, seen.atom, symtab):
-                    placed = True
+                if isinstance(seen, RAtom) and _same_shape(
+                        seen.atom, d.atom, symtab):
+                    a, b = seen.atom, d.atom
+                    if exprs_equiv(a.cond, b.cond, symtab):
+                        break
+                    # both disjuncts are normal, so satisfiable: atom_cond
+                    # is never None
+                    cond = atom_cond(disj(a.cond, b.cond), symtab)
+                    merged[i] = RAtom(
+                        final(cond, a.subst, a.trace)
+                        if isinstance(a, FinalAtom)
+                        else quiescent(cond, a.trace, a.accept))
                     break
-                compact = _merge_same_shape(seen.atom, d.atom, symtab)
-                if compact is not None:
-                    merged[i] = RAtom(compact)
-                    placed = True
-                    break
-            if placed:
-                continue
-        elif any(d == seen for seen in merged):
-            continue
-        merged.append(d)
+            else:
+                merged.append(d)
+        elif not any(d == seen for seen in merged):
+            merged.append(d)
     return or_of(sorted(merged, key=str))
 
 
-def _merge_same_shape(a: Atom, b: Atom, symtab: SymbolTable) -> Optional[Atom]:
-    """Disjoin conditions when everything but the condition coincides."""
+def _same_shape(a: Atom, b: Atom, symtab: SymbolTable) -> bool:
+    """Do two atoms coincide in everything but their condition?"""
     if type(a) is not type(b) or not traces_equiv(a.trace, b.trace, symtab):
-        return None
-    if isinstance(a, FinalAtom) and not substs_equiv(a.subst, b.subst, symtab):
-        return None
-    if isinstance(a, QuiescentAtom) and not sets_equiv(
-        a.accept, b.accept, symtab
-    ):
-        return None
-    # both disjuncts are normal, so satisfiable: atom_cond is never None
-    cond = atom_cond(disj(a.cond, b.cond), symtab)
+        return False
     if isinstance(a, FinalAtom):
-        return final(cond, a.subst, a.trace)
-    return quiescent(cond, a.trace, a.accept)
+        return substs_equiv(a.subst, b.subst, symtab)
+    return sets_equiv(a.accept, b.accept, symtab)
 
 
 def _norm_and(r: RAnd, symtab: SymbolTable) -> RRel:

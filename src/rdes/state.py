@@ -4,6 +4,12 @@ Every declared type has a finite carrier (bounded ints, bools, bounded-length
 sequences), so conditions and relations can be decided by exhaustive
 evaluation.  Evaluation is totalised: partial operations get defaults and
 out-of-range writes saturate, so enumeration never faults.
+
+Only `children` and `rebuild` take an expression node apart: the first gives
+the expressions directly inside it, and the second puts the node back
+together around new ones.  Substitution, the walk over subterms and the
+DSL's name resolution go through them.  `fold` keeps its own recursion,
+because it simplifies each node before it builds it.
 """
 
 from __future__ import annotations
@@ -114,6 +120,10 @@ class Event(NamedTuple):
         return f"{self.chan}.{pp_value(self.data)}"
 
 
+class StateSpaceTooLarge(Exception):
+    """The declared variables have more valuations than can be enumerated."""
+
+
 class SymbolTable:
     """Declared variables and channels with their finite carriers.
 
@@ -138,7 +148,9 @@ class SymbolTable:
             for n in names:
                 total *= carrier_size(self.variables[n])
                 if total > self.MAX_VALUATIONS:
-                    raise RuntimeError("state space too large to enumerate")
+                    raise StateSpaceTooLarge(
+                        "state space too large to enumerate: more than "
+                        f"{self.MAX_VALUATIONS} valuations")
             domains = [tuple(self.variables[n].values()) for n in names]
             self._valuations = tuple(
                 Valuation(tuple(zip(names, combo)))
@@ -374,22 +386,37 @@ def eval_expr(
     raise TypeError(f"not an expression: {e!r}")
 
 
+def children(e: Expr) -> tuple:
+    """The expressions directly inside e."""
+    if isinstance(e, BinOp):
+        return (e.left, e.right)
+    if isinstance(e, (Not, Head, Tail, Len, Clamp)):
+        return (e.arg,)
+    if isinstance(e, IfE):
+        return (e.cond, e.then, e.other)
+    if isinstance(e, SeqDisplay):
+        return e.elems
+    if isinstance(e, (Var, Primed, Lit, Proj, Acc)):
+        return ()
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def rebuild(e: Expr, go) -> Expr:
+    """e with `go` applied to each expression directly inside it."""
+    inner = tuple(go(x) for x in children(e))
+    if isinstance(e, BinOp):
+        return BinOp(e.op, *inner)
+    if isinstance(e, Clamp):
+        return Clamp(*inner, e.vtype)
+    if isinstance(e, SeqDisplay):
+        return SeqDisplay(inner)
+    return type(e)(*inner) if inner else e
+
+
 def subterms(e: Expr) -> Iterator[Expr]:
     """e and every expression inside it."""
     yield e
-    if isinstance(e, BinOp):
-        inner = (e.left, e.right)
-    elif isinstance(e, (Not, Head, Tail, Len, Clamp)):
-        inner = (e.arg,)
-    elif isinstance(e, IfE):
-        inner = (e.cond, e.then, e.other)
-    elif isinstance(e, SeqDisplay):
-        inner = e.elems
-    elif isinstance(e, (Var, Primed, Lit, Proj, Acc)):
-        inner = ()
-    else:
-        raise TypeError(f"not an expression: {e!r}")
-    for x in inner:
+    for x in children(e):
         yield from subterms(x)
 
 
@@ -536,27 +563,7 @@ def apply_subst(s: Subst, e: Expr) -> Expr:
         return fold(e)
 
     def go(x: Expr) -> Expr:
-        if isinstance(x, Var):
-            return s.get(x.name)
-        if isinstance(x, (Lit, Proj, Acc, Primed)):
-            return x
-        if isinstance(x, Not):
-            return Not(go(x.arg))
-        if isinstance(x, Head):
-            return Head(go(x.arg))
-        if isinstance(x, Tail):
-            return Tail(go(x.arg))
-        if isinstance(x, Len):
-            return Len(go(x.arg))
-        if isinstance(x, IfE):
-            return IfE(go(x.cond), go(x.then), go(x.other))
-        if isinstance(x, BinOp):
-            return BinOp(x.op, go(x.left), go(x.right))
-        if isinstance(x, SeqDisplay):
-            return SeqDisplay(tuple(go(y) for y in x.elems))
-        if isinstance(x, Clamp):
-            return Clamp(go(x.arg), x.vtype)
-        raise TypeError(f"not an expression: {x!r}")
+        return s.get(x.name) if isinstance(x, Var) else rebuild(x, go)
 
     return fold(go(e))
 

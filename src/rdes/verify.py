@@ -33,10 +33,11 @@ final state) pairs, and the witness order below puts the state after the
 trace.  So a class's least failure is at its state that prints least, the
 one visited, and the witness is the one a visit of every state finds.
 
-The left-hand side is built once per obligation (`_member`): a relation
-there is read through an index from trace to accepted sets or final
-states, filled for each visited state by one instance-set build at the
-obligation's trace bound.
+Each relation's instance set from a visited state is built once per
+obligation, at its trace bound, and serves both sides: the right-hand side
+enumerates it, and the left-hand side (`_member`) reads it through an index
+from trace to accepted sets or final states.  So an obligation between
+equal relations builds one set per state, not two.
 
 A refutation carries the least failing observation in witness order: trace
 length, then the trace's events, then the initial state, then the accepted
@@ -270,16 +271,17 @@ def _pre_failure(ob: Obligation, symtab: SymbolTable, bound: int):
     return best, beyond
 
 
-def _member(side: Side, kind: str, symtab: SymbolTable, bound: int):
+def _member(side: Side, kind: str, symtab: SymbolTable, instance_set):
     """The test (s, tt, x) -> bool of whether `side` allows an observation
-    from state s with trace tt, len(tt) <= bound, where x is the accepted
-    set (peri), the final state (post) or unused (pre).
+    from state s with trace tt within the obligation's bound, where x is the
+    accepted set (peri), the final state (post) or unused (pre).
 
     A relation is read through an index held by the returned closure, so it
     lives exactly as long as one obligation's check.  It is filled for each
-    visited state (`_starts`) by one instance-set build at `bound`, and
-    answers a query of any shorter trace too: the instances at a smaller
-    bound are those at `bound` restricted to shorter traces."""
+    visited state s (`_starts`) from `instance_set(side, s)`, the instances
+    at the obligation's bound, and answers a query of any shorter trace too:
+    the instances at a smaller bound are those at the obligation's bound
+    restricted to shorter traces."""
     if isinstance(side, PreNF):
         clauses = [(c.cond, c.trace) for c in side.clauses]
         return lambda s, tt, x: all(
@@ -290,38 +292,42 @@ def _member(side: Side, kind: str, symtab: SymbolTable, bound: int):
         if kind == "peri":
             return lambda s, tt, x: bool(eval_expr(body, s, tt=tt, acc=x))
         return lambda s, tt, x: bool(eval_expr(body, s, tt=tt, primed=x))
-    if kind == "peri":
-        accepts = _index(ground.quiet_instances, side, symtab, bound)
-        # an instance with accepted set E admits every superset of E
-        return lambda s, tt, x: any(e <= x for e in accepts(s).get(tt, ()))
-    finals = _index(ground.final_instances, side, symtab, bound)
-    return lambda s, tt, x: x in finals(s).get(tt, ())
-
-
-def _index(instances, r: RRel, symtab: SymbolTable, bound: int):
-    """s -> {trace: accepted sets or final states} of `r`'s instances from
-    s within `bound`, built on the first query from s (one of `_starts`)."""
-    built: dict = {}
+    index: dict = {}
 
     def at(s: Valuation) -> dict:
-        if s not in built:
-            by_trace = built[s] = {}
-            for tt, x in instances(r, s, symtab, bound):
+        # trace -> accepted sets or final states of `side` from s
+        if s not in index:
+            by_trace = index[s] = {}
+            for tt, x in instance_set(side, s):
                 by_trace.setdefault(tt, set()).add(x)
-        return built[s]
+        return index[s]
 
-    return at
+    if kind == "peri":
+        # an instance with accepted set E admits every superset of E
+        return lambda s, tt, x: any(e <= x for e in at(s).get(tt, ()))
+    return lambda s, tt, x: x in at(s).get(tt, ())
 
 
 def _least_failure(ob: Obligation, symtab: SymbolTable, bound: int):
     """The least observation (s, tt, x) that the right-hand side allows, the
     assumption does not exclude and the left-hand side does not allow, or
     None, from each visited state s.  Observations longer than the least
-    failure so far are skipped."""
-    lhs = _member(ob.lhs, ob.kind, symtab, bound)
+    failure so far are skipped.  Each relation's instance set from a state
+    is built once, so equal relations on both sides share it."""
+    instances = (ground.quiet_instances if ob.kind == "peri"
+                 else ground.final_instances)
+    built: dict = {}
+
+    def instance_set(r: RRel, s: Valuation) -> frozenset:
+        key = (r, s)
+        if key not in built:
+            built[key] = instances(r, s, symtab, bound)
+        return built[key]
+
+    lhs = _member(ob.lhs, ob.kind, symtab, instance_set)
     assume = None
     if ob.assume.clauses:
-        assume = _member(ob.assume, "pre", symtab, bound)
+        assume = _member(ob.assume, "pre", symtab, None)
     x_key = _order_key if ob.kind == "peri" else str
     alphabet = symtab.alphabet()
     enumerated = isinstance(ob.rhs, (InvariantRel, SeqInv))
@@ -335,9 +341,7 @@ def _least_failure(ob: Obligation, symtab: SymbolTable, bound: int):
     if enumerated:
         observations = _invariant_observations(ob, symtab, bound, longest)
     else:
-        instances = (ground.quiet_instances if ob.kind == "peri"
-                     else ground.final_instances)
-        observations = lambda s: instances(ob.rhs, s, symtab, bound)
+        observations = lambda s: instance_set(ob.rhs, s)
     for s in _starts(ob, symtab):
         for tt, x in observations(s):
             if best_key is not None and len(tt) > best_key[0]:
@@ -387,7 +391,7 @@ def _invariant_observations(ob: Obligation, symtab, bound: int, longest):
     alphabet with len(t1 + t2) <= longest() and each accepted set or final
     state x with I true at (s1, t2, x)."""
     inv = ob.rhs.inv if isinstance(ob.rhs, SeqInv) else ob.rhs
-    holds = _member(inv, ob.kind, symtab, bound)
+    holds = _member(inv, ob.kind, symtab, None)
     alphabet = symtab.alphabet()
     if ob.kind == "post":
         xs = symtab.valuations()

@@ -17,12 +17,16 @@ from rdes.relalg import NormalizationIncomplete
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 BUFFER_INV = "outps(tt)<=bf++inps(tt)"
+TOO_LARGE = ("StateSpaceTooLarge: state space too large to enumerate: more "
+             "than 500000 valuations")
 
-# A program the calculator rejects, written out by the tests that name it
+# Programs the commands reject, written out by the tests that name them: one
+# the calculator rejects, and one with too many states to enumerate
 REJECTED = {
     "ext_over_loop.rp": "channel a\nchannel b\nvar x : int[0..1]\n"
                         "while x < 1 do ((a -> (while x < 1 do "
                         "(b -> x := x + 1))) [] b -> skip)\n",
+    "too_large.rp": "var x : seq int[0..3] maxlen 12\nx := <>\n",
 }
 
 
@@ -306,6 +310,19 @@ def test_refuted_obligation_is_named(capsys):
         (["refine", "while_chaos.rp", "--invariant", "true", "--peri", "true"],
          "NotProductive: loop body admits a terminated observation without "
          "events"),
+        # a state space too large to enumerate, whichever command meets it
+        (["dlf", "too_large.rp"], TOO_LARGE),
+        (["refine", "too_large.rp", "too_large.rp"], TOO_LARGE),
+        (["crosscheck", "too_large.rp"], TOO_LARGE),
+        # a file that cannot be written, and negative counts
+        (["oracle", "skip.rp", "--emit", "missing/x.json"],
+         "--emit: No such file or directory"),
+        (["crosscheck", "--random", "-4", "--loops"],
+         "--random must be >= 0"),
+        (["laws", "--per-law", "-3", "--terms", "-2"],
+         "--per-law must be >= 0"),
+        (["laws", "--terms", "-2"], "--terms must be >= 0"),
+        (["laws", "--depth", "-1"], "--depth must be >= 0"),
     ],
 )
 def test_malformed_options_exit_2_with_a_message(capsys, tmp_path, argv,
@@ -313,7 +330,8 @@ def test_malformed_options_exit_2_with_a_message(capsys, tmp_path, argv,
     for name, source in REJECTED.items():
         (tmp_path / name).write_text(source)
     argv = [str((tmp_path if a in REJECTED else CORPUS) / a)
-            if a.endswith(".rp") else a for a in argv]
+            if a.endswith(".rp") else
+            str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2

@@ -127,6 +127,33 @@ def test_typecheck_desugars_input_prefix():
     assert right.other == Stop()
 
 
+NESTED_SRC = """\
+channel c : int[0..1]
+channel d : int[0..1]
+var x : int[0..3]
+x < 1 + 1 & c?v -> d?w -> (v > 0 & x := v + w ; d!(v*w) -> skip)
+"""
+
+
+def test_typecheck_desugars_nested_input_prefixes():
+    # both input values reach every expression under the inner prefix,
+    # folded; the guard outside both prefixes stays as written
+    def after(v, w):
+        guarded = Cond(Lit(v > 0), Assign("x", Lit(v + w)), Stop())
+        return Seq(DoEvent("d", Lit(w)),
+                   Seq(guarded, Seq(DoEvent("d", Lit(v * w)), Skip())))
+
+    inputs = ExtChoice(tuple(
+        Seq(DoEvent("c", Lit(v)), ExtChoice(tuple(after(v, w)
+                                                  for w in (0, 1))))
+        for v in (0, 1)))
+    outer = BinOp("<", Var("x"), BinOp("+", Lit(1), Lit(1)))
+    assert typecheck(parse(NESTED_SRC)).body == Cond(outer, inputs, Stop())
+    # so nested input variables never shadow one another
+    with pytest.raises(DuplicateNameError):
+        typecheck(parse("channel c : int[0..1]\nc?v -> c?v -> skip"))
+
+
 def test_typecheck_payload_mismatch():
     src = "channel inp : int[0..1]\ninp!true"
     with pytest.raises(TypeMismatchError):

@@ -1,5 +1,5 @@
 """Ground instance sets: the restriction fact that lets one build at a top
-bound answer every smaller bound."""
+bound answer every smaller bound, and the forms both readers read alike."""
 
 from pathlib import Path
 
@@ -7,7 +7,19 @@ import pytest
 
 from rdes import dsl, ground, randgen
 from rdes.contracts import calculate
-from rdes.relalg import ROr, RStar
+from rdes.relalg import (
+    EMPTY_SET,
+    FALSE_R,
+    TRUE_R,
+    EventTerm,
+    RAnd,
+    RAtom,
+    ROr,
+    RStar,
+    final,
+    quiescent,
+)
+from rdes.state import IDENTITY, TRUE, IntType, SymbolTable, valuation_of
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 TOP = 5
@@ -60,3 +72,28 @@ def _check_restriction(instances, r, symtab, name) -> int:
                 assert at[k] == cut, (name, str(r), str(s), k, big)
         checked += bool(at[TOP])
     return checked
+
+
+@pytest.mark.parametrize("kind", ["peri", "post"])
+def test_both_readers_read_the_shared_forms_alike(kind):
+    instances = {"peri": ground.quiet_instances,
+                 "post": ground.final_instances}[kind]
+    symtab = SymbolTable({"x": IntType(0, 1)}, {"a": None, "b": None})
+    s = valuation_of({"x": 1})
+
+    def atom(*chans):
+        trace = tuple(EventTerm(c) for c in chans)
+        if kind == "peri":
+            return RAtom(quiescent(TRUE, trace, EMPTY_SET))
+        return RAtom(final(TRUE, IDENTITY, trace))
+
+    def read(r):
+        return instances(r, s, symtab, 2)
+
+    p, q = ROr((atom(), atom("a"))), ROr((atom("a"), atom("b")))
+    assert len(read(p) | read(q)) == 3 and len(read(p) & read(q)) == 1
+    assert read(ROr((p, q))) == read(p) | read(q)
+    assert read(RAnd((p, q))) == read(p) & read(q)
+    assert read(FALSE_R) == frozenset()
+    with pytest.raises(ground.NotGroundEvaluable):
+        read(TRUE_R)

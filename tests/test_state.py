@@ -1,24 +1,35 @@
 """Value, expression, and substitution semantics."""
 
+import typing
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdes.state import (
+    Acc,
     BinOp,
+    Clamp,
     Event,
+    Expr,
     Head,
     IfE,
     IntType,
     Len,
     Lit,
     Not,
+    Primed,
+    Proj,
+    SeqDisplay,
     SeqType,
+    StateSpaceTooLarge,
     SymbolTable,
     Tail,
     Var,
     apply_subst,
     apply_to_valuation,
     assignment_subst,
+    children,
     compose_subst,
     cond_implies,
     cond_is_false,
@@ -27,6 +38,7 @@ from rdes.state import (
     exprs_equiv,
     fold,
     pp_expr,
+    rebuild,
     subst_of,
     valuation_of,
 )
@@ -227,3 +239,47 @@ def test_events_and_valuations_keep_their_forms():
     assert str(s) == "{bf=<1>, v=1}"
     assert hash(s) == hash((s.items,))
     assert s.set("v", 5, IntType(0, 1)) == val(bf=(1,), v=1)
+
+
+V, W = Var("v"), Var("bf")
+
+# One sample of each expression form, with the expressions directly inside it
+ONE_OF_EACH_FORM = {
+    Var: (V, ()),
+    Primed: (Primed("v"), ()),
+    Lit: (Lit((0, 1)), ()),
+    BinOp: (BinOp("+", V, Lit(1)), (V, Lit(1))),
+    Not: (Not(V), (V,)),
+    Head: (Head(W), (W,)),
+    Tail: (Tail(W), (W,)),
+    Len: (Len(W), (W,)),
+    IfE: (IfE(V, W, Lit(())), (V, W, Lit(()))),
+    SeqDisplay: (SeqDisplay((V, Lit(1), W)), (V, Lit(1), W)),
+    Clamp: (Clamp(V, IntType(0, 1)), (V,)),
+    Proj: (Proj("inp"), ()),
+    Acc: (Acc(), ()),
+}
+
+
+def test_rebuild_covers_every_expression_form():
+    """A new expression constructor cannot fall outside the walks."""
+    assert set(ONE_OF_EACH_FORM) == set(typing.get_args(Expr))
+    for e, inner in ONE_OF_EACH_FORM.values():
+        seen = []
+        assert rebuild(e, lambda x: seen.append(x) or x) == e
+        assert seen == list(inner)
+        # each direct sub-expression is replaced in place, the rest is kept
+        replaced = rebuild(e, lambda x: Lit(7))
+        assert children(replaced) == (Lit(7),) * len(inner)
+        assert rebuild(replaced, lambda x: seen.pop(0)) == e
+    for other in (None, Event("inp", 0), IntType(0, 1), (V,)):
+        with pytest.raises(TypeError):
+            rebuild(other, lambda x: x)
+        with pytest.raises(TypeError):
+            children(other)
+
+
+def test_too_many_valuations_are_a_named_error():
+    big = SymbolTable({"x": SeqType(IntType(0, 3), 12)}, {})
+    with pytest.raises(StateSpaceTooLarge):
+        big.valuations()
