@@ -291,12 +291,21 @@ def cmd_crosscheck(args) -> int:
     return 0 if not diffs else 1
 
 
+def _checked_something(suite: str, checked: int) -> None:
+    """A law suite that checked nothing has shown nothing: exit 2."""
+    if not checked:
+        print(f"error: {suite} checked nothing", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def cmd_laws(args) -> int:
     cfg = _config(args)
     rel = laws.run_law_suite(seed=args.seed, per_law=args.per_law)
+    _checked_something("relational laws", rel["instances"])
     ka = laws.run_ka_suite(
         seed=args.seed, terms=args.terms, depth=args.depth
     )
+    _checked_something("iteration laws", ka["terms"])
     summary = {
         "relational": {
             "instances": rel["instances"],

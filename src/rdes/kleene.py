@@ -1,5 +1,5 @@
-"""Iteration support: weakest-precondition saturation, star unfolding, and
-bounded checks of the Kleene identities.
+"""Iteration support: weakest-precondition saturation and bounded checks of
+the Kleene identities.
 
 `star_wp` computes the precondition of an iterated relation against a clause
 set by saturating wp steps, using clause subsumption to detect the fixpoint.
@@ -18,10 +18,7 @@ from .relalg import (
     RSeq,
     RStar,
     ROr,
-    RAnd,
     UNIT_R,
-    normalize,
-    or_of,
     pre_of,
     traces_equiv,
     wp_or_final,
@@ -79,33 +76,6 @@ def star_wp(
             return SaturationResult(current, True, i)
         current = merged
     return SaturationResult(current, False, bound)
-
-
-def unfold_star(r: RRel, k: int, symtab: SymbolTable) -> RRel:
-    """Disjunction of the first k+1 powers of the starred relations in r."""
-    if isinstance(r, RStar):
-        body = unfold_star(r.body, k, symtab)
-        powers = [UNIT_R]
-        for _ in range(k):
-            powers.append(normalize(RSeq(powers[-1], body), symtab))
-        return normalize(or_of(powers), symtab)
-    if isinstance(r, RSeq):
-        return normalize(
-            RSeq(
-                unfold_star(r.first, k, symtab),
-                unfold_star(r.second, k, symtab),
-            ),
-            symtab,
-        )
-    if isinstance(r, ROr):
-        return normalize(
-            or_of([unfold_star(a, k, symtab) for a in r.args]), symtab
-        )
-    if isinstance(r, RAnd):
-        return normalize(
-            RAnd(tuple(unfold_star(a, k, symtab) for a in r.args)), symtab
-        )
-    return normalize(r, symtab)
 
 
 # ---------------------------------------------------------------------------

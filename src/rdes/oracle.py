@@ -78,14 +78,15 @@ def enumerate_program(
     """All observations from s0, with loops unfolded at most `depth` times
     and traces pruned beyond `trace_bound`."""
     symtab = tp.symtab
+    # keyed by the action's identity: every action is a node of `tp.body`,
+    # alive for the whole call, and hashing a node would walk its subtree
     memo: dict = {}
 
     def go(a: dsl.Action, s: Valuation, d: int, room: int) -> frozenset:
-        key = (a, s, d, room)
-        if key in memo:
-            return memo[key]
-        out = _enum(a, s, d, room)
-        memo[key] = out
+        key = (id(a), s, d, room)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = _enum(a, s, d, room)
         return out
 
     def _then(
@@ -225,7 +226,10 @@ def compare_observations(
 ) -> list:
     """Differences between the two observation sets, with budget-cut
     shadowing excluded on both sides and divergences compared as
-    prefix-minimal sets."""
+    prefix-minimal sets.  Equal sets have no differences, since both
+    readings below are functions of the set."""
+    if oracle_obs == calc_obs:
+        return []
     cuts = {o.tt for o in oracle_obs if isinstance(o, BudgetCut)}
     cuts |= {o.tt for o in calc_obs if isinstance(o, BudgetCut)}
     diffs = []

@@ -15,6 +15,7 @@ because it simplifies each node before it builds it.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Union
 
@@ -316,74 +317,124 @@ def eval_expr(
     head(<>) yields 0 (which doubles as false for bool elements), tail(<>)
     yields <>; arithmetic is unbounded here and saturates only when written
     back into a state or a ground event.
+
+    Evaluation dispatches on the node's type: `_EVAL` maps each expression
+    form to its handler.  A handler evaluates the expressions inside its
+    node through this module's name `eval_expr`, so whatever is bound to
+    that name sees every call.
     """
-    if isinstance(e, Lit):
-        return e.value
-    if isinstance(e, Var):
-        return val.get(e.name)
-    if isinstance(e, Primed):
-        if primed is None:
-            raise ValueError("primed variable outside a postcondition context")
-        return primed.get(e.name)
-    if isinstance(e, Proj):
-        if tt is None:
-            raise ValueError("trace projection without a ground trace")
-        return tuple(ev.data for ev in tt if ev.chan == e.chan)
-    if isinstance(e, Acc):
-        if acc is None:
-            raise ValueError("acceptance reference outside a quiescent context")
-        return acc
-    if isinstance(e, Not):
-        return not eval_expr(e.arg, val, tt, acc, primed)
-    if isinstance(e, Head):
-        v = eval_expr(e.arg, val, tt, acc, primed)
-        return v[0] if v else 0
-    if isinstance(e, Tail):
-        v = eval_expr(e.arg, val, tt, acc, primed)
-        return v[1:] if v else ()
-    if isinstance(e, Len):
-        return len(eval_expr(e.arg, val, tt, acc, primed))
-    if isinstance(e, IfE):
-        if eval_expr(e.cond, val, tt, acc, primed):
-            return eval_expr(e.then, val, tt, acc, primed)
-        return eval_expr(e.other, val, tt, acc, primed)
-    if isinstance(e, SeqDisplay):
-        return tuple(eval_expr(x, val, tt, acc, primed) for x in e.elems)
-    if isinstance(e, Clamp):
-        return e.vtype.clamp(eval_expr(e.arg, val, tt, acc, primed))
-    if isinstance(e, BinOp):
-        op = e.op
-        if op == "and":
-            return bool(eval_expr(e.left, val, tt, acc, primed)) and bool(
-                eval_expr(e.right, val, tt, acc, primed)
-            )
-        if op == "or":
-            return bool(eval_expr(e.left, val, tt, acc, primed)) or bool(
-                eval_expr(e.right, val, tt, acc, primed)
-            )
-        l = eval_expr(e.left, val, tt, acc, primed)
-        r = eval_expr(e.right, val, tt, acc, primed)
-        if op == "+":
-            return l + r
-        if op == "-":
-            return l - r
-        if op == "*":
-            return l * r
-        if op == "++":
-            return tuple(l) + tuple(r)
-        if op == "=":
-            return l == r
-        if op == "!=":
-            return l != r
-        if op == "<":
-            return l < r
-        if op == "<=":
-            if isinstance(l, tuple) or isinstance(r, tuple):
-                lt, rt = tuple(l), tuple(r)
-                return lt == rt[: len(lt)]
-            return l <= r
+    handler = _EVAL.get(type(e))
+    if handler is None:
+        raise TypeError(f"not an expression: {e!r}")
+    return handler(e, val, tt, acc, primed)
+
+
+def _eval_lit(e, val, tt, acc, primed):
+    return e.value
+
+
+def _eval_var(e, val, tt, acc, primed):
+    return val.get(e.name)
+
+
+def _eval_primed(e, val, tt, acc, primed):
+    if primed is None:
+        raise ValueError("primed variable outside a postcondition context")
+    return primed.get(e.name)
+
+
+def _eval_proj(e, val, tt, acc, primed):
+    if tt is None:
+        raise ValueError("trace projection without a ground trace")
+    return tuple(ev.data for ev in tt if ev.chan == e.chan)
+
+
+def _eval_acc(e, val, tt, acc, primed):
+    if acc is None:
+        raise ValueError("acceptance reference outside a quiescent context")
+    return acc
+
+
+def _eval_not(e, val, tt, acc, primed):
+    return not eval_expr(e.arg, val, tt, acc, primed)
+
+
+def _eval_head(e, val, tt, acc, primed):
+    v = eval_expr(e.arg, val, tt, acc, primed)
+    return v[0] if v else 0
+
+
+def _eval_tail(e, val, tt, acc, primed):
+    v = eval_expr(e.arg, val, tt, acc, primed)
+    return v[1:] if v else ()
+
+
+def _eval_len(e, val, tt, acc, primed):
+    return len(eval_expr(e.arg, val, tt, acc, primed))
+
+
+def _eval_if(e, val, tt, acc, primed):
+    if eval_expr(e.cond, val, tt, acc, primed):
+        return eval_expr(e.then, val, tt, acc, primed)
+    return eval_expr(e.other, val, tt, acc, primed)
+
+
+def _eval_seq_display(e, val, tt, acc, primed):
+    return tuple(eval_expr(x, val, tt, acc, primed) for x in e.elems)
+
+
+def _eval_clamp(e, val, tt, acc, primed):
+    return e.vtype.clamp(eval_expr(e.arg, val, tt, acc, primed))
+
+
+def _eval_binop(e, val, tt, acc, primed):
+    op = e.op
+    l = eval_expr(e.left, val, tt, acc, primed)
+    if op == "and":
+        return bool(l) and bool(eval_expr(e.right, val, tt, acc, primed))
+    if op == "or":
+        return bool(l) or bool(eval_expr(e.right, val, tt, acc, primed))
+    r = eval_expr(e.right, val, tt, acc, primed)
+    f = _OPERATORS.get(op)
+    if f is None:
         raise ValueError(f"unknown operator {op!r}")
-    raise TypeError(f"not an expression: {e!r}")
+    return f(l, r)
+
+
+def _at_most(l, r):
+    """<= on numbers; on sequences, whether l is a prefix of r."""
+    if isinstance(l, tuple) or isinstance(r, tuple):
+        lt, rt = tuple(l), tuple(r)
+        return lt == rt[: len(lt)]
+    return l <= r
+
+
+_OPERATORS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "++": lambda l, r: tuple(l) + tuple(r),
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": _at_most,
+}
+
+_EVAL = {
+    Lit: _eval_lit,
+    Var: _eval_var,
+    Primed: _eval_primed,
+    Proj: _eval_proj,
+    Acc: _eval_acc,
+    Not: _eval_not,
+    Head: _eval_head,
+    Tail: _eval_tail,
+    Len: _eval_len,
+    IfE: _eval_if,
+    SeqDisplay: _eval_seq_display,
+    Clamp: _eval_clamp,
+    BinOp: _eval_binop,
+}
 
 
 def children(e: Expr) -> tuple:

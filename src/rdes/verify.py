@@ -23,7 +23,9 @@ there is nothing to search.  Otherwise the search has two sources:
   invariant I is tested on every trace within the bound and every
   accepted set or final state; after a step, as `SeqInv(step, I)`, it is
   tested only on the suffixes that follow each of the step's terminated
-  instances, so the step drives the enumeration.
+  instances, so the step drives the enumeration.  Each state s1 that a
+  step instance reaches has its suffixes swept once per obligation, and
+  every instance (t1, s1) puts t1 in front of the ones on which I holds.
 
 An enumerated obligation is discharged from one initial state per class of
 states it cannot tell apart (`_starts`): those that agree on each variable
@@ -389,7 +391,13 @@ def _invariant_observations(ob: Obligation, symtab, bound: int, longest):
     `SeqInv(step, I)`: from ((), s), or from each terminated step instance
     (t1, s1) over the alphabet, (t1 + t2, x) for each suffix t2 over the
     alphabet with len(t1 + t2) <= longest() and each accepted set or final
-    state x with I true at (s1, t2, x)."""
+    state x with I true at (s1, t2, x).
+
+    Each reached state s1's suffixes are swept once per obligation, shared
+    by every start and step instance that reaches s1: one length at a time,
+    when a start first needs it, keeping the (t2, x) on which I holds.  So I
+    is evaluated once per (s1, t2, x), and no suffix longer than the least
+    failure so far is swept."""
     inv = ob.rhs.inv if isinstance(ob.rhs, SeqInv) else ob.rhs
     holds = _member(inv, ob.kind, symtab, None)
     alphabet = symtab.alphabet()
@@ -399,6 +407,16 @@ def _invariant_observations(ob: Obligation, symtab, bound: int, longest):
         xs = tuple(_supersets(frozenset(), alphabet))
     else:
         xs = (frozenset(),)
+    swept: dict = {}  # s1 -> [the kept (t2, x) with len(t2) = m, for each m]
+
+    def suffixes(s1: Valuation, m: int) -> list:
+        by_length = swept.setdefault(s1, [])
+        while len(by_length) <= m:
+            n = len(by_length)
+            by_length.append([
+                (t2, x) for t2 in itertools.product(alphabet, repeat=n)
+                for x in xs if holds(s1, t2, x)])
+        return by_length[m]
 
     def observations(s: Valuation):
         starts = (((), s),)
@@ -410,8 +428,8 @@ def _invariant_observations(ob: Obligation, symtab, bound: int, longest):
             for n in itertools.count(len(t1)):
                 if n > longest():
                     break
-                for t2 in itertools.product(alphabet, repeat=n - len(t1)):
-                    yield from ((t1 + t2, x) for x in xs if holds(s1, t2, x))
+                yield from ((t1 + t2, x)
+                            for t2, x in suffixes(s1, n - len(t1)))
 
     return observations
 

@@ -323,6 +323,11 @@ def test_refuted_obligation_is_named(capsys):
          "--per-law must be >= 0"),
         (["laws", "--terms", "-2"], "--terms must be >= 0"),
         (["laws", "--depth", "-1"], "--depth must be >= 0"),
+        # a law suite that checks nothing
+        (["laws", "--per-law", "0", "--terms", "0"],
+         "relational laws checked nothing"),
+        (["laws", "--per-law", "0"], "relational laws checked nothing"),
+        (["laws", "--terms", "0"], "iteration laws checked nothing"),
     ],
 )
 def test_malformed_options_exit_2_with_a_message(capsys, tmp_path, argv,

@@ -1,6 +1,7 @@
 """Every name a `rdes` module or a test module imports is used in it, every
-`rdes` module imports only at its top level, and every private
-module-level function or class of `rdes` is used in `rdes`.
+`rdes` module imports only at its top level, every private module-level
+function or class of `rdes` is used in `rdes`, and no `rdes` module uses a
+`functools` cache.
 
 Package `__init__.py` files re-export what they import, and `__future__`
 imports are compiler directives, so both are skipped.
@@ -110,3 +111,42 @@ def test_detector_flags_an_unused_private_definition():
         "b": "from .a import _used\nclass _Gone: pass\n_used()\n",
     }
     assert unreferenced_private_defs(sources) == ["a._stale", "b._Gone"]
+
+
+# A `functools` cache outlives the check that filled it, and the benchmark
+# times each case once per process on the premise that no cache does
+CACHES = frozenset({"lru_cache", "cache", "cached_property"})
+
+
+def functools_caches(source: str) -> list:
+    """`line: name` of each `functools` cache a module imports or uses."""
+    tree = ast.parse(source)
+    modules = {
+        alias.asname or alias.name
+        for n in ast.walk(tree) if isinstance(n, ast.Import)
+        for alias in n.names if alias.name == "functools"
+    }
+    found = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and n.module == "functools":
+            found += [(n.lineno, a.name) for a in n.names if a.name in CACHES]
+        elif (isinstance(n, ast.Attribute) and n.attr in CACHES
+              and isinstance(n.value, ast.Name) and n.value.id in modules):
+            found.append((n.lineno, n.attr))
+    return [f"{line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_cache_outlives_a_check(path):
+    assert functools_caches(path.read_text()) == []
+
+
+def test_detector_flags_a_functools_cache():
+    src = ("import functools\nimport functools as ft\n"
+           "from functools import cache, reduce\n\n"
+           "@functools.lru_cache(maxsize=None)\ndef f(): pass\n\n"
+           "class C:\n    @ft.cached_property\n    def g(self): pass\n\n"
+           "h = functools.partial(reduce, max)\n")
+    assert functools_caches(src) == [
+        "3: cache", "5: lru_cache", "9: cached_property"]

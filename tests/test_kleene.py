@@ -1,15 +1,22 @@
-"""Saturation, unfolding, and the iteration identities."""
+"""Saturation, unfolding, and the iteration identities.
+
+`unfold_star` is the reference for `star_wp`: a star's first powers,
+written out."""
 
 from rdes import ground
-from rdes.kleene import ka_laws_check, star_wp, unfold_star
+from rdes.kleene import ka_laws_check, star_wp
 from rdes.relalg import (
     FALSE_R,
     NegClause,
+    RAnd,
     RAtom,
     ROr,
+    RSeq,
     RStar,
     TRUE_PRE,
+    UNIT_R,
     final,
+    normalize,
     or_of,
     pre_of,
     wp_or_final,
@@ -24,6 +31,34 @@ from rdes.state import (
     Var,
     assignment_subst,
 )
+
+
+def unfold_star(r, k, symtab):
+    """Disjunction of the first k+1 powers of the starred relations in r."""
+    if isinstance(r, RStar):
+        body = unfold_star(r.body, k, symtab)
+        powers = [UNIT_R]
+        for _ in range(k):
+            powers.append(normalize(RSeq(powers[-1], body), symtab))
+        return normalize(or_of(powers), symtab)
+    if isinstance(r, RSeq):
+        return normalize(
+            RSeq(
+                unfold_star(r.first, k, symtab),
+                unfold_star(r.second, k, symtab),
+            ),
+            symtab,
+        )
+    if isinstance(r, ROr):
+        return normalize(
+            or_of([unfold_star(a, k, symtab) for a in r.args]), symtab
+        )
+    if isinstance(r, RAnd):
+        return normalize(
+            RAnd(tuple(unfold_star(a, k, symtab) for a in r.args)), symtab
+        )
+    return normalize(r, symtab)
+
 
 ATAB = SymbolTable({}, {"a": None})
 XTAB = SymbolTable({"x": IntType(0, 3)}, {"a": None})

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rdes import state
 from rdes.state import (
     Acc,
     BinOp,
@@ -277,6 +278,39 @@ def test_rebuild_covers_every_expression_form():
             rebuild(other, lambda x: x)
         with pytest.raises(TypeError):
             children(other)
+
+
+# What each sample above evaluates to from {bf=<1, 0>, v=1}, with final
+# state {bf=<>, v=0}, trace <inp.1, out.0, inp.0> and accepted set {out.1}
+EVALUATED = {
+    Var: 1,
+    Primed: 0,
+    Lit: (0, 1),
+    BinOp: 2,
+    Not: False,
+    Head: 1,
+    Tail: (0,),
+    Len: 2,
+    IfE: (1, 0),
+    SeqDisplay: (1, 1, (1, 0)),
+    Clamp: 1,
+    Proj: (1, 0),
+    Acc: frozenset({Event("out", 1)}),
+}
+
+
+def test_eval_dispatches_on_every_expression_form():
+    assert set(state._EVAL) == set(typing.get_args(Expr))
+    s, after = val(bf=(1, 0), v=1), val()
+    tt = (Event("inp", 1), Event("out", 0), Event("inp", 0))
+    acc = frozenset({Event("out", 1)})
+    for form, (e, _) in ONE_OF_EACH_FORM.items():
+        got = eval_expr(e, s, tt=tt, acc=acc, primed=after)
+        # a bool must not pass for an int, nor an int for a bool
+        assert (type(got), got) == (type(EVALUATED[form]), EVALUATED[form])
+    for other in (None, Event("inp", 0), IntType(0, 1), (V,)):
+        with pytest.raises(TypeError, match="not an expression"):
+            eval_expr(other, s)
 
 
 def test_too_many_valuations_are_a_named_error():

@@ -814,6 +814,56 @@ def test_enumerated_obligations_match_the_sweep():
     assert refuted > 800 and verified > 1500
 
 
+def _evaluations(monkeypatch, body) -> list:
+    """The arguments of each evaluation of `body` that `verify` makes while
+    the returned list is filled."""
+    calls = []
+    real = verify.eval_expr
+
+    def recording(e, s, tt=None, acc=None, primed=None):
+        if e == body:
+            calls.append((s, tt, acc, primed))
+        return real(e, s, tt, acc, primed)
+
+    monkeypatch.setattr(verify, "eval_expr", recording)
+    return calls
+
+
+def test_each_reached_state_is_swept_once(monkeypatch):
+    # the left-hand side is given an equivalent body of its own, so that
+    # every evaluation recorded is one of the right-hand invariant
+    swept = 0
+    for ob, symtab in _enumerated_obligations():
+        inv = ob.rhs.inv if isinstance(ob.rhs, SeqInv) else ob.rhs
+        lhs = InvariantRel(ob.lhs.kind, BinOp("and", TRUE, ob.lhs.body))
+        with monkeypatch.context() as m:
+            calls = _evaluations(m, inv.body)
+            check_rrel_refine(dataclasses.replace(ob, lhs=lhs), symtab,
+                              Config(trace_bound=SWEEP_BOUND))
+        assert len(calls) == len(set(calls)), ob
+        swept += len(calls)
+    # 128,544 evaluations over the obligations
+    assert swept > 120_000
+
+
+@pytest.mark.parametrize("program, bound, evaluations", [
+    # a sweep per step instance would make 9,121
+    ("buffer.rp", 5, 4_688),
+    # and 77,697 here
+    ("buffer_guarded.rp", 7, 50_392),
+])
+def test_the_loop_rule_evaluates_the_invariant_once_per_argument(
+        monkeypatch, capsys, program, bound, evaluations):
+    # the left-hand invariant is still evaluated once per observation
+    tp = dsl.load_program((CORPUS / program).read_text())
+    calls = _evaluations(monkeypatch, dsl.parse_invariant(BUFFER_INV,
+                                                          tp.symtab))
+    cli.main(["inv-check", str(CORPUS / program), "--invariant", BUFFER_INV,
+              "--trace-bound", str(bound)])
+    capsys.readouterr()
+    assert len(calls) == evaluations
+
+
 # ---------------------------------------------------------------------------
 # One initial state per class of states that an obligation cannot tell apart
 
