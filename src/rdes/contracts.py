@@ -43,6 +43,7 @@ from .relalg import (
     filter_r4,
     filter_r5,
     final,
+    fold_event,
     guard_pre,
     guard_rrel,
     merge_cond,
@@ -140,6 +141,7 @@ def assign_c(s: Subst) -> Contract:
 
 
 def do_c(e: EventTerm, symtab: SymbolTable) -> Contract:
+    e = fold_event(e, symtab)
     return Contract(
         TRUE_PRE,
         RAtom(quiescent(TRUE, (), canon_set(event_set(e), symtab))),

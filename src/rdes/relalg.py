@@ -100,6 +100,23 @@ def fold_trace(t: TraceExpr) -> TraceExpr:
     )
 
 
+def fold_event(e: EventTerm, symtab: SymbolTable) -> EventTerm:
+    """e with its payload folded, and a literal payload saturated into the
+    channel's carrier, as grounding saturates it: `out!head(<>)` over
+    `out : int[1..2]` is the event out.1."""
+    if e.data is None:
+        return e
+    data = fold(e.data)
+    if isinstance(data, Lit):
+        data = Lit(symtab.channels[e.chan].clamp(data.value))
+    return EventTerm(e.chan, data)
+
+
+def carry_trace(t: TraceExpr, symtab: SymbolTable) -> TraceExpr:
+    """`fold_event` of each event of t."""
+    return tuple(fold_event(e, symtab) for e in t)
+
+
 def ground_trace(t: TraceExpr, symtab: SymbolTable, val: Valuation) -> tuple:
     return tuple(e.ground(symtab, val) for e in t)
 
@@ -218,11 +235,7 @@ def canon_set(es: EventSetExpr, symtab: SymbolTable) -> EventSetExpr:
             if cond_is_true(g, symtab):
                 g = None
         if isinstance(p, SingletonPart):
-            term = EventTerm(
-                p.term.chan,
-                fold(p.term.data) if p.term.data is not None else None,
-            )
-            parts.append(SingletonPart(g, term))
+            parts.append(SingletonPart(g, fold_event(p.term, symtab)))
         else:
             parts.append(ImagePart(g, p.chan))
     # collapse literal unguarded singletons over a full channel domain
@@ -489,10 +502,10 @@ def seq_final_final(
     cond = atom_cond(conj(f1.cond, apply_subst(f1.subst, f2.cond)), symtab)
     if cond is None:
         return None
-    return final(
+    return FinalAtom(
         cond,
         compose_subst(f1.subst, f2.subst),
-        f1.trace + subst_trace(f1.subst, f2.trace),
+        f1.trace + carry_trace(subst_trace(f1.subst, f2.trace), symtab),
     )
 
 
@@ -503,9 +516,9 @@ def seq_final_quiescent(
     cond = atom_cond(conj(f.cond, apply_subst(f.subst, q.cond)), symtab)
     if cond is None:
         return None
-    return quiescent(
+    return QuiescentAtom(
         cond,
-        f.trace + subst_trace(f.subst, q.trace),
+        f.trace + carry_trace(subst_trace(f.subst, q.trace), symtab),
         canon_set(subst_set(f.subst, q.accept), symtab),
     )
 
@@ -653,7 +666,7 @@ def pre_of(clauses: list, symtab: SymbolTable) -> PreNF:
         cond = fold(c.cond)
         if cond_is_false(cond, symtab):
             continue
-        clause = NegClause(cond, fold_trace(c.trace))
+        clause = NegClause(cond, carry_trace(c.trace, symtab))
         if not any(
             _clauses_equiv(clause, seen, symtab) for seen in out
         ):
@@ -730,11 +743,12 @@ def normalize(r: RRel, symtab: SymbolTable) -> RRel:
         cond = atom_cond(a.cond, symtab)
         if cond is None:
             return FALSE_R
+        trace = carry_trace(a.trace, symtab)
         if isinstance(a, QuiescentAtom):
             return RAtom(
-                quiescent(cond, a.trace, canon_set(a.accept, symtab))
+                QuiescentAtom(cond, trace, canon_set(a.accept, symtab))
             )
-        return RAtom(final(cond, a.subst, a.trace))
+        return RAtom(FinalAtom(cond, a.subst, trace))
     if isinstance(r, ROr):
         return _norm_or(r, symtab)
     if isinstance(r, RAnd):

@@ -20,12 +20,36 @@ there is nothing to search.  Otherwise the search has two sources:
   enumerated: the search is states times clauses;
 * every other obligation enumerates the right-hand side's observations
   (`_least_failure`).  A relation gives its ground instance set.  An
-  invariant I is tested on every trace within the bound and every
-  accepted set or final state; after a step, as `SeqInv(step, I)`, it is
-  tested only on the suffixes that follow each of the step's terminated
+  invariant I is tested on the traces within the bound and every accepted
+  set or final state; after a step, as `SeqInv(step, I)`, it is tested
+  only on the suffixes that follow each of the step's terminated
   instances, so the step drives the enumeration.  Each state s1 that a
   step instance reaches has its suffixes swept once per obligation, and
   every instance (t1, s1) puts t1 in front of the ones on which I holds.
+
+An invariant reads a trace only through its projections (`state.Proj`):
+the payload sequence of each channel it names.  So it cannot tell apart
+traces with equal projections on those channels, however their events
+interleave, and it is decided once per class of such traces:
+
+* an invariant on the right is swept on one suffix per class of traces
+  over the channels that either side reads (`_suffixes`): the class's
+  least member in witness order.  That member is the greedy merge of the
+  class's channel sequences, which puts first the least of their heads,
+  because events of different channels never print equal.  As each
+  channel's events print before those of a channel named after it, the
+  merge is the sequences' concatenation in channel-name order.  An event
+  on a channel that neither side reads changes no verdict and only
+  lengthens the trace, so no swept suffix holds one.  Assumed clauses and
+  a relation on the left read the trace whole, and then every trace is
+  swept;
+* an invariant on the left that reads the accepted set must reject every
+  superset of an instance's accepted set on which it fails, since the
+  instance admits them all.  Its failing sets are listed once per state
+  and projection of the trace, in witness order
+  (`_least_failing_superset`), and an instance fails with the first that
+  contains its accepted set.  That is the least failing superset, which
+  can print before the instance's own set: {a, b} before {b}.
 
 An enumerated obligation is discharged from one initial state per class of
 states it cannot tell apart (`_starts`): those that agree on each variable
@@ -80,6 +104,7 @@ from .state import (
     BinOp,
     Expr,
     Lit,
+    Proj,
     Subst,
     SymbolTable,
     Valuation,
@@ -326,21 +351,24 @@ def _least_failure(ob: Obligation, symtab: SymbolTable, bound: int):
             built[key] = instances(r, s, symtab, bound)
         return built[key]
 
-    lhs = _member(ob.lhs, ob.kind, symtab, instance_set)
+    if (ob.kind == "peri" and _mentions_acc(ob.lhs)
+            and not isinstance(ob.rhs, (InvariantRel, SeqInv))):
+        # an invariant may reject an acceptance superset that an instance
+        # admits
+        fails = _least_failing_superset(ob.lhs, symtab)
+    else:
+        lhs = _member(ob.lhs, ob.kind, symtab, instance_set)
+        fails = lambda s, tt, x: None if lhs(s, tt, x) else x
     assume = None
     if ob.assume.clauses:
         assume = _member(ob.assume, "pre", symtab, None)
     x_key = _order_key if ob.kind == "peri" else str
-    alphabet = symtab.alphabet()
-    enumerated = isinstance(ob.rhs, (InvariantRel, SeqInv))
-    # an invariant may reject an acceptance superset that an instance admits
-    widen = not enumerated and ob.kind == "peri" and _mentions_acc(ob.lhs)
     best = best_key = None
 
     def longest() -> int:
         return bound if best_key is None else best_key[0]
 
-    if enumerated:
+    if isinstance(ob.rhs, (InvariantRel, SeqInv)):
         observations = _invariant_observations(ob, symtab, bound, longest)
     else:
         observations = lambda s: instance_set(ob.rhs, s)
@@ -350,12 +378,35 @@ def _least_failure(ob: Obligation, symtab: SymbolTable, bound: int):
                 continue
             if assume is not None and not assume(s, tt, None):
                 continue
-            for a in _supersets(x, alphabet) if widen else (x,):
-                if not lhs(s, tt, a):
-                    key = (len(tt), _order_key(tt), str(s), x_key(a))
-                    if best is None or key < best_key:
-                        best, best_key = (s, tt, a), key
+            a = fails(s, tt, x)
+            if a is not None:
+                key = (len(tt), _order_key(tt), str(s), x_key(a))
+                if best is None or key < best_key:
+                    best, best_key = (s, tt, a), key
     return best
+
+
+def _least_failing_superset(inv: InvariantRel, symtab: SymbolTable):
+    """(s, tt, x) -> the accepted set that prints least among the supersets
+    of x on which the pericondition invariant `inv` fails at (s, tt), or
+    None.  `inv` tells traces apart only by their projections on the
+    channels it reads, so its failing sets are listed once per state and
+    projection, in witness order, and the answer is the first of them that
+    contains x.  It can print before x itself: {a, b} before {b}."""
+    holds = _member(inv, "peri", symtab, None)
+    channels = sorted(_reads(inv))
+    accepted: list = []
+    failing: dict = {}  # (s, projections) -> the failing sets, in order
+
+    def first(s: Valuation, tt: tuple, x: frozenset):
+        key = (s, _projections(tt, channels)) if channels else s
+        if key not in failing:
+            if not accepted:
+                accepted.extend(_accepted_sets(symtab.alphabet()))
+            failing[key] = [a for a in accepted if not holds(s, tt, a)]
+        return next((a for a in failing[key] if x <= a), None)
+
+    return first
 
 
 def _starts(ob: Obligation, symtab: SymbolTable) -> list:
@@ -389,33 +440,38 @@ def _depends(side: Side, kind: str, symtab: SymbolTable) -> frozenset:
 def _invariant_observations(ob: Obligation, symtab, bound: int, longest):
     """s -> the observations (tt, x) from s of an invariant I, alone or as
     `SeqInv(step, I)`: from ((), s), or from each terminated step instance
-    (t1, s1) over the alphabet, (t1 + t2, x) for each suffix t2 over the
-    alphabet with len(t1 + t2) <= longest() and each accepted set or final
-    state x with I true at (s1, t2, x).
+    (t1, s1) over the alphabet, (t1 + t2, x) for each swept suffix t2 with
+    len(t1 + t2) <= longest() and each accepted set or final state x with I
+    true at (s1, t2, x).
 
-    Each reached state s1's suffixes are swept once per obligation, shared
-    by every start and step instance that reaches s1: one length at a time,
-    when a start first needs it, keeping the (t2, x) on which I holds.  So I
-    is evaluated once per (s1, t2, x), and no suffix longer than the least
-    failure so far is swept."""
+    The swept suffixes are one per class of traces that the obligation
+    cannot tell apart (`_suffixes`), by the channels both sides read.
+    Assumed clauses, or a relation on the left, read the trace whole, and
+    then every trace is swept.  Each reached state s1's suffixes are swept
+    once per obligation, shared by every start and step instance that
+    reaches s1: one length at a time, when a start first needs it, keeping
+    the (t2, x) on which I holds.  So I is evaluated once per (s1, class,
+    x), and no suffix longer than the least failure so far is swept."""
     inv = ob.rhs.inv if isinstance(ob.rhs, SeqInv) else ob.rhs
     holds = _member(inv, ob.kind, symtab, None)
     alphabet = symtab.alphabet()
     if ob.kind == "post":
         xs = symtab.valuations()
     elif _mentions_acc(ob.lhs) or _mentions_acc(inv):
-        xs = tuple(_supersets(frozenset(), alphabet))
+        xs = _accepted_sets(alphabet)
     else:
         xs = (frozenset(),)
+    reads = None if ob.assume.clauses else _reads(ob.lhs)
+    if reads is not None:
+        reads |= _reads(inv)
+    traces = _suffixes(alphabet, reads)
     swept: dict = {}  # s1 -> [the kept (t2, x) with len(t2) = m, for each m]
 
     def suffixes(s1: Valuation, m: int) -> list:
         by_length = swept.setdefault(s1, [])
         while len(by_length) <= m:
-            n = len(by_length)
-            by_length.append([
-                (t2, x) for t2 in itertools.product(alphabet, repeat=n)
-                for x in xs if holds(s1, t2, x)])
+            by_length.append([(t2, x) for t2 in traces(len(by_length))
+                              for x in xs if holds(s1, t2, x)])
         return by_length[m]
 
     def observations(s: Valuation):
@@ -434,11 +490,57 @@ def _invariant_observations(ob: Obligation, symtab, bound: int, longest):
     return observations
 
 
-def _supersets(x: frozenset, alphabet):
-    free = [e for e in alphabet if e not in x]
-    for k in range(len(free) + 1):
-        for extra in itertools.combinations(free, k):
-            yield x.union(extra)
+def _reads(side: Side) -> Optional[frozenset]:
+    """The channels whose projections are all that an invariant side reads
+    of a trace (`state.Proj`), or None for a side that reads it whole."""
+    if isinstance(side, SeqInv):
+        side = side.inv
+    if not isinstance(side, InvariantRel):
+        return None
+    return frozenset(x.chan for x in subterms(side.body)
+                     if isinstance(x, Proj))
+
+
+def _projections(tt: tuple, channels) -> tuple:
+    """A trace's projection on each of `channels`, in order."""
+    return tuple(tuple(e.data for e in tt if e.chan == c) for c in channels)
+
+
+def _suffixes(alphabet: tuple, channels):
+    """m -> the traces of length m over `alphabet` to sweep.  With
+    `channels` None that is every trace.  Otherwise it is one trace per
+    class of traces over the events of `channels` with equal projections on
+    them: the class's least member in witness order.  A suffix with an
+    event on another channel passes or fails as it does without the event,
+    which is shorter, so none is swept.
+
+    The least member is the greedy merge of the class's per-channel
+    sequences, which puts first the least of their heads: events of
+    different channels never print equal.  An event prints as its channel's
+    name, then a dot and its payload if it has one, and a channel name is
+    an identifier, whose characters all print after the dot.  So each event
+    of a channel prints before every event of a channel whose name sorts
+    after it, and the merge is the sequences' concatenation in channel-name
+    order."""
+    if channels is None:
+        return lambda m: itertools.product(alphabet, repeat=m)
+    events = [e for e in alphabet if e.chan in channels]
+    levels = [[()]]
+
+    def traces(m: int) -> list:
+        while len(levels) <= m:
+            levels.append([t + (e,) for t in levels[-1] for e in events
+                           if not t or t[-1].chan <= e.chan])
+        return levels[m]
+
+    return traces
+
+
+def _accepted_sets(alphabet) -> list:
+    """Every set of events of the alphabet, in witness order."""
+    return sorted((frozenset(c) for k in range(len(alphabet) + 1)
+                   for c in itertools.combinations(alphabet, k)),
+                  key=_order_key)
 
 
 def _order_key(events) -> tuple:

@@ -1,5 +1,6 @@
 """Contract constructors, combinators, derived facts, and calculation."""
 
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -440,6 +441,42 @@ def test_derived_facts_hold_on_the_ground():
             assert c.peri == FALSE_R and not extends, c
         told += c.productive or silent(c.post)
     assert told > 200
+
+
+def test_a_literal_payload_is_saturated_into_its_carrier():
+    # head(<>) evaluates to 0, outside out's carrier; the oracle and the
+    # ground reading saturate the event to out.1, and so does the calculator
+    source = ("channel out : int[1..2]\nvar bf : seq int[1..2] maxlen 2\n"
+              "bf := <> ; out!head(bf) -> ")
+    assert str(calc_src(source + "skip")[0]) == (
+        "⦗true_r | E(true | <> | {out.1}) "
+        "| Phi(true | {bf |-> <>} | <out.1>)⦘")
+    assert str(calc_src(source + "chaos")[0]) == (
+        "⦗not I(true | <out.1>) | E(true | <> | {out.1}) | false⦘")
+
+
+def _event_terms(x):
+    """The event terms anywhere inside a contract, relation or atom."""
+    if isinstance(x, EventTerm):
+        yield x
+    elif isinstance(x, tuple):
+        for y in x:
+            yield from _event_terms(y)
+    elif dataclasses.is_dataclass(x):
+        for f in dataclasses.fields(x):
+            yield from _event_terms(getattr(x, f.name))
+
+
+def test_every_literal_payload_lies_in_its_carrier():
+    checked = 0
+    for symtab, c in _calculated_contracts():
+        for term in _event_terms(c):
+            if isinstance(term.data, Lit):
+                carrier = symtab.channels[term.chan].values()
+                assert term.data.value in list(carrier), (term, c)
+                checked += 1
+    # 493 literal payloads
+    assert checked > 400
 
 
 def test_derived_facts_are_exact_on_star_free_postconditions():

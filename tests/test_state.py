@@ -41,6 +41,7 @@ from rdes.state import (
     pp_expr,
     rebuild,
     subst_of,
+    subterms,
     valuation_of,
 )
 
@@ -311,6 +312,32 @@ def test_eval_dispatches_on_every_expression_form():
     for other in (None, Event("inp", 0), IntType(0, 1), (V,)):
         with pytest.raises(TypeError, match="not an expression"):
             eval_expr(other, s)
+
+
+def test_eval_reads_a_trace_only_through_its_projections():
+    """The class sweep in `verify` rests on this: an expression cannot tell
+    apart traces with equal projections on every channel, and one without a
+    projection cannot tell apart any traces.  Each sample is also taken with
+    projections in place of the expressions directly inside it."""
+    s, after = val(bf=(1, 0), v=1), val()
+    acc = frozenset({Event("out", 1)})
+    inp1, inp0, out0 = Event("inp", 1), Event("inp", 0), Event("out", 0)
+    interleavings = [(inp1, out0, inp0), (out0, inp1, inp0),
+                     (inp1, inp0, out0)]
+    others = [(), (Event("out", 1),), (inp0, inp1)]
+    for e, _ in ONE_OF_EACH_FORM.values():
+        for sample in (e, rebuild(e, lambda x: Proj("inp")),
+                       rebuild(e, lambda x: Proj("out"))):
+            def values(traces):
+                out = set()
+                for tt in traces:
+                    v = eval_expr(sample, s, tt=tt, acc=acc, primed=after)
+                    out.add((type(v), v))
+                return out
+
+            assert len(values(interleavings)) == 1, sample
+            if not any(isinstance(x, Proj) for x in subterms(sample)):
+                assert len(values(interleavings + others)) == 1, sample
 
 
 def test_too_many_valuations_are_a_named_error():

@@ -54,6 +54,7 @@ from rdes.state import (
     assignment_subst,
     eval_expr,
     negate,
+    subterms,
     valuation_of,
 )
 from rdes.verify import (
@@ -370,6 +371,26 @@ def _peri_sweep():
     return ob, tp.symtab
 
 
+def _peri_sweep_assumed():
+    # the assumption tells <a, b> from <b, a>, which the sides cannot
+    tp, _ = _inline("channel a\nchannel b\nskip")
+    once = InvariantRel("peri", dsl.parse_invariant("#proj(tt, a) < 1",
+                                                    tp.symtab))
+    _, first_a = _inline("channel a\nchannel b\na -> chaos")
+    ob = Obligation(once, InvariantRel("peri", TRUE), "peri", "implied",
+                    assume=first_a.pre)
+    return ob, tp.symtab
+
+
+def _peri_sweep_after_relation():
+    # the invariant reads no channel, and only the relation tells <a, a>
+    # from <a>
+    tp, c = _corpus("a_stop")
+    full = InvariantRel("peri", BinOp("=", Acc(), Lit(frozenset(
+        tp.symtab.alphabet()))))
+    return Obligation(c.peri, full, "peri", "implied"), tp.symtab
+
+
 def _post_instances():
     tp, spec = _corpus("a_stop")
     _, impl = _corpus("extchoice")
@@ -396,13 +417,18 @@ def _post_sweep():
         (_peri_sweep, 5, {"state": "{bf=<0, 0>}",
                           "trace": "<inp.0, inp.1, out.0, out.0, out.1>",
                           "accept": "{}"}),
+        (_peri_sweep_assumed, 4,
+         {"state": "{}", "trace": "<b, a>", "accept": "{}"}),
+        (_peri_sweep_after_relation, 4,
+         {"state": "{}", "trace": "<a, a>", "accept": "{a}"}),
         (_post_instances, 4,
          {"state": "{}", "trace": "<c>", "state_after": "{}"}),
         (_post_sweep, 4,
          {"state": "{x=0}", "trace": "<a>", "state_after": "{x=1}"}),
     ],
     ids=["pre-sweep", "peri-instances-widened", "peri-instances",
-         "peri-sweep", "post-instances", "post-sweep"],
+         "peri-sweep", "peri-sweep-assumed", "peri-sweep-after-relation",
+         "post-instances", "post-sweep"],
 )
 def test_least_witness_per_source_and_kind(build, bound, witness):
     ob, symtab = build()
@@ -573,7 +599,7 @@ def _precondition_families():
         tp, c = _corpus(name)
         loop = tp.body if isinstance(tp.body, dsl.While) else tp.body.second
         yield tp.symtab, [c.pre, _loop_assumption(loop, tp.symtab)]
-    for seed in range(100):
+    for seed in range(120):
         rng = randgen.rng_for(seed)
         tp = randgen.random_program(rng)
         pre = calculate(tp).pre
@@ -650,12 +676,22 @@ def _swept_failure(ob, symtab, bound):
     state within the bound; None if there is none.  A step followed by an
     invariant allows (s, tt, x) when some split tt = t1 + t2 has a
     terminated step instance (t1, s1) from s and the invariant holds at
-    (s1, t2, x)."""
+    (s1, t2, x).  A pericondition relation allows (s, tt, x) when it has a
+    quiescent instance (tt, e) from s with e a subset of x."""
     peri = ob.kind == "peri"
+    pauses = {}  # relation's id -> state -> trace -> accepted sets
+    for side in (ob.lhs, ob.rhs):
+        if not isinstance(side, (InvariantRel, SeqInv)) and side != TRUE_R:
+            pauses[id(side)] = {s: {} for s in symtab.valuations()}
+            for s, by_trace in pauses[id(side)].items():
+                for t, e in ground.quiet_instances(side, s, symtab, bound):
+                    by_trace.setdefault(t, []).append(e)
 
     def holds(side, s, tt, x):
         if side == TRUE_R:
             return True
+        if id(side) in pauses:
+            return any(e <= x for e in pauses[id(side)][s].get(tt, ()))
         if peri:
             return bool(eval_expr(side.body, s, tt=tt, acc=x))
         return bool(eval_expr(side.body, s, tt=tt, primed=x))
@@ -718,14 +754,23 @@ def _reads_acc(side):
 
 def _invariants(symtab, rng):
     """Peri- and postcondition invariants over a table: `acc`, a projection
-    of its first channel, a primed variable and random state conditions."""
+    of its first channel, a primed variable and random state conditions,
+    and with two channels or more, one that reads the first and last
+    channel and one that reads only the last."""
     cond = randgen.random_cond(rng, symtab)
     peri = [dsl.parse_invariant("acc != {}", symtab),
             dsl.parse_invariant("acc = {}", symtab), cond]
     post = [cond]
-    for chan in sorted(symtab.channels)[:1]:
+    channels = sorted(symtab.channels)
+    for chan in channels[:1]:
         count = dsl.parse_invariant(f"#proj(tt, {chan}) <= 1", symtab)
         peri += [count, BinOp("or", cond, count)]
+    if len(channels) > 1:
+        first, last = channels[0], channels[-1]
+        peri += [dsl.parse_invariant(
+            f"#proj(tt, {first}) <= #proj(tt, {last})", symtab),
+            dsl.parse_invariant(f"#proj(tt, {last}) < 2 or acc = {{}}",
+                                symtab)]
     for name in sorted(symtab.variables)[:1]:
         same = BinOp("=", Primed(name), Var(name))
         post += [same, BinOp("or", cond, Not(same))]
@@ -787,6 +832,8 @@ def _enumerated_obligations():
         if events ** SWEEP_BOUND * states * 2 ** events <= SWEEP_TRIPLES:
             for spec, reduced in itertools.product(peri[:4], repeat=2):
                 yield Obligation(spec, reduced, "peri", "implied"), symtab
+            for spec, reduced in itertools.permutations(peri[3:], 2):
+                yield Obligation(spec, reduced, "peri", "implied"), symtab
     for name in ("buffer", "buffer_guarded"):
         tp, _ = _corpus(name)
         inv = dsl.parse_invariant(BUFFER_INV, tp.symtab)
@@ -796,6 +843,52 @@ def _enumerated_obligations():
                      "#outps(tt) <= #inps(tt)", "#inps(tt) < 2"):
             spec = InvariantRel("peri", dsl.parse_invariant(spec, tp.symtab))
             yield Obligation(spec, reduced.peri, "peri", "implied"), tp.symtab
+    yield from _widened_obligations()
+
+
+def _calculated_periconditions():
+    """(symbol table, pericondition) of each corpus program and of random
+    programs, those that the ground reading can enumerate."""
+    programs = [_corpus(p.stem) for p in sorted(CORPUS.glob("*.rp"))
+                if p.stem != "while_bad"]
+    for seed in range(40):
+        tp = randgen.random_program(randgen.rng_for(seed))
+        symtab = tp.symtab
+        events = len(symtab.alphabet())
+        if (events ** SWEEP_BOUND * len(symtab.valuations()) * 2 ** events
+                <= SWEEP_TRIPLES):
+            programs.append((tp, calculate(tp)))
+    for tp, c in programs:
+        try:
+            ground.quiet_instances(c.peri, tp.symtab.default_valuation(),
+                                   tp.symtab, 1)
+        except ground.NotGroundEvaluable:
+            continue
+        yield tp.symtab, c.peri
+
+
+def _widened_obligations():
+    """Each calculated pericondition against invariants on `acc`: the
+    left-hand side can reject a superset of an instance's accepted set, and
+    the least such superset of {e2} under acc != {e1, e2} prints before
+    {e2} itself.  Also each pericondition on the left of invariants that
+    read no channel or one: the relation tells every trace apart."""
+    for symtab, peri in _calculated_periconditions():
+        bodies = [dsl.parse_invariant("acc != {}", symtab),
+                  dsl.parse_invariant("acc = {}", symtab)]
+        events = sorted(symtab.alphabet(), key=str)
+        if len(events) > 1:
+            bodies.append(BinOp("!=", Acc(), Lit(frozenset(events[:2]))))
+        for body in bodies:
+            yield Obligation(InvariantRel("peri", body), peri, "peri",
+                             "widened"), symtab
+        # a trace on which the relation does not pause fails
+        full = BinOp("=", Acc(), Lit(frozenset(events)))
+        for chan in sorted(symtab.channels)[-1:]:
+            count = dsl.parse_invariant(f"#proj(tt, {chan}) < 2", symtab)
+            for body in (full, BinOp("and", count, full)):
+                yield Obligation(peri, InvariantRel("peri", body), "peri",
+                                 "relation on the left"), symtab
 
 
 def test_enumerated_obligations_match_the_sweep():
@@ -829,32 +922,82 @@ def _evaluations(monkeypatch, body) -> list:
     return calls
 
 
+def _read_channels(*sides):
+    return sorted({x.chan for side in sides for x in subterms(side.body)
+                   if isinstance(x, Proj)})
+
+
 def test_each_reached_state_is_swept_once(monkeypatch):
-    # the left-hand side is given an equivalent body of its own, so that
-    # every evaluation recorded is one of the right-hand invariant
+    """An invariant is evaluated once per class of arguments that it cannot
+    tell apart: (state, the projections on the channels both sides read, or
+    the whole trace under an assumption or after a relation on the left,
+    accepted set or final state).  The right-hand invariant is the one
+    recorded; an invariant on the left is given an equivalent body of its
+    own.  Before a relation it is the left-hand invariant, which reads only
+    its own channels."""
     swept = 0
     for ob, symtab in _enumerated_obligations():
-        inv = ob.rhs.inv if isinstance(ob.rhs, SeqInv) else ob.rhs
-        lhs = InvariantRel(ob.lhs.kind, BinOp("and", TRUE, ob.lhs.body))
+        whole = bool(ob.assume.clauses)
+        if not isinstance(ob.rhs, (InvariantRel, SeqInv)):
+            inv = ob.lhs
+            channels = _read_channels(inv)
+        elif isinstance(ob.lhs, InvariantRel):
+            inv = ob.rhs.inv if isinstance(ob.rhs, SeqInv) else ob.rhs
+            ob = dataclasses.replace(ob, lhs=InvariantRel(
+                ob.lhs.kind, BinOp("and", TRUE, ob.lhs.body)))
+            channels = _read_channels(ob.lhs, inv)
+        else:
+            inv, whole = ob.rhs, True
         with monkeypatch.context() as m:
             calls = _evaluations(m, inv.body)
-            check_rrel_refine(dataclasses.replace(ob, lhs=lhs), symtab,
-                              Config(trace_bound=SWEEP_BOUND))
-        assert len(calls) == len(set(calls)), ob
+            check_rrel_refine(ob, symtab, Config(trace_bound=SWEEP_BOUND))
+        classes = {
+            (s, tt if whole else verify._projections(tt, channels), acc,
+             primed)
+            for s, tt, acc, primed in calls}
+        assert len(calls) == len(classes), ob
         swept += len(calls)
-    # 128,544 evaluations over the obligations
-    assert swept > 120_000
+    # 53,774 to 56,655 over ten hash seeds, which order each step's
+    # instances and so where the first failure cuts the sweep short; one
+    # evaluation per argument made about 148,000 over the same obligations
+    assert 50_000 < swept < 60_000
+
+
+def test_suffixes_are_the_least_member_of_each_class():
+    """The swept suffixes of each length are the least member in witness
+    order of each class of traces over the channels read with equal
+    projections on them."""
+    # a channel name that begins another, and payloads that print out of
+    # numeric order
+    symtab = SymbolTable({}, {"a": None, "ab": IntType(0, 1), "c": None,
+                              "d": IntType(8, 11)})
+    alphabet = symtab.alphabet()
+    for channels in ({"a"}, {"ab"}, {"d"}, {"a", "c"}, {"ab", "d"},
+                     {"a", "ab", "c", "d"}, set()):
+        traces = verify._suffixes(alphabet, frozenset(channels))
+        read = [e for e in alphabet if e.chan in channels]
+        for m in range(4):
+            least = {}
+            for t in sorted(itertools.product(read, repeat=m),
+                            key=lambda t: tuple(map(str, t))):
+                least.setdefault(verify._projections(t, sorted(channels)), t)
+            assert sorted(traces(m)) == sorted(least.values()), (channels, m)
+    # the buffer's two channels at n = 9: (n + 1) * 2^n classes of 4^9
+    buffer = _corpus("buffer")[0].symtab
+    assert len(verify._suffixes(buffer.alphabet(),
+                                frozenset({"inp", "out"}))(9)) == 5_120
 
 
 @pytest.mark.parametrize("program, bound, evaluations", [
-    # a sweep per step instance would make 9,121
-    ("buffer.rp", 5, 4_688),
-    # and 77,697 here
-    ("buffer_guarded.rp", 7, 50_392),
+    # a sweep per step instance would make 9,121, and one per trace 4,688
+    ("buffer.rp", 5, 1_980),
+    # and 77,697 and 50,392 here
+    ("buffer_guarded.rp", 7, 8_188),
 ])
 def test_the_loop_rule_evaluates_the_invariant_once_per_argument(
         monkeypatch, capsys, program, bound, evaluations):
-    # the left-hand invariant is still evaluated once per observation
+    # the right-hand invariant is evaluated once per class of suffixes, and
+    # the left-hand one once per observation of a class
     tp = dsl.load_program((CORPUS / program).read_text())
     calls = _evaluations(monkeypatch, dsl.parse_invariant(BUFFER_INV,
                                                           tp.symtab))
@@ -862,6 +1005,18 @@ def test_the_loop_rule_evaluates_the_invariant_once_per_argument(
               "--trace-bound", str(bound)])
     capsys.readouterr()
     assert len(calls) == evaluations
+
+
+def test_deadlock_freedom_evaluates_acc_once_per_accepted_set(monkeypatch,
+                                                                capsys):
+    # acc != {} reads no trace, and the buffer's states form one class, so
+    # it is evaluated on each of the 2^4 sets of the alphabet once, where
+    # widening each instance's accepted set made 11,272 evaluations
+    calls = _evaluations(monkeypatch, deadlock_free_spec().peri.body)
+    assert cli.main(["dlf", str(CORPUS / "buffer.rp"),
+                     "--trace-bound", "8"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 16
 
 
 # ---------------------------------------------------------------------------
