@@ -9,9 +9,7 @@ Observations are relative to an initial state:
 
 * ``Quiet``: paused after a trace, accepting a set of events;
 * ``Term``: terminated after a trace in a final state;
-* ``Div``: divergence reached after a trace (anything may follow);
-* ``BudgetCut``: the unfold budget ran out (never conflated with
-  divergence; everything beyond it is simply unknown).
+* ``Div``: divergence reached after a trace (anything may follow).
 
 Restriction: the observations at trace bound k are the observations at any
 bound K >= k whose trace has length at most k.  Trace lengths add under
@@ -21,11 +19,22 @@ enumerator therefore builds only what fits.  Each action is enumerated with
 the room left, the trace bound minus the length of the prefix before it:
 
 * an event with no room left only pauses, offering itself;
-* a sequence, and a loop unfolding, follow a termination after t1 with
-  the rest enumerated in room - len(t1);
+* a sequence, and a loop pass, follow a termination after t1 with the rest
+  enumerated in room - len(t1);
 
 so every observation built has a trace within the bound, and none is built
 only to be dropped.
+
+A loop is read from a state s by its silent closure: the states that passes
+of the body ending without an event reach from s.  A closure state where the
+guard fails terminates there; every other one contributes each observation
+of a pass from it, a pass that ends after a non-empty trace continuing with
+the loop in the room that trace leaves.  A loop that can repeat silently
+forever is divergence, the bottom of the lattice, as the calculator's
+`while_contract` reads it (chaos): so if the closure's silent passes form a
+cycle, the loop diverges at the empty trace.  A silent pass that does not
+recur is just a pass.  So every recursion either shortens the room or stays
+within a finite closure, and the bound on traces is the only bound.
 """
 
 from __future__ import annotations
@@ -59,55 +68,74 @@ class Div:
     tt: tuple
 
 
-@dataclass(frozen=True)
-class BudgetCut:
-    st: Valuation
-    tt: tuple
-
-
-# internal observation tuples: ("q", tt, acc) | ("t", tt, s2)
-#                            | ("div", tt) | ("cut", tt)
+# internal observation tuples: ("q", tt, acc) | ("t", tt, s2) | ("div", tt)
 
 
 def enumerate_program(
-    tp: dsl.TypedProgram,
-    s0: Valuation,
-    depth: int,
-    trace_bound: int,
+    tp: dsl.TypedProgram, s0: Valuation, trace_bound: int
 ) -> frozenset:
-    """All observations from s0, with loops unfolded at most `depth` times
-    and traces pruned beyond `trace_bound`."""
+    """All observations from s0 with traces within `trace_bound`."""
     symtab = tp.symtab
     # keyed by the action's identity: every action is a node of `tp.body`,
     # alive for the whole call, and hashing a node would walk its subtree
     memo: dict = {}
 
-    def go(a: dsl.Action, s: Valuation, d: int, room: int) -> frozenset:
-        key = (id(a), s, d, room)
+    def go(a: dsl.Action, s: Valuation, room: int) -> frozenset:
+        key = (id(a), s, room)
         out = memo.get(key)
         if out is None:
-            out = memo[key] = _enum(a, s, d, room)
+            out = memo[key] = _enum(a, s, room)
         return out
 
-    def _then(
-        first: frozenset, second: dsl.Action, d: int, room: int
-    ) -> frozenset:
-        """`first`, with each termination (t1, s1) followed by what
-        `second(s1)` does in the room t1 leaves."""
-        out = set()
+    def _then(first, second: dsl.Action, room: int, out: set,
+              silent=None) -> set:
+        """`out` with `first` added, each termination (t1, s1) of `first`
+        followed by what `second(s1)` does in the room t1 leaves.  Given a
+        set `silent`, a termination with t1 empty only adds s1 to it."""
         for o in first:
             if o[0] != "t":
                 out.add(o)
                 continue
             _, t1, s1 = o
-            rest = go(second, s1, d, room - len(t1))
+            if silent is not None and not t1:
+                silent.add(s1)
+                continue
+            rest = go(second, s1, room - len(t1))
             if t1:
                 out.update((o2[0], t1 + o2[1]) + o2[2:] for o2 in rest)
             else:
                 out |= rest
+        return out
+
+    def _loop(a: dsl.While, s: Valuation, room: int) -> frozenset:
+        """The loop from s, read by its silent closure."""
+        out = set()
+        silent: dict = {}  # closure state -> states its silent passes reach
+        frontier = [s]
+        while frontier:
+            s1 = frontier.pop()
+            if s1 in silent:
+                continue
+            if not eval_expr(a.cond, s1):
+                silent[s1] = frozenset()
+                out.add(("t", (), s1))
+                continue
+            nxt = silent[s1] = set()
+            _then(go(a.body, s1, room), a, room, out, nxt)
+            frontier.extend(nxt)
+        # prune each state none of whose silent passes leads to a state
+        # still unpruned; what remains lies on or leads to a silent cycle
+        live = {s1 for s1, nxt in silent.items() if nxt}
+        while True:
+            dead = {s1 for s1 in live if not silent[s1] & live}
+            if not dead:
+                break
+            live -= dead
+        if live:
+            out.add(("div", ()))
         return frozenset(out)
 
-    def _enum(a: dsl.Action, s: Valuation, d: int, room: int) -> frozenset:
+    def _enum(a: dsl.Action, s: Valuation, room: int) -> frozenset:
         if isinstance(a, dsl.Skip):
             return frozenset({("t", (), s)})
         if isinstance(a, dsl.Stop):
@@ -129,14 +157,15 @@ def enumerate_program(
                 return frozenset({quiet})
             return frozenset({quiet, ("t", (ev,), s)})
         if isinstance(a, dsl.Seq):
-            return _then(go(a.first, s, d, room), a.second, d, room)
+            return frozenset(_then(go(a.first, s, room), a.second, room,
+                                   set()))
         if isinstance(a, dsl.IntChoice):
             out = set()
             for b in a.branches:
-                out |= go(b, s, d, room)
+                out |= go(b, s, room)
             return frozenset(out)
         if isinstance(a, dsl.ExtChoice):
-            branch_obs = [go(b, s, d, room) for b in a.branches]
+            branch_obs = [go(b, s, room) for b in a.branches]
             out = set()
             empty_quiets = []
             for obs in branch_obs:
@@ -153,17 +182,13 @@ def enumerate_program(
             return frozenset(out)
         if isinstance(a, dsl.Cond):
             branch = a.then if eval_expr(a.cond, s) else a.other
-            return go(branch, s, d, room)
+            return go(branch, s, room)
         if isinstance(a, dsl.While):
-            if not eval_expr(a.cond, s):
-                return frozenset({("t", (), s)})
-            if d <= 0:
-                return frozenset({("cut", ())})
-            return _then(go(a.body, s, d, room), a, d - 1, room)
+            return _loop(a, s, room)
         raise TypeError(f"not a core action: {a!r}")
 
-    raw = go(tp.body, s0, depth, trace_bound)
-    # `go`, `_then` and `_enum` refer to each other, so only a full
+    raw = go(tp.body, s0, trace_bound)
+    # `go`, `_then`, `_loop` and `_enum` refer to each other, so only a full
     # collection would free the closures; emptying the table lets reference
     # counting free it
     memo.clear()
@@ -173,10 +198,8 @@ def enumerate_program(
             out.add(Quiet(s0, o[1], o[2]))
         elif o[0] == "t":
             out.add(Term(s0, o[1], o[2]))
-        elif o[0] == "div":
-            out.add(Div(s0, o[1]))
         else:
-            out.add(BudgetCut(s0, o[1]))
+            out.add(Div(s0, o[1]))
     return frozenset(out)
 
 
@@ -217,33 +240,24 @@ def _antichain(traces: set) -> set:
     return out
 
 
-def _shadowed(tt: tuple, cuts: set) -> bool:
-    return any(tt[: len(ct)] == ct for ct in cuts)
-
-
 def compare_observations(
     oracle_obs: frozenset, calc_obs: frozenset
 ) -> list:
-    """Differences between the two observation sets, with budget-cut
-    shadowing excluded on both sides and divergences compared as
-    prefix-minimal sets.  Equal sets have no differences, since both
-    readings below are functions of the set."""
+    """Differences between the two observation sets, with divergences
+    compared as prefix-minimal sets.  Equal sets have no differences, since
+    both readings below are functions of the set."""
     if oracle_obs == calc_obs:
         return []
-    cuts = {o.tt for o in oracle_obs if isinstance(o, BudgetCut)}
-    cuts |= {o.tt for o in calc_obs if isinstance(o, BudgetCut)}
     diffs = []
 
     def visible(obs):
         quiets, terms, divs = set(), set(), set()
         for o in obs:
-            if isinstance(o, BudgetCut) or (cuts and _shadowed(o.tt, cuts)):
-                continue
             if isinstance(o, Quiet):
                 quiets.add((o.tt, o.acc))
             elif isinstance(o, Term):
                 terms.add((o.tt, o.st2))
-            elif isinstance(o, Div):
+            else:
                 divs.add(o.tt)
         return quiets, terms, _antichain(divs)
 
@@ -273,13 +287,11 @@ def _fmt_obs(kind: str, o) -> str:
 
 def cross_check(tp: dsl.TypedProgram, calc: Contract, cfg) -> dict:
     """Compare enumerated and calculated observations from every initial
-    state; the oracle depth exceeds the trace bound so that budget cuts
-    cannot hide in-bound behaviour of productive loops."""
+    state."""
     symtab = tp.symtab
-    depth = cfg.trace_bound + 2
     all_diffs = []
     for s0 in symtab.valuations():
-        oracle_obs = enumerate_program(tp, s0, depth, cfg.trace_bound)
+        oracle_obs = enumerate_program(tp, s0, cfg.trace_bound)
         calc_side = contract_obs(calc, s0, symtab, cfg.trace_bound)
         diffs = compare_observations(oracle_obs, calc_side)
         for d in diffs:
@@ -288,13 +300,12 @@ def cross_check(tp: dsl.TypedProgram, calc: Contract, cfg) -> dict:
     return {"ok": not all_diffs, "diffs": all_diffs}
 
 
-def observations_json(tp: dsl.TypedProgram, cfg, s0=None) -> dict:
-    """Ground-observation dump of the oracle's enumeration."""
-    symtab = tp.symtab
-    if s0 is None:
-        s0 = symtab.default_valuation()
-    obs = enumerate_program(tp, s0, cfg.trace_bound + 2, cfg.trace_bound)
-    quiets, terms, divs, cuts = [], [], [], []
+def observations_json(tp: dsl.TypedProgram, cfg) -> dict:
+    """Ground-observation dump of the oracle's enumeration from the default
+    initial state."""
+    s0 = tp.symtab.default_valuation()
+    obs = enumerate_program(tp, s0, cfg.trace_bound)
+    quiets, terms, divs = [], [], []
     for o in sorted(obs, key=str):
         if isinstance(o, Quiet):
             quiets.append(
@@ -312,13 +323,9 @@ def observations_json(tp: dsl.TypedProgram, cfg, s0=None) -> dict:
                     "state'": str(o.st2),
                 }
             )
-        elif isinstance(o, Div):
-            divs.append({"state": str(o.st), "trace": pp_trace(o.tt)})
         else:
-            cuts.append({"state": str(o.st), "trace": pp_trace(o.tt)})
+            divs.append({"state": str(o.st), "trace": pp_trace(o.tt)})
     out = {"quiets": quiets, "terms": terms}
     if divs:
         out["divergences"] = divs
-    if cuts:
-        out["budget_cuts"] = cuts
     return out

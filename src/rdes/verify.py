@@ -274,20 +274,12 @@ def _pre_failure(ob: Obligation, symtab: SymbolTable, bound: int):
     best = best_key = None
     beyond = False
     for s in symtab.valuations():
-        failing = [
-            ground_trace(c.trace, symtab, s)
-            for c in ob.lhs.clauses if eval_expr(c.cond, s)
-        ]
+        failing = _active_traces(ob.lhs.clauses, symtab, s)
         if not failing:
             continue
-        excluded = [
-            ground_trace(c.trace, symtab, s)
-            for c in excluding if eval_expr(c.cond, s)
-        ]
+        excluded = _active_traces(excluding, symtab, s)
         for t in failing:
-            if not alphabet.issuperset(t) or any(
-                t[: len(e)] == e for e in excluded
-            ):
+            if not alphabet.issuperset(t) or _extends(t, excluded):
                 continue
             if len(t) > bound:
                 beyond = True
@@ -298,10 +290,22 @@ def _pre_failure(ob: Obligation, symtab: SymbolTable, bound: int):
     return best, beyond
 
 
+def _active_traces(clauses, symtab: SymbolTable, s: Valuation) -> list:
+    """The ground traces at s of the clauses ¬(c ∧ t ≤ tt) with c true at s:
+    the clauses exclude exactly the extensions of these traces."""
+    return [ground_trace(c.trace, symtab, s)
+            for c in clauses if eval_expr(c.cond, s)]
+
+
+def _extends(tt: tuple, traces: list) -> bool:
+    """Does one of `traces` prefix tt?"""
+    return any(tt[: len(t)] == t for t in traces)
+
+
 def _member(side: Side, kind: str, symtab: SymbolTable, instance_set):
     """The test (s, tt, x) -> bool of whether `side` allows an observation
     from state s with trace tt within the obligation's bound, where x is the
-    accepted set (peri), the final state (post) or unused (pre).
+    accepted set (peri) or the final state (post).
 
     A relation is read through an index held by the returned closure, so it
     lives exactly as long as one obligation's check.  It is filled for each
@@ -309,11 +313,6 @@ def _member(side: Side, kind: str, symtab: SymbolTable, instance_set):
     at the obligation's bound, and answers a query of any shorter trace too:
     the instances at a smaller bound are those at the obligation's bound
     restricted to shorter traces."""
-    if isinstance(side, PreNF):
-        clauses = [(c.cond, c.trace) for c in side.clauses]
-        return lambda s, tt, x: all(
-            ground.holds_pre_clause(c, t, s, tt, symtab) for c, t in clauses
-        )
     if isinstance(side, InvariantRel):
         body = side.body
         if kind == "peri":
@@ -359,9 +358,6 @@ def _least_failure(ob: Obligation, symtab: SymbolTable, bound: int):
     else:
         lhs = _member(ob.lhs, ob.kind, symtab, instance_set)
         fails = lambda s, tt, x: None if lhs(s, tt, x) else x
-    assume = None
-    if ob.assume.clauses:
-        assume = _member(ob.assume, "pre", symtab, None)
     x_key = _order_key if ob.kind == "peri" else str
     best = best_key = None
 
@@ -373,10 +369,12 @@ def _least_failure(ob: Obligation, symtab: SymbolTable, bound: int):
     else:
         observations = lambda s: instance_set(ob.rhs, s)
     for s in _starts(ob, symtab):
+        # the assumption excludes the extensions of these traces
+        assumed = _active_traces(ob.assume.clauses, symtab, s)
         for tt, x in observations(s):
             if best_key is not None and len(tt) > best_key[0]:
                 continue
-            if assume is not None and not assume(s, tt, None):
+            if assumed and _extends(tt, assumed):
                 continue
             a = fails(s, tt, x)
             if a is not None:
@@ -477,7 +475,11 @@ def _invariant_observations(ob: Obligation, symtab, bound: int, longest):
     def observations(s: Valuation):
         starts = (((), s),)
         if isinstance(ob.rhs, SeqInv):
-            starts = ground.final_instances(ob.rhs.prefix, s, symtab, bound)
+            # in witness order, so where the first failure cuts the sweep
+            # short does not depend on the set's iteration order
+            starts = sorted(
+                ground.final_instances(ob.rhs.prefix, s, symtab, bound),
+                key=lambda i: (len(i[0]), _order_key(i[0]), str(i[1])))
         for t1, s1 in starts:
             if not set(alphabet).issuperset(t1):
                 continue

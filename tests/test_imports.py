@@ -1,7 +1,8 @@
 """Every name a `rdes` module or a test module imports is used in it, every
 `rdes` module imports only at its top level, every private module-level
-function or class of `rdes` is used in `rdes`, and no `rdes` module uses a
-`functools` cache.
+function or class of `rdes` is used in `rdes`, no `rdes` module uses a
+`functools` cache, and the oracle's enumerator uses nothing that `oracle.py`
+imports from the calculus.
 
 Package `__init__.py` files re-export what they import, and `__future__`
 imports are compiler directives, so both are skipped.
@@ -150,3 +151,41 @@ def test_detector_flags_a_functools_cache():
            "h = functools.partial(reduce, max)\n")
     assert functools_caches(src) == [
         "3: cache", "5: lru_cache", "9: cached_property"]
+
+
+# The oracle is the independent reading that the calculus is checked
+# against, so its enumerator must not compute with the calculus
+CALCULUS = frozenset({"relalg", "contracts", "ground", "kleene", "verify"})
+
+
+def calculus_uses(source: str, function: str) -> list:
+    """`name (line n)` of each use, in the body of the module-level
+    `function`, of a name that the module imports from a `CALCULUS`
+    module, or of such a module itself."""
+    tree = ast.parse(source)
+    imported = set()
+    for n in tree.body:
+        if isinstance(n, (ast.Import, ast.ImportFrom)):
+            module = getattr(n, "module", None) or ""
+            for alias in n.names:
+                path = f"{module}.{alias.name}".split(".")
+                if CALCULUS.intersection(path):
+                    imported.add(alias.asname or alias.name.split(".")[0])
+    fn = next(n for n in tree.body
+              if isinstance(n, ast.FunctionDef) and n.name == function)
+    return sorted(f"{n.id} (line {n.lineno})" for n in ast.walk(fn)
+                  if isinstance(n, ast.Name) and n.id in imported)
+
+
+def test_the_enumerator_is_independent_of_the_calculus():
+    source = (SRC / "oracle.py").read_text()
+    assert calculus_uses(source, "enumerate_program") == []
+
+
+def test_detector_flags_a_use_of_the_calculus():
+    src = ("from . import dsl, ground\nfrom .relalg import pp_trace as pp\n"
+           "from .state import eval_expr\nimport rdes.kleene\n\n"
+           "def enumerate_program(a):\n    ground.f(pp(a), eval_expr(a))\n"
+           "    return dsl.g(rdes.kleene)\n\ndef other(a):\n    return pp(a)\n")
+    assert calculus_uses(src, "enumerate_program") == [
+        "ground (line 7)", "pp (line 7)", "rdes (line 8)"]

@@ -957,10 +957,11 @@ def test_each_reached_state_is_swept_once(monkeypatch):
             for s, tt, acc, primed in calls}
         assert len(calls) == len(classes), ob
         swept += len(calls)
-    # 53,774 to 56,655 over ten hash seeds, which order each step's
-    # instances and so where the first failure cuts the sweep short; one
-    # evaluation per argument made about 148,000 over the same obligations
-    assert 50_000 < swept < 60_000
+    # the step's instances are visited in witness order, so the first
+    # failure cuts the sweep short at the same place under every hash seed;
+    # one evaluation per argument made about 148,000 over the same
+    # obligations
+    assert swept == 54_551
 
 
 def test_suffixes_are_the_least_member_of_each_class():
