@@ -17,7 +17,8 @@ Commands
 The refine forms exclude each other: SPEC (a program file, or dlf) goes
 with none of --peri, --post and --invariant, and --invariant with no --post.
 
-Every command takes --format text|json, and the bounds it reads:
+Every command but oracle, which prints only JSON, takes --format text|json.
+Each takes the bounds it reads:
 --trace-bound (default 4) for every command but calc and laws, and
 --wp-bound (default 16) for calc, refine, dlf, inv-check and crosscheck.
 
@@ -47,13 +48,16 @@ from .relalg import TRUE_PRE, TRUE_R
 from .state import StateSpaceTooLarge
 
 
-def _add_bounds(p: argparse.ArgumentParser, trace=True, wp=True) -> None:
-    """--format, and the bound flags the command reads."""
+def _add_bounds(p: argparse.ArgumentParser, trace=True, wp=True,
+                fmt=True) -> None:
+    """The bound flags the command reads, and --format if it has a text
+    form."""
     if trace:
         p.add_argument("--trace-bound", type=int, default=Config.trace_bound)
     if wp:
         p.add_argument("--wp-bound", type=int, default=Config.wp_bound)
-    p.add_argument("--format", choices=["text", "json"], default="text")
+    if fmt:
+        p.add_argument("--format", choices=["text", "json"], default="text")
 
 
 # What malformed input raises while it is read
@@ -79,7 +83,7 @@ def _config(args) -> Config:
             raise SystemExit(2)
     bounds = {name: getattr(args, name)
               for name in ("trace_bound", "wp_bound") if hasattr(args, name)}
-    return Config(**bounds, fmt=args.format)
+    return Config(**bounds, fmt=getattr(args, "format", Config.fmt))
 
 
 def _load(path: str) -> dsl.TypedProgram:
@@ -278,6 +282,8 @@ def cmd_crosscheck(args) -> int:
     diffs = [d for r in reports for d in r["diffs"]]
     summary = {
         "programs": len(reports),
+        "initial_states": sum(r["initial_states"] for r in reports),
+        "classes": sum(r["classes"] for r in reports),
         "differences": len(diffs),
         "diffs": diffs[:50],
     }
@@ -333,16 +339,6 @@ def cmd_laws(args) -> int:
     return 0 if summary["ok"] else 1
 
 
-# Middle-generation collections between two full ones while a command runs
-# (Python's default is 10).
-FULL_GC_EVERY = 20
-
-# Commands that discharge obligations.  Their instance sets and indexes hold
-# no reference cycles, and a whole check leaves a few hundred cyclic objects,
-# so they run without the cyclic collector.
-DISCHARGING = ("refine", "dlf", "inv-check")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="rdes",
@@ -379,7 +375,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("oracle", help="dump enumerated observations")
     p.add_argument("file")
     p.add_argument("--emit", help="write observations JSON to a file")
-    _add_bounds(p, wp=False)
+    _add_bounds(p, wp=False, fmt=False)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("crosscheck", help="calculus vs enumerator")
@@ -416,23 +412,17 @@ def main(argv=None) -> int:
             parser.error("refine --invariant proves no postcondition, "
                          "so --post would be ignored")
     # A check keeps millions of small tuples and sets alive until it ends,
-    # and every full collection traverses all of them: with Python's
-    # defaults, `crosscheck buffer` spends about half its time there.  Rarer
-    # full collections leave what garbage cycles there are waiting longer.
-    # Without the collector, `refine buffer buffer --trace-bound 10` takes
-    # under half the time.
-    thresholds = gc.get_threshold()
+    # and every collection of the oldest generation traverses all of them.
+    # What a command builds holds no reference cycles, so it runs without
+    # the cyclic collector and leaves reference counting to free it.
     collecting = gc.isenabled()
-    gc.set_threshold(thresholds[0], thresholds[1], FULL_GC_EVERY)
-    if args.command in DISCHARGING:
-        gc.disable()
+    gc.disable()
     try:
         return args.func(args)
     except StateSpaceTooLarge as exc:
         print(f"error: StateSpaceTooLarge: {exc}", file=sys.stderr)
         raise SystemExit(2)
     finally:
-        gc.set_threshold(*thresholds)
         if collecting:
             gc.enable()
 

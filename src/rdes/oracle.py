@@ -35,35 +35,48 @@ forever is divergence, the bottom of the lattice, as the calculator's
 cycle, the loop diverges at the empty trace.  A silent pass that does not
 recur is just a pass.  So every recursion either shortens the room or stays
 within a finite closure, and the bound on traces is the only bound.
+
+`cross_check` reads both sides from one initial state per class of states
+that neither side can tell apart.  Each side has its own def-use rule: the
+oracle's is `_reads_writes`, over the program's core actions as the
+enumerator reads them, and the contract's is `relalg.depends`, over its
+three relations as `ground` reads them.  A class is the states that agree
+on every variable that either rule names: what the side reads, and what a
+termination may leave unwritten, since final states carry it.  Each rule is
+a fact about its own side's reading alone: from the states of one class,
+that reading gives the same observations with `st` replaced.  So the two
+sides differ at a state exactly where they differ at the first state of its
+class, and comparing there decides the whole class.  A wrong calculus shows
+at that state as it would at any other.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import dsl, ground
 from .contracts import Contract
-from .relalg import ground_trace, pp_trace
-from .state import SymbolTable, Valuation, eval_expr, pp_value
+from .relalg import depends, ground_trace, pp_trace
+from .state import SymbolTable, Valuation, eval_expr, free_vars, pp_value
 
 
-@dataclass(frozen=True)
-class Quiet:
+# Named tuples, so that building, hashing and comparing observations runs in
+# C.  Observations of different kinds never compare equal: a `Div` has two
+# fields, and a `Quiet`'s accepted set is never equal to a `Term`'s state.
+class Quiet(NamedTuple):
     st: Valuation
     tt: tuple
     acc: frozenset
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     st: Valuation
     tt: tuple
     st2: Valuation
 
 
-@dataclass(frozen=True)
-class Div:
+class Div(NamedTuple):
     st: Valuation
     tt: tuple
 
@@ -75,20 +88,38 @@ def enumerate_program(
     tp: dsl.TypedProgram, s0: Valuation, trace_bound: int
 ) -> frozenset:
     """All observations from s0 with traces within `trace_bound`."""
-    symtab = tp.symtab
-    # keyed by the action's identity: every action is a node of `tp.body`,
-    # alive for the whole call, and hashing a node would walk its subtree
-    memo: dict = {}
+    out = set()
+    for o in _Enumeration(tp.symtab).go(tp.body, s0, trace_bound):
+        if o[0] == "q":
+            out.add(Quiet(s0, o[1], o[2]))
+        elif o[0] == "t":
+            out.add(Term(s0, o[1], o[2]))
+        else:
+            out.add(Div(s0, o[1]))
+    return frozenset(out)
 
-    def go(a: dsl.Action, s: Valuation, room: int) -> frozenset:
+
+class _Enumeration:
+    """One enumeration's memo of internal observations.  Its methods refer
+    to each other through the instance, which holds no reference back to
+    them, so reference counting frees it when the enumeration ends."""
+
+    def __init__(self, symtab: SymbolTable):
+        self.symtab = symtab
+        # keyed by the action's identity: every action is a node of the
+        # program's body, alive for the whole enumeration, and hashing a
+        # node would walk its subtree
+        self.memo: dict = {}
+
+    def go(self, a: dsl.Action, s: Valuation, room: int) -> frozenset:
         key = (id(a), s, room)
-        out = memo.get(key)
+        out = self.memo.get(key)
         if out is None:
-            out = memo[key] = _enum(a, s, room)
+            out = self.memo[key] = self.enum(a, s, room)
         return out
 
-    def _then(first, second: dsl.Action, room: int, out: set,
-              silent=None) -> set:
+    def then(self, first, second: dsl.Action, room: int, out: set,
+             silent=None) -> set:
         """`out` with `first` added, each termination (t1, s1) of `first`
         followed by what `second(s1)` does in the room t1 leaves.  Given a
         set `silent`, a termination with t1 empty only adds s1 to it."""
@@ -100,14 +131,14 @@ def enumerate_program(
             if silent is not None and not t1:
                 silent.add(s1)
                 continue
-            rest = go(second, s1, room - len(t1))
+            rest = self.go(second, s1, room - len(t1))
             if t1:
                 out.update((o2[0], t1 + o2[1]) + o2[2:] for o2 in rest)
             else:
                 out |= rest
         return out
 
-    def _loop(a: dsl.While, s: Valuation, room: int) -> frozenset:
+    def loop(self, a: dsl.While, s: Valuation, room: int) -> frozenset:
         """The loop from s, read by its silent closure."""
         out = set()
         silent: dict = {}  # closure state -> states its silent passes reach
@@ -121,7 +152,7 @@ def enumerate_program(
                 out.add(("t", (), s1))
                 continue
             nxt = silent[s1] = set()
-            _then(go(a.body, s1, room), a, room, out, nxt)
+            self.then(self.go(a.body, s1, room), a, room, out, nxt)
             frontier.extend(nxt)
         # prune each state none of whose silent passes leads to a state
         # still unpruned; what remains lies on or leads to a silent cycle
@@ -135,7 +166,7 @@ def enumerate_program(
             out.add(("div", ()))
         return frozenset(out)
 
-    def _enum(a: dsl.Action, s: Valuation, room: int) -> frozenset:
+    def enum(self, a: dsl.Action, s: Valuation, room: int) -> frozenset:
         if isinstance(a, dsl.Skip):
             return frozenset({("t", (), s)})
         if isinstance(a, dsl.Stop):
@@ -147,25 +178,25 @@ def enumerate_program(
         if isinstance(a, dsl.Assign):
             v = eval_expr(a.expr, s)
             return frozenset(
-                {("t", (), s.set(a.var, v, symtab.variables[a.var]))}
+                {("t", (), s.set(a.var, v, self.symtab.variables[a.var]))}
             )
         if isinstance(a, dsl.DoEvent):
             data = None if a.data is None else eval_expr(a.data, s)
-            ev = symtab.ground_event(a.chan, data)
+            ev = self.symtab.ground_event(a.chan, data)
             quiet = ("q", (), frozenset({ev}))
             if room < 1:
                 return frozenset({quiet})
             return frozenset({quiet, ("t", (ev,), s)})
         if isinstance(a, dsl.Seq):
-            return frozenset(_then(go(a.first, s, room), a.second, room,
-                                   set()))
+            return frozenset(self.then(self.go(a.first, s, room), a.second,
+                                       room, set()))
         if isinstance(a, dsl.IntChoice):
             out = set()
             for b in a.branches:
-                out |= go(b, s, room)
+                out |= self.go(b, s, room)
             return frozenset(out)
         if isinstance(a, dsl.ExtChoice):
-            branch_obs = [go(b, s, room) for b in a.branches]
+            branch_obs = [self.go(b, s, room) for b in a.branches]
             out = set()
             empty_quiets = []
             for obs in branch_obs:
@@ -182,25 +213,58 @@ def enumerate_program(
             return frozenset(out)
         if isinstance(a, dsl.Cond):
             branch = a.then if eval_expr(a.cond, s) else a.other
-            return go(branch, s, room)
+            return self.go(branch, s, room)
         if isinstance(a, dsl.While):
-            return _loop(a, s, room)
+            return self.loop(a, s, room)
         raise TypeError(f"not a core action: {a!r}")
 
-    raw = go(tp.body, s0, trace_bound)
-    # `go`, `_then`, `_loop` and `_enum` refer to each other, so only a full
-    # collection would free the closures; emptying the table lets reference
-    # counting free it
-    memo.clear()
-    out = set()
-    for o in raw:
-        if o[0] == "q":
-            out.add(Quiet(s0, o[1], o[2]))
-        elif o[0] == "t":
-            out.add(Term(s0, o[1], o[2]))
+
+def _reads_writes(a: dsl.Action, variables: frozenset) -> tuple:
+    """(reads, writes) of a core action over `variables`, read off the
+    program text as the enumerator reads it: runs from initial states that
+    agree on `reads` make the same choices and give the same events, pauses
+    and divergences, and each termination writes every variable in
+    `writes`, as a function of `reads`.  An action that never terminates
+    writes every variable."""
+    if isinstance(a, dsl.Skip):
+        return frozenset(), frozenset()
+    if isinstance(a, (dsl.Stop, dsl.Chaos, dsl.Miracle)):
+        return frozenset(), variables
+    if isinstance(a, dsl.Assign):
+        return free_vars(a.expr), frozenset({a.var})
+    if isinstance(a, dsl.DoEvent):
+        if a.data is None:
+            return frozenset(), frozenset()
+        return free_vars(a.data), frozenset()
+    if isinstance(a, dsl.Seq):
+        r1, w1 = _reads_writes(a.first, variables)
+        r2, w2 = _reads_writes(a.second, variables)
+        return r1 | (r2 - w1), w1 | w2
+    if isinstance(a, (dsl.Cond, dsl.IntChoice, dsl.ExtChoice)):
+        if isinstance(a, dsl.Cond):
+            reads, branches = free_vars(a.cond), (a.then, a.other)
         else:
-            out.add(Div(s0, o[1]))
-    return frozenset(out)
+            reads, branches = frozenset(), a.branches
+        writes = variables
+        for b in branches:
+            rb, wb = _reads_writes(b, variables)
+            reads, writes = reads | rb, writes & wb
+        return reads, writes
+    if isinstance(a, dsl.While):
+        # every pass starts where the states agree on what passes read, as
+        # the first does; no pass may run, so the loop writes nothing
+        body_reads = _reads_writes(a.body, variables)[0]
+        return free_vars(a.cond) | body_reads, frozenset()
+    raise TypeError(f"not a core action: {a!r}")
+
+
+def _program_depends(tp: dsl.TypedProgram) -> frozenset:
+    """The variables whose initial value can change the oracle's
+    observations of `tp`: what it reads, and what a termination may leave
+    unwritten."""
+    variables = frozenset(tp.symtab.variables)
+    reads, writes = _reads_writes(tp.body, variables)
+    return reads | (variables - writes)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +289,14 @@ def contract_obs(
     for tt, s2 in ground.final_instances(c.post, s0, symtab, trace_bound):
         out.add(Term(s0, tt, s2))
     return frozenset(out)
+
+
+def _contract_depends(c: Contract, symtab: SymbolTable) -> frozenset:
+    """The variables whose initial value can change `contract_obs` of c."""
+    variables = frozenset(symtab.variables)
+    return (depends(c.pre, "pre", variables)
+            | depends(c.peri, "peri", variables)
+            | depends(c.post, "post", variables))
 
 
 # ---------------------------------------------------------------------------
@@ -287,17 +359,28 @@ def _fmt_obs(kind: str, o) -> str:
 
 def cross_check(tp: dsl.TypedProgram, calc: Contract, cfg) -> dict:
     """Compare enumerated and calculated observations from every initial
-    state."""
+    state, once per class of states that neither reading can tell apart
+    (see the module docstring).  The differences from a class's first state
+    are reported for each of its states, in valuation order."""
     symtab = tp.symtab
-    all_diffs = []
+    key_vars = _program_depends(tp) | _contract_depends(calc, symtab)
+
+    def key(s: Valuation) -> tuple:
+        return tuple(v for n, v in s.items if n in key_vars)
+
+    diffs_of: dict = {}  # class key -> the differences from its first state
     for s0 in symtab.valuations():
-        oracle_obs = enumerate_program(tp, s0, cfg.trace_bound)
-        calc_side = contract_obs(calc, s0, symtab, cfg.trace_bound)
-        diffs = compare_observations(oracle_obs, calc_side)
-        for d in diffs:
-            d["state"] = str(s0)
-        all_diffs.extend(diffs)
-    return {"ok": not all_diffs, "diffs": all_diffs}
+        k = key(s0)
+        if k not in diffs_of:
+            diffs_of[k] = compare_observations(
+                enumerate_program(tp, s0, cfg.trace_bound),
+                contract_obs(calc, s0, symtab, cfg.trace_bound),
+            )
+    diffs = [dict(d, state=str(s0))
+             for s0 in symtab.valuations() for d in diffs_of[key(s0)]]
+    return {"ok": not diffs, "diffs": diffs,
+            "initial_states": len(symtab.valuations()),
+            "classes": len(diffs_of)}
 
 
 def observations_json(tp: dsl.TypedProgram, cfg) -> dict:

@@ -1045,6 +1045,18 @@ def reads_writes(r: RRel, variables: frozenset) -> tuple:
     raise TypeError(f"not a reactive relation: {r!r}")
 
 
+def depends(r, kind: str, variables: frozenset) -> frozenset:
+    """The variables whose initial value can change what `r`, a precondition
+    or a relation on a `kind` side, gives or allows: a precondition's
+    conditions and trace data, a relation's reads, and on a post side also
+    what the relation leaves unwritten, since its final states carry it."""
+    if isinstance(r, PreNF):
+        return frozenset().union(
+            *(free_vars(c.cond) | trace_vars(c.trace) for c in r.clauses))
+    reads, writes = reads_writes(r, variables)
+    return reads if kind == "peri" else reads | (variables - writes)
+
+
 # ---------------------------------------------------------------------------
 # Trace growth: what every terminated observation does to the trace
 

@@ -612,11 +612,16 @@ def apply_subst(s: Subst, e: Expr) -> Expr:
     """
     if s.is_identity():
         return fold(e)
+    return fold(_substitute(s, e))
 
-    def go(x: Expr) -> Expr:
-        return s.get(x.name) if isinstance(x, Var) else rebuild(x, go)
 
-    return fold(go(e))
+def _substitute(s: Subst, e: Expr) -> Expr:
+    """e with each state variable replaced by its image under s.  The
+    recursion goes through a module-level function, so that no closure
+    refers to itself and the result is freed by reference counting."""
+    if isinstance(e, Var):
+        return s.get(e.name)
+    return rebuild(e, lambda x: _substitute(s, x))
 
 
 def compose_subst(first: Subst, second: Subst) -> Subst:

@@ -54,7 +54,7 @@ interleave, and it is decided once per class of such traces:
 An enumerated obligation is discharged from one initial state per class of
 states it cannot tell apart (`_starts`): those that agree on each variable
 whose initial value can change what a side gives or allows (`_depends`, by
-`relalg.reads_writes`).  They have the same failing (trace, accepted set or
+`relalg.depends`).  They have the same failing (trace, accepted set or
 final state) pairs, and the witness order below puts the state after the
 trace.  So a class's least failure is at its state that prints least, the
 one visited, and the witness is the one a visit of every state finds.
@@ -91,13 +91,12 @@ from .relalg import (
     RTrue,
     TRUE_PRE,
     TRUE_R,
+    depends,
     ground_trace,
     normalize,
     pp_trace,
-    reads_writes,
     subst_pre,
     subst_rrel,
-    trace_vars,
 )
 from .state import (
     Acc,
@@ -421,18 +420,13 @@ def _starts(ob: Obligation, symtab: SymbolTable) -> list:
 
 def _depends(side: Side, kind: str, symtab: SymbolTable) -> frozenset:
     """The variables whose initial value can change what `side` gives or
-    allows on a `kind` side: a relation's reads, and on a post side, or
-    before an invariant, also what it leaves unwritten."""
-    if isinstance(side, PreNF):
-        return frozenset().union(
-            *(free_vars(c.cond) | trace_vars(c.trace) for c in side.clauses))
+    allows on a `kind` side (`relalg.depends`); an invariant reads its free
+    variables, and a relation before one is read as a post side."""
     if isinstance(side, InvariantRel):
         return free_vars(side.body)
     if isinstance(side, SeqInv):
         side, kind = side.prefix, "post"
-    variables = frozenset(symtab.variables)
-    reads, writes = reads_writes(side, variables)
-    return reads if kind == "peri" else reads | (variables - writes)
+    return depends(side, kind, frozenset(symtab.variables))
 
 
 def _invariant_observations(ob: Obligation, symtab, bound: int, longest):

@@ -11,8 +11,9 @@ import jsonschema
 import pytest
 
 from rdes import cli, randgen
-from rdes.contracts import NotProductiveError, calculate
+from rdes.contracts import NotProductiveError, calculate, skip_c
 from rdes.relalg import NormalizationIncomplete
+from rdes.state import StateSpaceTooLarge
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -36,7 +37,9 @@ def _schema(name):
 
 
 def _run(capsys, *argv):
-    code = cli.main([*argv, "--format", "json"])
+    # oracle prints only JSON, and takes no --format
+    fmt = [] if argv[0] == "oracle" else ["--format", "json"]
+    code = cli.main([*argv, *fmt])
     return code, json.loads(capsys.readouterr().out)
 
 
@@ -94,6 +97,26 @@ def test_random_contracts_match_schema():
         jsonschema.validate(c.to_json(), schema)
 
 
+def test_crosscheck_json_matches_schema(capsys, monkeypatch):
+    schema = _schema("crosscheck")
+    # every buffer state reaches bf = <> before it reads bf
+    code, out = _run(capsys, "crosscheck", str(CORPUS / "buffer.rp"))
+    jsonschema.validate(out, schema)
+    assert (code, out["initial_states"], out["classes"],
+            out["differences"]) == (0, 7, 1, 0)
+    code, out = _run(capsys, "crosscheck", "--random", "20", "--loops")
+    jsonschema.validate(out, schema)
+    assert code == 0
+    assert 20 <= out["classes"] <= out["initial_states"]
+    # against a wrong contract each state's differences name it
+    monkeypatch.setattr(cli, "_calculate", lambda tp, cfg: skip_c())
+    code, out = _run(capsys, "crosscheck", str(CORPUS / "while_chaos.rp"))
+    jsonschema.validate(out, schema)
+    assert code == 1
+    assert [d["state"] for d in out["diffs"]] == [
+        f"{{x={x}}}" for x in range(4) for _ in range(2)]
+
+
 def test_calc_rejects_external_choice_over_a_loop(capsys, tmp_path):
     path = tmp_path / "extloop.rp"
     path.write_text(
@@ -136,6 +159,8 @@ def test_calc_rejects_external_choice_over_a_loop(capsys, tmp_path):
         (["refine", "dlf", "buffer.rp", "--peri", "true"], False),
         (["refine", "dlf", "buffer.rp", "--invariant", "true"], False),
         (["crosscheck", "--random", "1", "--jobs", "2"], False),
+        # oracle prints only JSON
+        (["oracle", "skip.rp", "--format", "text"], False),
     ],
 )
 def test_flags_only_where_read(capsys, argv, accepted):
@@ -206,18 +231,38 @@ def test_refine_names_a_mistyped_declaration(capsys, tmp_path):
 def test_collection_thresholds_hold_only_while_a_command_runs(
     capsys, monkeypatch
 ):
+    # a command runs with the collector off and the caller's thresholds,
+    # and leaves both as it found them, also when it fails
     seen = []
     real = cli.cmd_dlf
 
     def spy(args):
-        seen.append(gc.get_threshold())
+        seen.append((gc.isenabled(), gc.get_threshold()))
         return real(args)
 
-    monkeypatch.setattr(cli, "cmd_dlf", spy)
+    def too_large(args):
+        seen.append((gc.isenabled(), gc.get_threshold()))
+        raise StateSpaceTooLarge("more than 1 valuation")
+
+    argv = ["dlf", str(CORPUS / "a_stop.rp")]
     before = gc.get_threshold()
-    assert cli.main(["dlf", str(CORPUS / "a_stop.rp")]) == 1
-    assert seen == [(before[0], before[1], cli.FULL_GC_EVERY)]
-    assert gc.get_threshold() == before
+    monkeypatch.setattr(cli, "cmd_dlf", spy)
+    assert cli.main(argv) == 1
+    assert (gc.isenabled(), gc.get_threshold()) == (True, before)
+    monkeypatch.setattr(cli, "cmd_dlf", too_large)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert (gc.isenabled(), gc.get_threshold()) == (True, before)
+    # a caller that runs without the collector keeps running without it
+    gc.disable()
+    try:
+        monkeypatch.setattr(cli, "cmd_dlf", spy)
+        assert cli.main(argv) == 1
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert seen == [(False, before)] * 3
 
 
 def test_obligations_report_their_verdicts_and_scopes(capsys):
@@ -358,7 +403,7 @@ def test_wp_bound_holds_after_a_loop(capsys, tmp_path):
     assert capsys.readouterr().out.startswith("⦗not I(true | <a, a, a>) | ")
 
 
-@pytest.mark.parametrize("command, argv, collecting", [
+@pytest.mark.parametrize("command, argv, calculating", [
     ("cmd_dlf", ["dlf", "a_stop.rp"], False),
     ("cmd_refine", ["refine", "a_stop.rp", "a_stop.rp"], False),
     ("cmd_inv_check", ["inv-check", "buffer.rp", "--invariant", "true"],
@@ -367,8 +412,12 @@ def test_wp_bound_holds_after_a_loop(capsys, tmp_path):
     ("cmd_calc", ["calc", "a_stop.rp"], True),
 ])
 def test_only_discharging_commands_run_without_the_cyclic_collector(
-    capsys, monkeypatch, command, argv, collecting
+    capsys, monkeypatch, command, argv, calculating
 ):
+    # The name dates from when only the commands that discharge obligations
+    # ran without the collector.  Now a command that only calculates
+    # (`calculating`) runs without it too, and only the discharging ones
+    # report obligations.
     seen = []
     real = getattr(cli, command)
 
@@ -379,6 +428,44 @@ def test_only_discharging_commands_run_without_the_cyclic_collector(
     monkeypatch.setattr(cli, command, spy)
     argv = [str(CORPUS / a) if a.endswith(".rp") else a for a in argv]
     assert gc.isenabled()
-    cli.main(argv)
-    assert seen == [collecting]
+    _, out = _run(capsys, *argv)
+    assert seen == [False]
     assert gc.isenabled()
+    assert ("obligations" in out) is not calculating
+
+
+def test_every_command_runs_without_the_cyclic_collector(capsys,
+                                                        monkeypatch):
+    # what a command builds holds no reference cycles, so it runs without
+    # the collector, and leaves it as it found it
+    seen = []
+    real = cli._config
+
+    def spy(args):
+        seen.append((args.command, gc.isenabled()))
+        return real(args)
+
+    monkeypatch.setattr(cli, "_config", spy)
+    commands = [
+        ["calc", "a_stop.rp"],
+        ["refine", "a_stop.rp", "a_stop.rp"],
+        ["dlf", "a_stop.rp"],
+        ["inv-check", "buffer.rp", "--invariant", "true"],
+        ["oracle", "a_stop.rp"],
+        ["crosscheck", "a_stop.rp"],
+        ["laws", "--per-law", "1", "--terms", "1"],
+    ]
+    for argv in commands:
+        assert gc.isenabled()
+        cli.main([str(CORPUS / a) if a.endswith(".rp") else a for a in argv])
+        assert gc.isenabled()
+    assert seen == [(argv[0], False) for argv in commands]
+    # the cyclic objects left are the argument parser's, not some for each
+    # program or state checked
+    gc.disable()
+    try:
+        gc.collect()
+        assert cli.main(["crosscheck", "--random", "100"]) == 0
+        assert gc.collect() < 1_000
+    finally:
+        gc.enable()

@@ -160,8 +160,8 @@ CALCULUS = frozenset({"relalg", "contracts", "ground", "kleene", "verify"})
 
 def calculus_uses(source: str, function: str) -> list:
     """`name (line n)` of each use, in the body of the module-level
-    `function`, of a name that the module imports from a `CALCULUS`
-    module, or of such a module itself."""
+    function or class `function`, of a name that the module imports from a
+    `CALCULUS` module, or of such a module itself."""
     tree = ast.parse(source)
     imported = set()
     for n in tree.body:
@@ -172,20 +172,27 @@ def calculus_uses(source: str, function: str) -> list:
                 if CALCULUS.intersection(path):
                     imported.add(alias.asname or alias.name.split(".")[0])
     fn = next(n for n in tree.body
-              if isinstance(n, ast.FunctionDef) and n.name == function)
+              if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+              and n.name == function)
     return sorted(f"{n.id} (line {n.lineno})" for n in ast.walk(fn)
                   if isinstance(n, ast.Name) and n.id in imported)
 
 
 def test_the_enumerator_is_independent_of_the_calculus():
+    # the enumerator, and the def-use rule that says which initial states
+    # it cannot tell apart
     source = (SRC / "oracle.py").read_text()
-    assert calculus_uses(source, "enumerate_program") == []
+    for function in ("enumerate_program", "_Enumeration", "_reads_writes",
+                     "_program_depends"):
+        assert calculus_uses(source, function) == [], function
 
 
 def test_detector_flags_a_use_of_the_calculus():
     src = ("from . import dsl, ground\nfrom .relalg import pp_trace as pp\n"
            "from .state import eval_expr\nimport rdes.kleene\n\n"
            "def enumerate_program(a):\n    ground.f(pp(a), eval_expr(a))\n"
-           "    return dsl.g(rdes.kleene)\n\ndef other(a):\n    return pp(a)\n")
+           "    return dsl.g(rdes.kleene)\n\ndef other(a):\n    return pp(a)\n"
+           "\nclass Walk:\n    def go(self, a):\n        return ground.g(a)\n")
     assert calculus_uses(src, "enumerate_program") == [
         "ground (line 7)", "pp (line 7)", "rdes (line 8)"]
+    assert calculus_uses(src, "Walk") == ["ground (line 15)"]

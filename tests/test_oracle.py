@@ -2,8 +2,16 @@
 
 from pathlib import Path
 
-from rdes import dsl, randgen
-from rdes.contracts import calculate, miracle_c, skip_c, stop_c
+import pytest
+
+from rdes import dsl, oracle, randgen
+from rdes.contracts import (
+    NotProductiveError,
+    calculate,
+    miracle_c,
+    skip_c,
+    stop_c,
+)
 from rdes.oracle import (
     Div,
     Quiet,
@@ -278,3 +286,126 @@ def test_cross_check_finds_differences():
         tp = dsl.load_program(src)
         c = calculate(dsl.load_program(other))
         assert cross_check(tp, c, Config(trace_bound=bound))["diffs"], src
+
+
+def test_observations_of_different_kinds_never_compare_equal():
+    # named tuples compare as tuples, so the kinds must differ as tuples
+    s = valuation_of({})
+    q, t, d = Quiet(s, (), frozenset()), Term(s, (), s), Div(s, ())
+    assert q != t and q != d and t != d
+    assert len({q, t, d}) == 3
+
+
+# Programs that read a variable before writing it, in each form that reads
+DECLARATIONS = "channel a : int[0..1]\nchannel b\nvar x : int[0..1]\n" \
+    "var y : int[0..1]\n"
+READ_THEN_WRITTEN = [
+    "(while x < 1 do (a!y -> x := 1)) ; y := 0",
+    "(while y < 1 do a!x -> y := 1) ; x := 0 ; y := 0",
+    "(if y = 0 then a!x -> skip else b -> skip) ; x := 1 ; y := 1",
+    "(a!x -> skip [] b -> y := x) ; x := 0",
+    "(x := y |~| a!y -> stop) ; y := 1",
+]
+
+
+def _class_programs(seed):
+    rng = randgen.rng_for(seed)
+    return ([randgen.random_program(rng) for _ in range(400)]
+            + [randgen.random_loop_program(rng) for _ in range(100)])
+
+
+def _readings(tp, side):
+    """(the variables `side`'s class rule names, its reading (s, k) ->
+    observations), or None where the calculator rejects the program."""
+    if side == "oracle":
+        return (oracle._program_depends(tp),
+                lambda s, k: enumerate_program(tp, s, k))
+    try:
+        c = calculate(tp)
+    except NotProductiveError:
+        return None
+    return (oracle._contract_depends(c, tp.symtab),
+            lambda s, k: contract_obs(c, s, tp.symtab, k))
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2],
+                         ids=lambda s: "by-hand" if s is None else f"seed{s}")
+@pytest.mark.parametrize("side", ["oracle", "contract"])
+def test_a_class_of_initial_states_has_one_reading(side, seed):
+    # each side's class rule against every state read on its own: from each
+    # state, the side's observations are those from the first state of its
+    # class with `st` replaced
+    if seed is None:
+        programs = [_corpus(p.stem) for p in sorted(CORPUS.glob("*.rp"))]
+        programs += [dsl.load_program(DECLARATIONS + src)
+                     for src in READ_THEN_WRITTEN]
+    else:
+        programs = _class_programs(seed)
+    merged = 0
+    for tp in programs:
+        reading = _readings(tp, side)
+        if reading is None:
+            continue
+        key_vars, read = reading
+        first: dict = {}
+        for s in tp.symtab.valuations():
+            first.setdefault(tuple(v for n, v in s.items if n in key_vars), s)
+        for k in range(1, TOP + 1):
+            at_first = {s: read(s, k) for s in first.values()}
+            for s in tp.symtab.valuations():
+                rep = first[tuple(v for n, v in s.items if n in key_vars)]
+                if rep is not s:
+                    merged += 1
+                    assert read(s, k) == frozenset(
+                        o._replace(st=s) for o in at_first[rep]), (
+                        dsl.pp_action(tp.body), str(s), k)
+    assert merged > (0 if seed is None else 1_000)
+
+
+def _counting(monkeypatch, name):
+    """The list of initial states `oracle.<name>` is called from."""
+    calls = []
+    real = getattr(oracle, name)
+
+    def counted(x, s0, *rest):
+        calls.append(s0)
+        return real(x, s0, *rest)
+
+    monkeypatch.setattr(oracle, name, counted)
+    return calls
+
+
+def test_cross_check_reads_each_class_once(monkeypatch):
+    enumerated = _counting(monkeypatch, "enumerate_program")
+    denoted = _counting(monkeypatch, "contract_obs")
+    # every buffer state reaches bf = <> before it reads bf
+    tp = _corpus("buffer")
+    rep = cross_check(tp, calculate(tp), CFG)
+    assert rep["ok"] and (rep["initial_states"], rep["classes"]) == (7, 1)
+    assert len(enumerated) == len(denoted) == 1
+    enumerated.clear()
+    denoted.clear()
+    rng = randgen.rng_for(0)
+    cfg = Config(trace_bound=1)
+    for _ in range(600):
+        tp = randgen.random_program(rng)
+        cross_check(tp, calculate(tp), cfg)
+    # one for each state would be 6,413
+    assert len(enumerated) == len(denoted) == 5_519
+
+
+def test_a_class_difference_is_reported_for_each_state(monkeypatch):
+    # x is written before it is read, so the three states form one class
+    tp = dsl.load_program("channel a\nvar x : int[0..2]\nx := 0 ; a -> skip")
+    wrong = calculate(dsl.load_program(
+        "channel a\nvar x : int[0..2]\nx := 0 ; a -> stop"))
+    per_state = [
+        dict(d, state=str(s)) for s in tp.symtab.valuations()
+        for d in compare_observations(enumerate_program(tp, s, 4),
+                                      contract_obs(wrong, s, tp.symtab, 4))]
+    enumerated = _counting(monkeypatch, "enumerate_program")
+    rep = cross_check(tp, wrong, CFG)
+    assert len(enumerated) == rep["classes"] == 1
+    assert rep["diffs"] == per_state
+    assert [d["state"] for d in rep["diffs"]] == [
+        "{x=0}", "{x=0}", "{x=1}", "{x=1}", "{x=2}", "{x=2}"]
