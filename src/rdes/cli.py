@@ -83,7 +83,7 @@ def _config(args) -> Config:
             raise SystemExit(2)
     bounds = {name: getattr(args, name)
               for name in ("trace_bound", "wp_bound") if hasattr(args, name)}
-    return Config(**bounds, fmt=getattr(args, "format", Config.fmt))
+    return Config(**bounds)
 
 
 def _load(path: str) -> dsl.TypedProgram:
@@ -129,8 +129,8 @@ def _calculate(tp: dsl.TypedProgram, cfg: Config) -> contracts.Contract:
     return _calculating(contracts.calculate, tp, cfg.wp_bound)
 
 
-def _emit_verdict(verdict, cfg: Config) -> int:
-    if cfg.fmt == "json":
+def _emit_verdict(verdict, fmt: str) -> int:
+    if fmt == "json":
         print(json.dumps(verdict.to_json(), indent=2))
     else:
         print(f"verdict: {verdict.kind}")
@@ -146,7 +146,7 @@ def cmd_calc(args) -> int:
     cfg = _config(args)
     tp = _load(args.file)
     c = _calculate(tp, cfg)
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(json.dumps(c.to_json(), indent=2))
     else:
         print(c)
@@ -196,11 +196,11 @@ def cmd_refine(args) -> int:
     tp = _load(args.impl)
     if args.invariant:
         verdict, _ = _loop_rule(tp, cfg, args.invariant, args.peri)
-        return _emit_verdict(verdict, cfg)
+        return _emit_verdict(verdict, args.format)
     impl = _calculate(tp, cfg)
     spec = _spec_for(args, cfg, tp)
     verdict = refine_check(spec, impl, tp.symtab, cfg)
-    return _emit_verdict(verdict, cfg)
+    return _emit_verdict(verdict, args.format)
 
 
 def _loop_rule(tp: dsl.TypedProgram, cfg: Config, invariant: str,
@@ -231,14 +231,14 @@ def cmd_dlf(args) -> int:
     tp = _load(args.file)
     c = _calculate(tp, cfg)
     verdict = check_deadlock_free(c, tp.symtab, cfg)
-    return _emit_verdict(verdict, cfg)
+    return _emit_verdict(verdict, args.format)
 
 
 def cmd_inv_check(args) -> int:
     cfg = _config(args)
     verdict, reduced = _loop_rule(_load(args.file), cfg, args.invariant)
-    code = _emit_verdict(verdict, cfg)
-    if reduced is not None and cfg.fmt == "text":
+    code = _emit_verdict(verdict, args.format)
+    if reduced is not None and args.format == "text":
         print(f"reduced spec pericondition: {reduced.peri}")
     return code
 
@@ -287,7 +287,7 @@ def cmd_crosscheck(args) -> int:
         "differences": len(diffs),
         "diffs": diffs[:50],
     }
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(json.dumps(summary, indent=2))
     else:
         print(f"programs checked: {summary['programs']}")
@@ -305,7 +305,7 @@ def _checked_something(suite: str, checked: int) -> None:
 
 
 def cmd_laws(args) -> int:
-    cfg = _config(args)
+    _config(args)  # rejects a negative count
     rel = laws.run_law_suite(seed=args.seed, per_law=args.per_law)
     _checked_something("relational laws", rel["instances"])
     ka = laws.run_ka_suite(
@@ -323,7 +323,7 @@ def cmd_laws(args) -> int:
         },
         "ok": rel["ok"] and ka["ok"],
     }
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(json.dumps(summary, indent=2, default=str))
     else:
         print(

@@ -22,23 +22,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import dsl
-from .kleene import WpNotConvergedError, star_wp
+from .kleene import WP_BOUND, WpNotConvergedError, star_wp
 from .relalg import (
     EMPTY_SET,
     EventTerm,
     FALSE_R,
     NegClause,
     PreNF,
-    RAnd,
     RAtom,
     ROr,
     RRel,
     RSeq,
     RStar,
-    RTest,
     TRUE_PRE,
     and_pre,
     canon_set,
+    conj_offers,
     event_set,
     filter_r4,
     filter_r5,
@@ -56,6 +55,7 @@ from .relalg import (
     rrel_to_json,
     seq_items,
     silent,
+    state_test,
     wp_or_final,
 )
 from .state import (
@@ -154,7 +154,7 @@ def do_c(e: EventTerm, symtab: SymbolTable) -> Contract:
 
 
 def seq_contract(
-    c1: Contract, c2: Contract, symtab: SymbolTable, wp_bound: int = 16
+    c1: Contract, c2: Contract, symtab: SymbolTable, wp_bound: int = WP_BOUND
 ) -> Contract:
     """Sequential composition: the first must not violate the second's
     precondition; quiescence comes from either side."""
@@ -205,7 +205,7 @@ def extchoice_contract(cs: list, symtab: SymbolTable) -> Contract:
     pre = TRUE_PRE
     for c in cs:
         pre = and_pre(pre, c.pre, symtab)
-    unresolved = normalize(RAnd(tuple(filter_r5(c.peri) for c in cs)), symtab)
+    unresolved = conj_offers([filter_r5(c.peri) for c in cs], symtab)
     resolved = [filter_r4(c.peri) for c in cs]
     peri = normalize(or_of([unresolved] + resolved), symtab)
     post = normalize(or_of([c.post for c in cs]), symtab)
@@ -232,7 +232,7 @@ def cond_contract(
 
 
 def while_contract(
-    b: Expr, body: Contract, symtab: SymbolTable, wp_bound: int = 16
+    b: Expr, body: Contract, symtab: SymbolTable, wp_bound: int = WP_BOUND
 ) -> Contract:
     """Loop calculation.
 
@@ -248,7 +248,7 @@ def while_contract(
     pre, step, pause = loop_parts(b, body, symtab, wp_bound)
     star = normalize(RStar(step), symtab)
     peri = normalize(RSeq(star, pause), symtab)
-    post = normalize(RSeq(star, RTest(negate(b))), symtab)
+    post = normalize(RSeq(star, state_test(negate(b))), symtab)
     return Contract(pre, peri, post)
 
 
@@ -278,7 +278,7 @@ def loop_parts(
 # Program denotation
 
 
-def calculate(tp: dsl.TypedProgram, wp_bound: int = 16) -> Contract:
+def calculate(tp: dsl.TypedProgram, wp_bound: int = WP_BOUND) -> Contract:
     """Contract of a typechecked program by structural folding."""
     return _calc(tp.body, tp.symtab, wp_bound)
 

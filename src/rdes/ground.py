@@ -5,10 +5,10 @@ Relations denote sets of observations from an initial valuation:
 * terminated instances ``(trace, final valuation)``
 * quiescent instances ``(trace, accepted event set)``
 
-The two readers differ on tests, atoms, sequences and iterations.  The
-empty, universal, disjunctive and conjunctive relations read alike in both
-(`_shared`): no instance, no instance set, the union and the intersection
-of the arguments' sets, each argument read by the caller's own reader.
+The two readers differ on atoms, sequences and iterations.  The empty,
+universal and disjunctive relations read alike in both (`_shared`): no
+instance, no instance set, and the union of the arguments' sets, each
+argument read by the caller's own reader.
 
 Sequencing steps through intermediate states, so evaluating an *unnormalised*
 term here is an independent reading of relational composition; comparing it
@@ -38,14 +38,12 @@ from __future__ import annotations
 from .relalg import (
     FinalAtom,
     QuiescentAtom,
-    RAnd,
     RAtom,
     RFalse,
     ROr,
     RRel,
     RSeq,
     RStar,
-    RTest,
     RTrue,
     ground_set,
     ground_trace,
@@ -66,10 +64,6 @@ def final_instances(
     r: RRel, s: Valuation, symtab: SymbolTable, bound: int
 ) -> frozenset:
     """All terminated observations (trace, state') with trace length <= bound."""
-    if isinstance(r, RTest):
-        if eval_expr(r.cond, s):
-            return frozenset({((), s)})
-        return frozenset()
     if isinstance(r, RAtom):
         a = r.atom
         if isinstance(a, FinalAtom):
@@ -98,9 +92,6 @@ def _shared(instances, r: RRel, s: Valuation, symtab: SymbolTable,
         raise NotGroundEvaluable("the universal relation has no instance set")
     if isinstance(r, ROr):
         return frozenset().union(
-            *[instances(x, s, symtab, bound) for x in r.args])
-    if isinstance(r, RAnd):
-        return frozenset.intersection(
             *[instances(x, s, symtab, bound) for x in r.args])
     raise TypeError(f"not a reactive relation: {r!r}")
 
@@ -150,8 +141,6 @@ def quiet_instances(
     The accepted set is the atom's evaluated acceptance: the observation
     admits any refusal disjoint from it.
     """
-    if isinstance(r, RTest):
-        return frozenset()
     if isinstance(r, RAtom):
         a = r.atom
         if isinstance(a, QuiescentAtom):

@@ -26,6 +26,10 @@ from .relalg import (
 from .state import SymbolTable, cond_implies
 
 
+# Default number of saturation steps a weakest precondition may take
+WP_BOUND = 16
+
+
 class WpNotConvergedError(Exception):
     pass
 
@@ -58,7 +62,7 @@ def _reduce(clauses: list, symtab: SymbolTable) -> PreNF:
 
 
 def star_wp(
-    r: RRel, p: PreNF, symtab: SymbolTable, bound: int = 16
+    r: RRel, p: PreNF, symtab: SymbolTable, bound: int = WP_BOUND
 ) -> SaturationResult:
     """Weakest precondition of the iteration of r against clause set p.
 

@@ -26,8 +26,9 @@ from .relalg import (
     NegClause,
     RAtom,
     RSeq,
-    RTest,
+    conj_offers,
     conj_quiescent,
+    disjuncts,
     filter_r4,
     filter_r5,
     ground_trace,
@@ -37,6 +38,7 @@ from .relalg import (
     pre_of,
     seq_final_final,
     seq_final_quiescent,
+    state_test,
     subst_event,
     subst_pre,
     subst_rrel,
@@ -62,7 +64,7 @@ def check_test_precompose(rng) -> list:
     symtab = randgen.random_symtab(rng)
     b = randgen.random_cond(rng, symtab)
     atom = RAtom(randgen.random_final_atom(rng, symtab))
-    raw = RSeq(RTest(b), atom)
+    raw = RSeq(state_test(b), atom)
     rewritten = normalize(raw, symtab)
     if observations(final_instances, raw, symtab, BOUND) != observations(
             final_instances, rewritten, symtab, BOUND):
@@ -132,38 +134,38 @@ def check_cond_quiescent(rng) -> list:
 
 def check_conj_quiescent_union(rng) -> list:
     """A conjunction of same-trace offers accepts the union, as predicates
-    over (state, trace, acceptance)."""
+    over (state, trace, acceptance): of one atom from each offer
+    (`conj_quiescent`), and of the offers, each a disjunction of atoms
+    (`conj_offers`)."""
     symtab = randgen.random_symtab(rng)
     shared = randgen.random_trace(rng, symtab)
-    atoms = [
-        randgen.quiescent(
+
+    def offer():
+        return or_of([RAtom(randgen.quiescent(
             randgen.random_cond(rng, symtab),
             shared,
             randgen.random_event_set(rng, symtab),
-        )
-        for _ in range(rng.randint(2, 3))
-    ]
-    merged = conj_quiescent(atoms, symtab)
-    alphabet = list(symtab.alphabet())
-    if len(alphabet) > 5:
-        alphabet = alphabet[:5]
+        )) for _ in range(rng.randint(1, 2))])
+
+    offers = [offer() for _ in range(rng.randint(2, 3))]
+    firsts = [disjuncts(o)[0] for o in offers]
+    conjunctions = {
+        "conj_quiescent": (
+            firsts, RAtom(conj_quiescent([d.atom for d in firsts], symtab))),
+        "conj_offers": (offers, conj_offers(offers, symtab)),
+    }
+    alphabet = list(symtab.alphabet())[:5]
+    accs = [frozenset(combo) for k in range(len(alphabet) + 1)
+            for combo in itertools.combinations(alphabet, k)]
     for s in symtab.valuations():
         tt = ground_trace(shared, symtab, s)
-        for k in range(len(alphabet) + 1):
-            for combo in itertools.combinations(alphabet, k):
-                acc = frozenset(combo)
-                lhs = all(
-                    ground.holds_quiet(RAtom(a), s, tt, acc, symtab)
-                    for a in atoms
-                )
-                rhs = ground.holds_quiet(RAtom(merged), s, tt, acc, symtab)
-                if lhs != rhs:
-                    return [
-                        _fail(
-                            "conj_quiescent",
-                            f"{merged} at {s}, acc={sorted(map(str, acc))}",
-                        )
-                    ]
+        for acc in accs:
+            for law, (parts, merged) in conjunctions.items():
+                lhs = all(ground.holds_quiet(p, s, tt, acc, symtab)
+                          for p in parts)
+                if lhs != ground.holds_quiet(merged, s, tt, acc, symtab):
+                    return [_fail(law, f"{merged} at {s}, "
+                                       f"acc={sorted(map(str, acc))}")]
     return []
 
 

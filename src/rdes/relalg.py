@@ -7,9 +7,13 @@ Two atom kinds describe the building blocks of reactive behaviour:
 * ``FinalAtom(b, s, t)`` -- a terminated observation: under ``b`` the state
   is updated by substitution ``s`` and the trace contribution is ``t``.
 
-Relations are disjunctions/conjunctions/sequences/iterations of atoms; the
+Relations are disjunctions, sequences and iterations of atoms; the
 normaliser pushes sequencing into atoms, yielding disjunctive atom form
-(possibly interrupted by symbolic iteration nodes).
+(possibly interrupted by symbolic iteration nodes).  A relation holds only
+what a normal form can hold: a state test [b] is the terminated atom
+Phi(b | id | <>) (`state_test`), and the conjunction of quiescent offers
+that external choice needs is distributed into atoms where it is built
+(`conj_offers`).
 
 Preconditions are not relations here: they live only in ``PreNF``, a
 conjunction of negated initial conditions (``NegClause``).
@@ -387,18 +391,7 @@ class ROr:
 
     def __str__(self) -> str:
         return " \\/ ".join(
-            f"({a})" if isinstance(a, (RAnd, RSeq)) else str(a)
-            for a in self.args
-        )
-
-
-@dataclass(frozen=True)
-class RAnd:
-    args: tuple
-
-    def __str__(self) -> str:
-        return " /\\ ".join(
-            f"({a})" if isinstance(a, (ROr, RSeq)) else str(a)
+            f"({a})" if isinstance(a, RSeq) else str(a)
             for a in self.args
         )
 
@@ -410,7 +403,7 @@ class RSeq:
 
     def __str__(self) -> str:
         parts = [
-            f"({p})" if isinstance(p, (ROr, RAnd)) else str(p)
+            f"({p})" if isinstance(p, ROr) else str(p)
             for p in seq_items(self)
         ]
         return " ; ".join(parts)
@@ -424,15 +417,7 @@ class RStar:
         return f"({self.body})star"
 
 
-@dataclass(frozen=True)
-class RTest:
-    cond: Expr
-
-    def __str__(self) -> str:
-        return f"[{pp_expr(self.cond)}]"
-
-
-RRel = Union[RFalse, RTrue, RAtom, ROr, RAnd, RSeq, RStar, RTest]
+RRel = Union[RFalse, RTrue, RAtom, ROr, RSeq, RStar]
 
 FALSE_R = RFalse()
 TRUE_R = RTrue()
@@ -572,9 +557,14 @@ def _cond_data(c: Expr, d1: Optional[Expr], d2: Optional[Expr]) -> Optional[Expr
     return fold(IfE(c, d1, d2))
 
 
+def state_test(cond: Expr) -> RAtom:
+    """The test [b]: the terminated atom Phi(b | id | <>)."""
+    return RAtom(final(cond, IDENTITY, ()))
+
+
 def guard_rrel(cond: Expr, r: RRel, symtab: SymbolTable) -> RRel:
     """Conjoin an initial-state condition: b /\\ P as a reactive relation."""
-    return normalize(RSeq(RTest(cond), r), symtab)
+    return normalize(RSeq(state_test(cond), r), symtab)
 
 
 def conj_quiescent(atoms: list, symtab: SymbolTable) -> QuiescentAtom:
@@ -590,6 +580,18 @@ def conj_quiescent(atoms: list, symtab: SymbolTable) -> QuiescentAtom:
     cond = conj(*(a.cond for a in atoms))
     accept = canon_set(union_sets(*(a.accept for a in atoms)), symtab)
     return quiescent(cond, base.trace, accept)
+
+
+def conj_offers(offers: list, symtab: SymbolTable) -> RRel:
+    """Conjunction of offers, each a disjunction of quiescent observations,
+    all on one trace expression: one `conj_quiescent` atom per combination
+    of the offers' atoms, which raises `TraceMismatchError` where the
+    traces differ."""
+    combos = itertools.product(*(disjuncts(o) for o in offers))
+    return normalize(or_of([
+        RAtom(conj_quiescent([d.atom for d in combo], symtab))
+        for combo in combos
+    ]), symtab)
 
 
 # ---------------------------------------------------------------------------
@@ -733,11 +735,6 @@ def normalize(r: RRel, symtab: SymbolTable) -> RRel:
     """
     if isinstance(r, (RFalse, RTrue)):
         return r
-    if isinstance(r, RTest):
-        cond = atom_cond(r.cond, symtab)
-        if cond is None:
-            return FALSE_R
-        return RAtom(final(cond, IDENTITY, ()))
     if isinstance(r, RAtom):
         a = r.atom
         cond = atom_cond(a.cond, symtab)
@@ -751,8 +748,6 @@ def normalize(r: RRel, symtab: SymbolTable) -> RRel:
         return RAtom(FinalAtom(cond, a.subst, trace))
     if isinstance(r, ROr):
         return _norm_or(r, symtab)
-    if isinstance(r, RAnd):
-        return _norm_and(r, symtab)
     if isinstance(r, RSeq):
         return _norm_seq(r, symtab)
     if isinstance(r, RStar):
@@ -808,46 +803,6 @@ def _same_shape(a: Atom, b: Atom, symtab: SymbolTable) -> bool:
     if isinstance(a, FinalAtom):
         return substs_equiv(a.subst, b.subst, symtab)
     return sets_equiv(a.accept, b.accept, symtab)
-
-
-def _norm_and(r: RAnd, symtab: SymbolTable) -> RRel:
-    flat = []
-    for a in r.args:
-        n = normalize(a, symtab)
-        if isinstance(n, RFalse):
-            return FALSE_R
-        if isinstance(n, RTrue):
-            continue
-        if isinstance(n, RAnd):
-            flat.extend(n.args)
-        else:
-            flat.append(n)
-    if not flat:
-        return TRUE_R
-    if len(flat) == 1:
-        return flat[0]
-    if all(
-        all(
-            isinstance(d, RAtom) and isinstance(d.atom, QuiescentAtom)
-            for d in disjuncts(arg)
-        )
-        for arg in flat
-    ):
-        # distribute the conjunction over the disjuncts and merge each
-        # combination of quiescent observations
-        combos = itertools.product(*[disjuncts(arg) for arg in flat])
-        out = []
-        for combo in combos:
-            atoms = [d.atom for d in combo]
-            lens = {len(a.trace) for a in atoms}
-            if len(lens) > 1:
-                continue  # a trace cannot have two lengths
-            try:
-                out.append(RAtom(conj_quiescent(atoms, symtab)))
-            except TraceMismatchError:
-                return RAnd(tuple(sorted(flat, key=str)))
-        return normalize(or_of(out), symtab)
-    return RAnd(tuple(sorted(flat, key=str)))
 
 
 def _norm_seq(r: RSeq, symtab: SymbolTable) -> RRel:
@@ -1013,14 +968,11 @@ def reads_writes(r: RRel, variables: frozenset) -> tuple:
     that agree on `reads` it has the same quiescent instances, and from
     states that also agree on variables X outside `writes` its terminated
     instances agree on X.  With no terminated instance it writes every
-    variable; a conjunction compares whole final states, so it also reads
-    what it may leave unwritten."""
+    variable."""
     if isinstance(r, RFalse):
         return frozenset(), variables
     if isinstance(r, RTrue):
         return variables, frozenset()
-    if isinstance(r, RTest):
-        return free_vars(r.cond), frozenset()
     if isinstance(r, RAtom):
         a = r.atom
         reads = free_vars(a.cond) | trace_vars(a.trace)
@@ -1034,13 +986,11 @@ def reads_writes(r: RRel, variables: frozenset) -> tuple:
         return r1 | (r2 - w1), w1 | w2
     if isinstance(r, RStar):
         return reads_writes(r.body, variables)[0], frozenset()
-    if isinstance(r, (ROr, RAnd)):
+    if isinstance(r, ROr):
         reads, writes = frozenset(), variables
         for x in r.args:
             rx, wx = reads_writes(x, variables)
             reads, writes = reads | rx, writes & wx
-        if isinstance(r, RAnd):
-            reads |= variables - writes
         return reads, writes
     raise TypeError(f"not a reactive relation: {r!r}")
 
@@ -1063,8 +1013,8 @@ def depends(r, kind: str, variables: frozenset) -> frozenset:
 
 def productive(r: RRel) -> bool:
     """Does every terminated observation of `r` extend the trace?  Read off
-    the structure: an iteration (zero passes), a test or the universal
-    relation may keep it."""
+    the structure: an iteration (zero passes), an atom with an empty trace
+    or the universal relation may keep it."""
     return _every_final(r, extends=True)
 
 
@@ -1080,8 +1030,6 @@ def _every_final(r: RRel, extends: bool) -> bool:
         return True
     if isinstance(r, RTrue):
         return False
-    if isinstance(r, RTest):
-        return not extends
     if isinstance(r, RAtom):
         a = r.atom
         return isinstance(a, QuiescentAtom) or bool(a.trace) == extends
@@ -1094,8 +1042,6 @@ def _every_final(r: RRel, extends: bool) -> bool:
         return any(parts) if extends else all(parts)
     if isinstance(r, ROr):
         return all(_every_final(x, extends) for x in r.args)
-    if isinstance(r, RAnd):
-        return any(_every_final(x, extends) for x in r.args)
     raise TypeError(f"not a reactive relation: {r!r}")
 
 
@@ -1112,14 +1058,10 @@ def rrel_to_json(r: RRel):
         return atom_to_json(r.atom)
     if isinstance(r, ROr):
         return {"kind": "or", "args": [rrel_to_json(a) for a in r.args]}
-    if isinstance(r, RAnd):
-        return {"kind": "and", "args": [rrel_to_json(a) for a in r.args]}
     if isinstance(r, RSeq):
         return {"kind": "seq", "items": [rrel_to_json(x) for x in seq_items(r)]}
     if isinstance(r, RStar):
         return {"kind": "star", "body": rrel_to_json(r.body)}
-    if isinstance(r, RTest):
-        return {"kind": "test", "cond": pp_expr(r.cond)}
     raise TypeError(f"not a reactive relation: {r!r}")
 
 

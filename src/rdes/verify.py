@@ -84,10 +84,10 @@ from typing import Optional, Union
 
 from . import dsl, ground
 from .contracts import Contract, calculate, loop_parts
+from .kleene import WP_BOUND
 from .relalg import (
     PreNF,
     RRel,
-    RTest,
     RTrue,
     TRUE_PRE,
     TRUE_R,
@@ -95,6 +95,7 @@ from .relalg import (
     ground_trace,
     normalize,
     pp_trace,
+    state_test,
     subst_pre,
     subst_rrel,
 )
@@ -128,8 +129,7 @@ def _mentions_acc(side) -> bool:
 @dataclass(frozen=True)
 class Config:
     trace_bound: int = 4
-    wp_bound: int = 16
-    fmt: str = "text"
+    wp_bound: int = WP_BOUND
 
     def bounds(self) -> dict:
         return {"trace": self.trace_bound, "wp": self.wp_bound}
@@ -614,7 +614,7 @@ def check_invariant_loop(
     """
     i1, i2, i3 = inv
     assumption, step, pause = loop_parts(b, body, symtab, cfg.wp_bound)
-    exit_ = normalize(RTest(negate(b)), symtab)
+    exit_ = normalize(state_test(negate(b)), symtab)
     obs = [
         Obligation(assumption, i1, "pre", "assumption weakening"),
         Obligation(i2, pause, "peri", "pause establishes invariant"),

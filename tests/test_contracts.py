@@ -29,6 +29,7 @@ from rdes.relalg import (
     FALSE_R,
     NegClause,
     RAtom,
+    RFalse,
     ROr,
     RSeq,
     RStar,
@@ -398,6 +399,39 @@ def test_calculated_relations_are_normal_forms():
         c = calculate(tp)
         for r in (c.peri, c.post):
             assert normalize(r, tp.symtab) == r, seed
+
+
+def _relation_nodes(r):
+    """r and every relation inside it."""
+    yield r
+    if isinstance(r, ROr):
+        for a in r.args:
+            yield from _relation_nodes(a)
+    elif isinstance(r, RSeq):
+        yield from _relation_nodes(r.first)
+        yield from _relation_nodes(r.second)
+    elif isinstance(r, RStar):
+        yield from _relation_nodes(r.body)
+
+
+def test_calculated_relations_hold_only_normal_form_nodes():
+    """A calculated peri- or postcondition is built of the empty relation,
+    atoms, disjunctions, sequences and iterations, and of nothing else: over
+    the corpus and the batches `crosscheck --random 300 [--loops]` checks,
+    at seeds 0-2 (100 loop programs a seed)."""
+    programs = [dsl.load_program(p.read_text())
+                for p in sorted(CORPUS.glob("*.rp")) if p.stem != "while_bad"]
+    for seed in range(3):
+        for make, count in ((randgen.random_program, 300),
+                            (randgen.random_loop_program, 100)):
+            rng = randgen.rng_for(seed)
+            programs += [make(rng) for _ in range(count)]
+    forms = set()
+    for tp in programs:
+        c = calculate(tp)
+        for r in (c.peri, c.post):
+            forms.update(type(n) for n in _relation_nodes(r))
+    assert forms == {RFalse, RAtom, ROr, RSeq, RStar}
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from rdes.relalg import (
     FALSE_R,
     TRUE_R,
     EventTerm,
-    RAnd,
     RAtom,
     ROr,
     RStar,
@@ -93,7 +92,6 @@ def test_both_readers_read_the_shared_forms_alike(kind):
     p, q = ROr((atom(), atom("a"))), ROr((atom("a"), atom("b")))
     assert len(read(p) | read(q)) == 3 and len(read(p) & read(q)) == 1
     assert read(ROr((p, q))) == read(p) | read(q)
-    assert read(RAnd((p, q))) == read(p) & read(q)
     assert read(FALSE_R) == frozenset()
     with pytest.raises(ground.NotGroundEvaluable):
         read(TRUE_R)

@@ -8,7 +8,6 @@ from rdes.kleene import ka_laws_check, star_wp
 from rdes.relalg import (
     FALSE_R,
     NegClause,
-    RAnd,
     RAtom,
     ROr,
     RSeq,
@@ -52,10 +51,6 @@ def unfold_star(r, k, symtab):
     if isinstance(r, ROr):
         return normalize(
             or_of([unfold_star(a, k, symtab) for a in r.args]), symtab
-        )
-    if isinstance(r, RAnd):
-        return normalize(
-            RAnd(tuple(unfold_star(a, k, symtab) for a in r.args)), symtab
         )
     return normalize(r, symtab)
 

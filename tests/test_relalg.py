@@ -6,20 +6,17 @@ import typing
 import pytest
 
 from rdes.relalg import (
-    EMPTY_SET,
     EventTerm,
     FALSE_R,
     KindMismatchError,
     NegClause,
     NormalizationIncomplete,
-    RAnd,
     RAtom,
     RFalse,
     ROr,
     RRel,
     RSeq,
     RStar,
-    RTest,
     RTrue,
     TRUE_PRE,
     TRUE_R,
@@ -42,6 +39,7 @@ from rdes.relalg import (
     seq_final_final,
     seq_final_quiescent,
     silent,
+    state_test,
     subst_rrel,
     union_sets,
     guard_rrel,
@@ -363,7 +361,8 @@ def test_normalize_example_chain():
 def test_normalize_idempotent():
     rels = [
         ROr((RAtom(final(TRUE, IDENTITY, ())), FALSE_R)),
-        RSeq(RTest(NONEMPTY), RAtom(final(TRUE, IDENTITY, (ev("inp", 0),)))),
+        RSeq(state_test(NONEMPTY),
+             RAtom(final(TRUE, IDENTITY, (ev("inp", 0),)))),
         RStar(RAtom(final(TRUE, IDENTITY, (ev("inp", 1),)))),
     ]
     for r in rels:
@@ -482,10 +481,8 @@ ONE_OF_EACH_FORM = {
     RTrue: TRUE_R,
     RAtom: UNIT_R,
     ROr: ROr((UNIT_R, FALSE_R)),
-    RAnd: RAnd((UNIT_R, UNIT_R)),
     RSeq: RSeq(UNIT_R, UNIT_R),
     RStar: RStar(UNIT_R),
-    RTest: RTest(TRUE),
 }
 
 
@@ -516,12 +513,9 @@ def test_reads_writes_examples():
         (RSeq(send, zero), ({"x"}, {"x"})),
         (RStar(zero), (set(), set())),  # zero iterations write nothing
         (ROr((zero, UNIT_R)), (set(), set())),
-        (RTest(AT_LEAST_1), ({"x"}, set())),
+        (state_test(AT_LEAST_1), ({"x"}, set())),
         (RTrue(), ({"x"}, set())),
         (FALSE_R, (set(), {"x"})),
-        # the conjunction of x := 0 and skip holds only where x is already 0
-        (RSeq(RAnd((zero, UNIT_R)), RAtom(quiescent(TRUE, (), EMPTY_SET))),
-         ({"x"}, {"x"})),
     ]
     for r, (reads, writes) in cases:
         assert reads_writes(r, xs) == (reads, writes), r
@@ -541,10 +535,8 @@ def test_trace_growth_covers_every_relation_form():
         RTrue: (False, False),
         RAtom: (False, True),
         ROr: (False, True),
-        RAnd: (False, True),
         RSeq: (False, True),
         RStar: (False, True),
-        RTest: (False, True),
     }
     for form, r in ONE_OF_EACH_FORM.items():
         assert (productive(r), silent(r)) == expected[form], form
@@ -566,9 +558,7 @@ def test_trace_growth_examples():
         (RStar(send), (False, False)),  # zero passes keep the trace
         (ROr((send, UNIT_R)), (False, False)),
         (ROr((send, pause)), (True, False)),
-        # an observation of both extends the trace and keeps it: none
-        (RAnd((send, UNIT_R)), (True, True)),
-        (RSeq(RTest(AT_LEAST_1), send), (True, False)),
+        (RSeq(state_test(AT_LEAST_1), send), (True, False)),
     ]
     for r, facts in cases:
         assert (productive(r), silent(r)) == facts, r

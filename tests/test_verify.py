@@ -22,23 +22,19 @@ from rdes.contracts import (
 )
 from rdes.kleene import star_wp
 from rdes.relalg import (
-    EMPTY_SET,
     EventTerm,
     PreNF,
-    RAnd,
     RAtom,
     RSeq,
-    RTest,
     TRUE_PRE,
     TRUE_R,
-    UNIT_R,
     event_set,
-    final,
     ground_trace,
     guard_pre,
     normalize,
     quiescent,
     reads_writes,
+    state_test,
 )
 from rdes.state import (
     Acc,
@@ -337,7 +333,7 @@ def _inline(source):
 
 def _guarded_step(symtab, loop):
     body = calculate(dsl.TypedProgram(symtab, loop.body))
-    return normalize(RSeq(RTest(loop.cond), body.post), symtab)
+    return normalize(RSeq(state_test(loop.cond), body.post), symtab)
 
 
 def _loop_step(tp):
@@ -569,7 +565,7 @@ def _loop_assumption(loop, symtab, assumed=None):
     keep the clause sets small, and a clause set that has not converged is
     a precondition all the same."""
     body = calculate(dsl.TypedProgram(symtab, loop.body))
-    step = normalize(RSeq(RTest(loop.cond), body.post), symtab)
+    step = normalize(RSeq(state_test(loop.cond), body.post), symtab)
     pre = body.pre if assumed is None else assumed
     return star_wp(step, guard_pre(loop.cond, pre, symtab), symtab, 3).clauses
 
@@ -1042,15 +1038,11 @@ channel b
 (while y = 0 do (a -> x := 1 ; y := 1)) ; if x = 0 then b -> skip else stop
 """
 
-X_TAB = SymbolTable({"x": IntType(0, 3)}, {})
-X_ZERO = RAtom(final(TRUE, assignment_subst({"x": Lit(0)}, X_TAB), ()))
-
 
 def _analysed_relations():
     """(symbol table, relation): the peri- and postcondition of each corpus
-    contract, random program and `LOOP_THEN_READ`, each corpus and random
-    loop's guarded step, and x := 0 and skip in conjunction, which holds
-    only where x is already 0."""
+    contract, random program and `LOOP_THEN_READ`, and each corpus and
+    random loop's guarded step."""
     programs = [_corpus(p.stem) for p in sorted(CORPUS.glob("*.rp"))
                 if p.stem != "while_bad"]
     for tp, c in [*programs, _inline(LOOP_THEN_READ)]:
@@ -1063,8 +1055,6 @@ def _analysed_relations():
         tp = randgen.random_program(randgen.rng_for(seed))
         c = calculate(tp)
         yield from ((tp.symtab, c.peri), (tp.symtab, c.post))
-    pause = RAtom(quiescent(TRUE, (), EMPTY_SET))
-    yield X_TAB, RSeq(RAnd((X_ZERO, UNIT_R)), pause)
 
 
 def _built(instances, r, s, symtab):
@@ -1103,8 +1093,8 @@ def _loop_rule_obligations():
     for symtab, loop, extra in _loop_programs():
         peri, post = _invariants(symtab, rng)
         body = calculate(dsl.TypedProgram(symtab, loop.body))
-        pause = normalize(RSeq(RTest(loop.cond), body.peri), symtab)
-        exit_ = normalize(RTest(negate(loop.cond)), symtab)
+        pause = normalize(RSeq(state_test(loop.cond), body.peri), symtab)
+        exit_ = normalize(state_test(negate(loop.cond)), symtab)
         for inv in peri + extra:
             yield Obligation(inv, pause, "peri", "pause"), symtab
         for inv in post:
