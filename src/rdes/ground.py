@@ -29,8 +29,7 @@ state once per state rather than once per (trace, state) pair reached:
   reaching that state leaves;
 
 and from a state reached by trace t1 both keep the instances (t2, _) with
-len(t1) + len(t2) <= bound.  `verify` relies on it too, answering queries of
-every trace length from one instance set built at an obligation's bound.
+len(t1) + len(t2) <= bound.
 """
 
 from __future__ import annotations

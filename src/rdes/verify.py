@@ -19,13 +19,15 @@ there is nothing to search.  Otherwise the search has two sources:
   right-hand or assumed clause active at s has a prefix of it.  Nothing is
   enumerated: the search is states times clauses;
 * every other obligation enumerates the right-hand side's observations
-  (`_least_failure`).  A relation gives its ground instance set.  An
-  invariant I is tested on the traces within the bound and every accepted
-  set or final state; after a step, as `SeqInv(step, I)`, it is tested
-  only on the suffixes that follow each of the step's terminated
-  instances, so the step drives the enumeration.  Each state s1 that a
-  step instance reaches has its suffixes swept once per obligation, and
-  every instance (t1, s1) puts t1 in front of the ones on which I holds.
+  (`_least_failure`).  A relation is walked through its transition-system
+  view (`view.View`), trace by trace (`_walk`).  An invariant I is tested
+  on the traces within the bound and every accepted set or final state;
+  after a step, as `SeqInv(step, I)`, it is tested only on the suffixes
+  that follow each of the step's terminated instances, which the step's
+  view gives, so the step drives the enumeration (`_sweep`).  Each state
+  s1 that a step instance reaches has its suffixes swept once per
+  obligation, and every instance (t1, s1) puts t1 in front of the ones on
+  which I holds.
 
 An invariant reads a trace only through its projections (`state.Proj`):
 the payload sequence of each channel it names.  So it cannot tell apart
@@ -59,11 +61,28 @@ final state) pairs, and the witness order below puts the state after the
 trace.  So a class's least failure is at its state that prints least, the
 one visited, and the witness is the one a visit of every state finds.
 
-Each relation's instance set from a visited state is built once per
-obligation, at its trace bound, and serves both sides: the right-hand side
-enumerates it, and the left-hand side (`_member`) reads it through an index
-from trace to accepted sets or final states.  So an obligation between
-equal relations builds one set per state, not two.
+A relation is read through its view: the transition system that its
+normal form already is, with a node per continuation and valuation, an
+edge per atom, and pauses and terminations as labels.  The walk reads the
+view determinised, as the set of nodes that the walked trace reaches, so
+it holds one path of events and one node set per side rather than a tuple
+per trace.  It goes depth-first from each visited state, with the events
+of each node set in witness order, and tests the right-hand labels at each
+trace against the left-hand side: a relation on the left is carried along
+as the node set of its own view, and an invariant on the left is read off
+the labels, given the trace only if it reads it.  Each obligation builds
+one view per relation, which serves every visited state and both sides
+when they are equal, and drops it when it is discharged.
+
+The walk visits every (state, trace) pair within the bound that it reaches
+and keeps nothing across traces.  Two traces that reach the same pair of
+node sets have the same futures, so a walk that remembered the pairs it
+has seen could stop there and settle an obligation for every trace length.
+It does not: that closure would need the least witness kept per pair to
+stay minimal, and a certificate for the "unbounded" verdict it would give.
+Until then the walk answers what the trace bound asks, at a cost that
+grows with the bound.  Each obligation's verdict counts the (state, trace)
+pairs it visited (`traces`).
 
 A refutation carries the least failing observation in witness order: trace
 length, then the trace's events, then the initial state, then the accepted
@@ -82,7 +101,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from . import dsl, ground
+from . import dsl
 from .contracts import Contract, calculate, loop_parts
 from .kleene import WP_BOUND
 from .relalg import (
@@ -118,6 +137,7 @@ from .state import (
     pp_value,
     subterms,
 )
+from .view import NotWalkable, View, instances
 
 
 def _mentions_acc(side) -> bool:
@@ -177,6 +197,7 @@ class Verdict:
     reason: Optional[str] = None
     obligations: tuple = ()  # of (Obligation, Verdict)
     scope: str = "bounded"  # or "unbounded": no trace bound can change it
+    traces: int = 0  # the (state, trace) pairs an enumeration visited
 
     @property
     def verified(self) -> bool:
@@ -194,7 +215,7 @@ class Verdict:
         if self.obligations:
             out["obligations"] = [
                 {"origin": o.origin, "kind": o.kind, "verdict": v.kind,
-                 "scope": v.scope}
+                 "scope": v.scope, "traces": v.traces}
                 for o, v in self.obligations
             ]
         return out
@@ -249,12 +270,13 @@ def check_rrel_refine(
         return Verdict("refuted", cfg.bounds(), witness=_witness(ob, *hit),
                        scope="unbounded")
     try:
-        hit = _least_failure(ob, symtab, cfg.trace_bound)
-    except ground.NotGroundEvaluable as exc:
+        hit, traces = _least_failure(ob, symtab, cfg.trace_bound)
+    except NotWalkable as exc:
         return Verdict("inconclusive", cfg.bounds(), reason=str(exc))
     if hit is None:
-        return Verdict("verified", cfg.bounds())
-    return Verdict("refuted", cfg.bounds(), witness=_witness(ob, *hit))
+        return Verdict("verified", cfg.bounds(), traces=traces)
+    return Verdict("refuted", cfg.bounds(), witness=_witness(ob, *hit),
+                   traces=traces)
 
 
 def _pre_failure(ob: Obligation, symtab: SymbolTable, bound: int):
@@ -301,86 +323,172 @@ def _extends(tt: tuple, traces: list) -> bool:
     return any(tt[: len(t)] == t for t in traces)
 
 
-def _member(side: Side, kind: str, symtab: SymbolTable, instance_set):
+def _member(side: Side, kind: str, view):
     """The test (s, tt, x) -> bool of whether `side` allows an observation
-    from state s with trace tt within the obligation's bound, where x is the
-    accepted set (peri) or the final state (post).
-
-    A relation is read through an index held by the returned closure, so it
-    lives exactly as long as one obligation's check.  It is filled for each
-    visited state s (`_starts`) from `instance_set(side, s)`, the instances
-    at the obligation's bound, and answers a query of any shorter trace too:
-    the instances at a smaller bound are those at the obligation's bound
-    restricted to shorter traces."""
+    from state s with trace tt, where x is the accepted set (peri) or the
+    final state (post).  A relation is read through its view, `view(side)`,
+    from the node set that tt reaches from s."""
     if isinstance(side, InvariantRel):
         body = side.body
         if kind == "peri":
             return lambda s, tt, x: bool(eval_expr(body, s, tt=tt, acc=x))
         return lambda s, tt, x: bool(eval_expr(body, s, tt=tt, primed=x))
-    index: dict = {}
+    v = view(side)
+    return lambda s, tt, x: v.allows(v.reach(s, tt), x)
 
-    def at(s: Valuation) -> dict:
-        # trace -> accepted sets or final states of `side` from s
-        if s not in index:
-            by_trace = index[s] = {}
-            for tt, x in instance_set(side, s):
-                by_trace.setdefault(tt, set()).add(x)
-        return index[s]
 
-    if kind == "peri":
-        # an instance with accepted set E admits every superset of E
-        return lambda s, tt, x: any(e <= x for e in at(s).get(tt, ()))
-    return lambda s, tt, x: x in at(s).get(tt, ())
+class _Least:
+    """The least failing observation offered so far, in witness order, and
+    the (state, trace) pairs visited to find it."""
+
+    def __init__(self, kind: str, bound: int):
+        self.x_key = _order_key if kind == "peri" else str
+        self.bound = bound
+        self.best = self.key = None
+        # no trace longer than this can fail before the least failure
+        self.longest = bound
+        self.traces = 0
+
+    def offer(self, s: Valuation, tt: tuple, x) -> None:
+        key = (len(tt), _order_key(tt), str(s), self.x_key(x))
+        if self.key is None or key < self.key:
+            self.best, self.key = (s, tt, x), key
+            self.longest = len(tt)
 
 
 def _least_failure(ob: Obligation, symtab: SymbolTable, bound: int):
-    """The least observation (s, tt, x) that the right-hand side allows, the
-    assumption does not exclude and the left-hand side does not allow, or
-    None, from each visited state s.  Observations longer than the least
-    failure so far are skipped.  Each relation's instance set from a state
-    is built once, so equal relations on both sides share it."""
-    instances = (ground.quiet_instances if ob.kind == "peri"
-                 else ground.final_instances)
-    built: dict = {}
+    """(the least observation (s, tt, x) that the right-hand side allows,
+    the assumption does not exclude and the left-hand side does not allow,
+    or None; the (state, trace) pairs visited) from each visited state s.
+    Observations longer than the least failure so far are skipped.  Each
+    relation is read through one view, built for this obligation alone, so
+    equal relations on both sides share it."""
+    views: dict = {}
 
-    def instance_set(r: RRel, s: Valuation) -> frozenset:
-        key = (r, s)
-        if key not in built:
-            built[key] = instances(r, s, symtab, bound)
-        return built[key]
+    def view(r: RRel, kind: str = ob.kind) -> View:
+        if (r, kind) not in views:
+            views[r, kind] = View(r, kind, symtab)
+        return views[r, kind]
 
-    if (ob.kind == "peri" and _mentions_acc(ob.lhs)
-            and not isinstance(ob.rhs, (InvariantRel, SeqInv))):
+    least = _Least(ob.kind, bound)
+    if isinstance(ob.rhs, (InvariantRel, SeqInv)):
+        _sweep(ob, symtab, least, view)
+    else:
+        _walk(ob, symtab, least, view)
+    return least.best, least.traces
+
+
+def _walk(ob: Obligation, symtab: SymbolTable, least: _Least, view) -> None:
+    """Offer every failing observation of a right-hand relation: walk its
+    view depth-first from each visited state, in witness order of the
+    events, to each trace within `least.longest` that the assumption does
+    not exclude, and test each label there.
+
+    A relation on the left is carried along as the node set of its own view
+    that the trace reaches.  An invariant on the left is given the trace,
+    as a tuple of the walked events, only when it reads it; one that does
+    not fails or holds alike on every trace that reaches a node set from a
+    state, so it is tested once per node set."""
+    rhs = view(ob.rhs)
+    labels, successors = rhs.labels, rhs.successors
+    lhs = None if isinstance(ob.lhs, InvariantRel) else view(ob.lhs)
+    if lhs is None and ob.kind == "peri" and _mentions_acc(ob.lhs):
         # an invariant may reject an acceptance superset that an instance
         # admits
         fails = _least_failing_superset(ob.lhs, symtab)
-    else:
-        lhs = _member(ob.lhs, ob.kind, symtab, instance_set)
-        fails = lambda s, tt, x: None if lhs(s, tt, x) else x
-    x_key = _order_key if ob.kind == "peri" else str
-    best = best_key = None
+    elif lhs is None:
+        holds = _member(ob.lhs, ob.kind, None)
+        fails = lambda s, tt, x: None if holds(s, tt, x) else x
+    by_node_set = lhs is None and not _reads(ob.lhs)
+    path = [None] * least.bound  # the events walked, path[:n] at depth n
 
-    def longest() -> int:
-        return bound if best_key is None else best_key[0]
+    s = None  # the visited state
+    decided: dict = {}  # node set -> its failing labels, if by_node_set
 
-    if isinstance(ob.rhs, (InvariantRel, SeqInv)):
-        observations = _invariant_observations(ob, symtab, bound, longest)
-    else:
-        observations = lambda s: instance_set(ob.rhs, s)
+    def examine(d: int, l: int, n: int) -> None:
+        """Offer each label at node set d that fails on the walked trace of
+        length n from s, with the left-hand view at node set l."""
+        failed = decided.get(d)
+        if failed is None:
+            if lhs is not None:
+                failed = []
+                for x in labels[d]:
+                    if not lhs.allows(l, x):
+                        failed.append(x)
+            else:
+                tt = tuple(path[:n])
+                failed = [a for x in labels[d]
+                          if (a := fails(s, tt, x)) is not None]
+                if by_node_set:
+                    decided[d] = failed
+        for a in failed:
+            least.offer(s, tuple(path[:n]), a)
+
+    def extend(d: int, l: int, n: int, ahead: list) -> int:
+        """Visit each trace that extends the walked one of length n, from
+        node set d (l on the left); the number visited.  `ahead` holds the
+        assumed traces that extend the walked one."""
+        after_l = lhs.successors(l) if lhs else {}
+        moves = successors(d)
+        if n + 1 == least.longest and not ahead:
+            # the extensions are the longest traces within reach, so each
+            # is examined and none is extended
+            for e, after in moves.items():
+                # labels there, and undecided or with one failing
+                if labels[after] and decided.get(after, True):
+                    path[n] = e
+                    examine(after, after_l.get(e, 0), n + 1)
+            return len(moves)
+        visited = 0
+        for e, after in moves.items():
+            if n >= least.longest:
+                break
+            further = ahead
+            if ahead:
+                further = [t for t in ahead if t[n] == e]
+                if any(len(t) == n + 1 for t in further):
+                    continue
+            path[n] = e
+            visited += 1
+            l2 = after_l.get(e, 0)
+            if labels[after] and decided.get(after, True):
+                examine(after, l2, n + 1)
+            if n + 1 < least.longest:
+                visited += extend(after, l2, n + 1, further)
+        return visited
+
     for s in _starts(ob, symtab):
         # the assumption excludes the extensions of these traces
         assumed = _active_traces(ob.assume.clauses, symtab, s)
+        decided = {}
+        start = rhs.start(s)
+        if start and () not in assumed:
+            l = lhs.start(s) if lhs else 0
+            examine(start, l, 0)
+            least.traces += 1 + extend(start, l, 0, assumed)
+    # `extend` reaches itself through its closure: break that cycle here,
+    # since commands run without the cyclic collector
+    del extend
+
+
+def _sweep(ob: Obligation, symtab: SymbolTable, least: _Least, view) -> None:
+    """Offer every failing observation of a right-hand invariant, alone or
+    after a step (`_invariant_observations`)."""
+    lhs = _member(ob.lhs, ob.kind, view)
+    observations = _invariant_observations(ob, symtab, least, view)
+    for s in _starts(ob, symtab):
+        assumed = _active_traces(ob.assume.clauses, symtab, s)
+        last = None
         for tt, x in observations(s):
-            if best_key is not None and len(tt) > best_key[0]:
+            if len(tt) > least.longest:
                 continue
             if assumed and _extends(tt, assumed):
                 continue
-            a = fails(s, tt, x)
-            if a is not None:
-                key = (len(tt), _order_key(tt), str(s), x_key(a))
-                if best is None or key < best_key:
-                    best, best_key = (s, tt, a), key
-    return best
+            if tt != last:
+                least.traces += 1
+                last = tt
+            if not lhs(s, tt, x):
+                least.offer(s, tt, x)
 
 
 def _least_failing_superset(inv: InvariantRel, symtab: SymbolTable):
@@ -390,7 +498,7 @@ def _least_failing_superset(inv: InvariantRel, symtab: SymbolTable):
     channels it reads, so its failing sets are listed once per state and
     projection, in witness order, and the answer is the first of them that
     contains x.  It can print before x itself: {a, b} before {b}."""
-    holds = _member(inv, "peri", symtab, None)
+    holds = _member(inv, "peri", None)
     channels = sorted(_reads(inv))
     accepted: list = []
     failing: dict = {}  # (s, projections) -> the failing sets, in order
@@ -429,12 +537,12 @@ def _depends(side: Side, kind: str, symtab: SymbolTable) -> frozenset:
     return depends(side, kind, frozenset(symtab.variables))
 
 
-def _invariant_observations(ob: Obligation, symtab, bound: int, longest):
+def _invariant_observations(ob: Obligation, symtab, least: _Least, view):
     """s -> the observations (tt, x) from s of an invariant I, alone or as
     `SeqInv(step, I)`: from ((), s), or from each terminated step instance
     (t1, s1) over the alphabet, (t1 + t2, x) for each swept suffix t2 with
-    len(t1 + t2) <= longest() and each accepted set or final state x with I
-    true at (s1, t2, x).
+    len(t1 + t2) <= least.longest and each accepted set or final state x
+    with I true at (s1, t2, x).
 
     The swept suffixes are one per class of traces that the obligation
     cannot tell apart (`_suffixes`), by the channels both sides read.
@@ -445,7 +553,7 @@ def _invariant_observations(ob: Obligation, symtab, bound: int, longest):
     the (t2, x) on which I holds.  So I is evaluated once per (s1, class,
     x), and no suffix longer than the least failure so far is swept."""
     inv = ob.rhs.inv if isinstance(ob.rhs, SeqInv) else ob.rhs
-    holds = _member(inv, ob.kind, symtab, None)
+    holds = _member(inv, ob.kind, None)
     alphabet = symtab.alphabet()
     if ob.kind == "post":
         xs = symtab.valuations()
@@ -472,13 +580,13 @@ def _invariant_observations(ob: Obligation, symtab, bound: int, longest):
             # in witness order, so where the first failure cuts the sweep
             # short does not depend on the set's iteration order
             starts = sorted(
-                ground.final_instances(ob.rhs.prefix, s, symtab, bound),
+                instances(view(ob.rhs.prefix, "post"), s, least.bound),
                 key=lambda i: (len(i[0]), _order_key(i[0]), str(i[1])))
         for t1, s1 in starts:
             if not set(alphabet).issuperset(t1):
                 continue
             for n in itertools.count(len(t1)):
-                if n > longest():
+                if n > least.longest:
                     break
                 yield from ((t1 + t2, x)
                             for t2, x in suffixes(s1, n - len(t1)))

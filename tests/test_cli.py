@@ -10,7 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from rdes import cli, randgen
+from rdes import cli, dsl, ground, randgen
 from rdes.contracts import NotProductiveError, calculate, skip_c
 from rdes.relalg import NormalizationIncomplete
 from rdes.state import StateSpaceTooLarge
@@ -279,6 +279,22 @@ def test_obligations_report_their_verdicts_and_scopes(capsys):
     ]
 
 
+def test_each_obligation_reports_the_traces_it_visited(capsys):
+    # the pericondition walk visits each trace on which the buffer pauses
+    # once, from the one class of its states; the precondition is decided
+    # from its clauses, and a universal postcondition allows every final
+    # state, so neither visits a trace
+    code, verdict = _run(capsys, "dlf", str(CORPUS / "buffer.rp"),
+                         "--trace-bound", "8")
+    jsonschema.validate(verdict, _schema("verdict"))
+    assert code == 0
+    tp = dsl.load_program((CORPUS / "buffer.rp").read_text())
+    s = min(tp.symtab.valuations(), key=str)
+    pauses = ground.quiet_instances(calculate(tp).peri, s, tp.symtab, 8)
+    assert [(o["kind"], o["traces"]) for o in verdict["obligations"]] == [
+        ("pre", 0), ("peri", len({t for t, _ in pauses})), ("post", 0)]
+
+
 def test_refuted_obligation_is_named(capsys):
     code, verdict = _run(capsys, "inv-check", str(CORPUS / "buffer.rp"),
                          "--invariant", BUFFER_INV, "--trace-bound", "5")
@@ -467,5 +483,12 @@ def test_every_command_runs_without_the_cyclic_collector(capsys,
         gc.collect()
         assert cli.main(["crosscheck", "--random", "100"]) == 0
         assert gc.collect() < 1_000
+        # and a discharge leaves no more of them than a calculation does
+        buffer = str(CORPUS / "buffer.rp")
+        cli.main(["calc", buffer])
+        parser = gc.collect()
+        for argv in (["dlf", buffer], ["refine", buffer, buffer]):
+            assert cli.main([*argv, "--trace-bound", "6"]) == 0
+            assert gc.collect() == parser, argv
     finally:
         gc.enable()

@@ -1,8 +1,9 @@
 """Every name a `rdes` module or a test module imports is used in it, every
 `rdes` module imports only at its top level, every private module-level
 function or class of `rdes` is used in `rdes`, no `rdes` module uses a
-`functools` cache, and the oracle's enumerator uses nothing that `oracle.py`
-imports from the calculus.
+`functools` cache, the oracle's enumerator uses nothing that `oracle.py`
+imports from the calculus, and the transition-system view uses nothing
+from `ground`.
 
 Package `__init__.py` files re-export what they import, and `__future__`
 imports are compiler directives, so both are skipped.
@@ -158,10 +159,11 @@ def test_detector_flags_a_functools_cache():
 CALCULUS = frozenset({"relalg", "contracts", "ground", "kleene", "verify"})
 
 
-def calculus_uses(source: str, function: str) -> list:
+def calculus_uses(source: str, function, modules=CALCULUS) -> list:
     """`name (line n)` of each use, in the body of the module-level
-    function or class `function`, of a name that the module imports from a
-    `CALCULUS` module, or of such a module itself."""
+    function or class `function` (in the whole module if None), of a name
+    that the module imports from one of `modules`, or of such a module
+    itself."""
     tree = ast.parse(source)
     imported = set()
     for n in tree.body:
@@ -169,11 +171,12 @@ def calculus_uses(source: str, function: str) -> list:
             module = getattr(n, "module", None) or ""
             for alias in n.names:
                 path = f"{module}.{alias.name}".split(".")
-                if CALCULUS.intersection(path):
+                if modules.intersection(path):
                     imported.add(alias.asname or alias.name.split(".")[0])
-    fn = next(n for n in tree.body
-              if isinstance(n, (ast.FunctionDef, ast.ClassDef))
-              and n.name == function)
+    fn = tree if function is None else next(
+        n for n in tree.body
+        if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+        and n.name == function)
     return sorted(f"{n.id} (line {n.lineno})" for n in ast.walk(fn)
                   if isinstance(n, ast.Name) and n.id in imported)
 
@@ -187,6 +190,13 @@ def test_the_enumerator_is_independent_of_the_calculus():
         assert calculus_uses(source, function) == [], function
 
 
+def test_the_view_is_independent_of_the_ground_reading():
+    # the tests compare the view's instance sets with `ground`'s, so the
+    # view must not compute with `ground`
+    source = (SRC / "view.py").read_text()
+    assert calculus_uses(source, None, frozenset({"ground"})) == []
+
+
 def test_detector_flags_a_use_of_the_calculus():
     src = ("from . import dsl, ground\nfrom .relalg import pp_trace as pp\n"
            "from .state import eval_expr\nimport rdes.kleene\n\n"
@@ -196,3 +206,5 @@ def test_detector_flags_a_use_of_the_calculus():
     assert calculus_uses(src, "enumerate_program") == [
         "ground (line 7)", "pp (line 7)", "rdes (line 8)"]
     assert calculus_uses(src, "Walk") == ["ground (line 15)"]
+    assert calculus_uses(src, None, frozenset({"ground"})) == [
+        "ground (line 15)", "ground (line 7)"]

@@ -1123,13 +1123,17 @@ def _random_contract_obligations():
                                  kind, assume=assume), symtab
 
 
-def _class_checks():
-    """(label, Config -> Verdict): every refinement and deadlock check of
-    the corpus and `LOOP_THEN_READ`, the loop-rule obligations and random
-    contract obligations."""
-    programs = [(p.stem, *_corpus(p.stem)) for p in sorted(CORPUS.glob("*.rp"))
-                if p.stem != "while_bad"]
-    programs.append(("loop_then_read", *_inline(LOOP_THEN_READ)))
+def _corpus_programs():
+    """(name, typed program, contract) of each corpus program the
+    calculator accepts."""
+    return [(p.stem, *_corpus(p.stem)) for p in sorted(CORPUS.glob("*.rp"))
+            if p.stem != "while_bad"]
+
+
+def _program_checks(programs):
+    """(label, Config -> Verdict): the refinement of each ordered pair of
+    `programs` whose implementation declares what its specification does,
+    and the deadlock freedom of each."""
     for (spec_name, spec_tp, spec), (name, tp, impl) in itertools.product(
             programs, repeat=2):
         if _declared(spec_tp, tp):
@@ -1138,9 +1142,112 @@ def _class_checks():
     for name, tp, c in programs:
         yield f"dlf {name}", functools.partial(check_deadlock_free, c,
                                                tp.symtab)
+
+
+def _class_checks():
+    """(label, Config -> Verdict): every refinement and deadlock check of
+    the corpus and `LOOP_THEN_READ`, the loop-rule obligations and random
+    contract obligations."""
+    yield from _program_checks(
+        [*_corpus_programs(),
+         ("loop_then_read", *_inline(LOOP_THEN_READ))])
     for ob, symtab in itertools.chain(_loop_rule_obligations(),
                                       _random_contract_obligations()):
         yield ob, functools.partial(check_rrel_refine, ob, symtab)
+
+
+# ---------------------------------------------------------------------------
+# The walk over the view against the ground reading it replaced
+
+
+def _ground_least_failure(ob, symtab, bound):
+    """`verify._least_failure` as it read a right-hand relation before the
+    view, with no trace count: each relation's ground instance set from a
+    visited state, built once per obligation at its bound, is enumerated on
+    the right and read on the left through an index from trace to accepted
+    sets or final states."""
+    assert not isinstance(ob.rhs, (InvariantRel, SeqInv))
+    instances = (ground.quiet_instances if ob.kind == "peri"
+                 else ground.final_instances)
+    built = {}
+
+    def instance_set(r, s):
+        if (r, s) not in built:
+            built[r, s] = instances(r, s, symtab, bound)
+        return built[r, s]
+
+    if not isinstance(ob.lhs, InvariantRel):
+        index = {}
+
+        def at(s):
+            # trace -> accepted sets or final states of the left from s
+            if s not in index:
+                index[s] = {}
+                for tt, x in instance_set(ob.lhs, s):
+                    index[s].setdefault(tt, set()).add(x)
+            return index[s]
+
+        if ob.kind == "peri":
+            # an instance with accepted set E admits every superset of E
+            fails = lambda s, tt, x: None if any(
+                e <= x for e in at(s).get(tt, ())) else x
+        else:
+            fails = lambda s, tt, x: None if x in at(s).get(tt, ()) else x
+    elif ob.kind == "peri" and verify._mentions_acc(ob.lhs):
+        fails = verify._least_failing_superset(ob.lhs, symtab)
+    else:
+        holds = verify._member(ob.lhs, ob.kind, None)
+        fails = lambda s, tt, x: None if holds(s, tt, x) else x
+    x_key = verify._order_key if ob.kind == "peri" else str
+    best = best_key = None
+    for s in verify._starts(ob, symtab):
+        assumed = verify._active_traces(ob.assume.clauses, symtab, s)
+        for tt, x in instance_set(ob.rhs, s):
+            if best_key is not None and len(tt) > best_key[0]:
+                continue
+            if assumed and verify._extends(tt, assumed):
+                continue
+            a = fails(s, tt, x)
+            if a is not None:
+                key = (len(tt), verify._order_key(tt), str(s), x_key(a))
+                if best is None or key < best_key:
+                    best, best_key = (s, tt, a), key
+    return best, 0
+
+
+def _invariants_over_relations():
+    """(label, Config -> Verdict): each calculated pericondition and
+    postcondition of the corpus and of the random loops, on the right of
+    the invariants `_invariants` draws, some of which read the trace."""
+    rng = randgen.rng_for(13)
+    contracts = [(tp.symtab, c) for _, tp, c in _corpus_programs()]
+    contracts += [(symtab, calculate(dsl.TypedProgram(symtab, loop)))
+                  for symtab, loop, _ in _loop_programs()]
+    for symtab, c in contracts:
+        peri, post = _invariants(symtab, rng)
+        for inv in peri + post:
+            ob = Obligation(inv, getattr(c, inv.kind), inv.kind, "implied")
+            yield ob, functools.partial(check_rrel_refine, ob, symtab)
+
+
+def test_the_walk_gives_the_verdicts_of_the_ground_reading(monkeypatch):
+    """`dlf` of every corpus program and `refine` of every ordered pair of
+    them, the relation obligations of `_class_checks`, some under an
+    assumption, and invariants over calculated relations give the verdict
+    and witness of each obligation that the ground instance sets give, at
+    bounds 1-6."""
+    checks = [*_class_checks(), *_invariants_over_relations()]
+    refuted = 0
+    for bound in range(1, 7):
+        cfg = Config(trace_bound=bound)
+        got = [_outcome(check(cfg)) for _, check in checks]
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_least_failure", _ground_least_failure)
+            want = [_outcome(check(cfg)) for _, check in checks]
+        for (label, _), g, w in zip(checks, got, want):
+            assert g == w, (label, bound)
+        refuted += sum(g[0] == "refuted" for g in got)
+    assert len(checks) == 796 and refuted == 1743
 
 
 def _outcome(v):
@@ -1206,34 +1313,45 @@ def _outermost_calls(monkeypatch, capsys, argv, functions):
     return tuple(counts)
 
 
-def _outermost_builds(monkeypatch, capsys, argv):
-    """(quiescent, terminated) instance-set builds that one CLI run starts
-    outside another build."""
-    return _outermost_calls(monkeypatch, capsys, argv,
-                            (ground.quiet_instances, ground.final_instances))
+def _views_built(monkeypatch, capsys, argv):
+    """(pericondition, postcondition) views that one CLI run builds."""
+    kinds = []
+    real = verify.View
+
+    def counted(r, kind, symtab):
+        kinds.append(kind)
+        return real(r, kind, symtab)
+
+    with monkeypatch.context() as m:
+        m.setattr(verify, "View", counted)
+        cli.main(argv)
+    capsys.readouterr()
+    return kinds.count("peri"), kinds.count("post")
 
 
 @pytest.mark.parametrize("argv, builds", [
-    # the buffer starts with bf := <>, so its 7 states form one class, and
-    # both sides are the same relation, built once
+    # both sides are the same relation, whose view serves both
     (["refine", "buffer.rp", "buffer.rp"], (1, 1)),
     # a universal postcondition allows every final state unenumerated
     (["dlf", "buffer.rp"], (1, 0)),
     # both set x before they read it, and calculate to equal relations
     (["refine", "ex2_lhs.rp", "ex2_rhs.rp"], (1, 1)),
-    # the loop body reads bf: one build per state
-    (["refine", "buffer_body.rp", "buffer_body.rp"], (7, 7)),
-    # a -> skip reads nothing but keeps x: one class for the pauses, and
-    # one per value of x for the final states
-    (["refine", "keep_x", "keep_x"], (1, 4)),
+    # the loop body reads bf, so each of its 7 states is a class of its
+    # own, and one view serves every class
+    (["refine", "buffer_body.rp", "buffer_body.rp"], (1, 1)),
+    # a -> skip keeps x: one class per value of x for the final states
+    (["refine", "keep_x", "keep_x"], (1, 1)),
 ])
 def test_instances_are_built_once_per_class(monkeypatch, capsys, tmp_path,
                                             argv, builds):
+    """One view of each relation per obligation, however many classes of
+    initial states it walks from.  (The name is from when each class built
+    its own ground instance set.)"""
     keep_x = tmp_path / "keep_x.rp"
     keep_x.write_text("var x : int[0..3]\nchannel a\na -> skip\n")
     argv = [str(CORPUS / a) if a.endswith(".rp") else
             str(keep_x) if a == "keep_x" else a for a in argv]
-    assert _outermost_builds(monkeypatch, capsys, argv) == builds
+    assert _views_built(monkeypatch, capsys, argv) == builds
 
 
 @pytest.mark.parametrize("argv", [
