@@ -284,6 +284,7 @@ def cmd_crosscheck(args) -> int:
         "programs": len(reports),
         "initial_states": sum(r["initial_states"] for r in reports),
         "classes": sum(r["classes"] for r in reports),
+        "traces": sum(r["traces"] for r in reports),
         "differences": len(diffs),
         "diffs": diffs[:50],
     }

@@ -121,6 +121,11 @@ class Event(NamedTuple):
         return f"{self.chan}.{pp_value(self.data)}"
 
 
+def witness_order(events) -> list:
+    """The events in witness order: by their printed form."""
+    return sorted(events, key=str) if len(events) > 1 else list(events)
+
+
 class StateSpaceTooLarge(Exception):
     """The declared variables have more valuations than can be enumerated."""
 
@@ -633,10 +638,16 @@ def compose_subst(first: Subst, second: Subst) -> Subst:
 
 
 def apply_to_valuation(s: Subst, val: Valuation, symtab: SymbolTable) -> Valuation:
+    """The valuation after s from val.  A variable that s leaves alone keeps
+    its value, which a valuation always holds within its carrier."""
+    if not s.entries:
+        return val
+    written = dict(s.entries)
     items = []
-    for n, _old in val.items:
-        v = eval_expr(s.get(n), val)
-        items.append((n, symtab.variables[n].clamp(v)))
+    for n, old in val.items:
+        if n in written:
+            old = symtab.variables[n].clamp(eval_expr(written[n], val))
+        items.append((n, old))
     return Valuation(tuple(items))
 
 

@@ -26,9 +26,11 @@ sequence, disjunction and iteration.  The view reads it as one, lazily.
 A walk reads the view determinised: the set of nodes that a trace reaches
 from an initial valuation.  The view numbers each closed node set it meets,
 and keeps its labels and, once asked for, its moves, the node set each
-event leads to.  All of that lives as long as the view, and `verify` builds
-a view for one obligation.  The view remembers node sets, not traces: a
-walk still visits each trace it reaches.
+event leads to.  It evaluates an atom at a valuation once, however many
+node sets reach it there (`edges`).  All of that lives as long as the
+view: `verify` builds a view for one obligation, and `oracle` one for the
+contract of one cross-checked program.  The view remembers node sets, not
+traces: a walk still visits each trace it reaches.
 
 The view is independent of `ground`, the other reading of a relation, and
 the tests compare the instance sets the two give (`instances`).
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 from .relalg import (
     FinalAtom,
+    QuiescentAtom,
     RAtom,
     RFalse,
     ROr,
@@ -47,11 +50,19 @@ from .relalg import (
     ground_set,
     ground_trace,
 )
-from .state import SymbolTable, Valuation, apply_to_valuation, eval_expr
+from .state import (
+    SymbolTable,
+    Valuation,
+    apply_to_valuation,
+    eval_expr,
+    witness_order,
+)
 
 # the continuation of a node that is a pause: its valuation is the
 # pause's accepted set
 PAUSE = None
+_UNSET = object()
+_NO_MOVES: dict = {}  # the moves of every node set that waits on nothing
 
 
 class NotWalkable(Exception):
@@ -63,13 +74,34 @@ class View:
     ("peri" or "post"), built as walks reach it.  Node set 0 is empty."""
 
     def __init__(self, r, kind: str, symtab: SymbolTable):
-        self.relation = r
         self.quiet = kind == "peri"
         self.symtab = symtab
-        self.parts: list = []  # number -> a part of relation r
-        self.part_numbers: dict = {}  # id of a part of r -> its number
+        # number -> a part of relation r, breadth-first from r, its form
+        # (an atom's is FinalAtom or QuiescentAtom) and the numbers of its
+        # parts; `parts` keeps each alive for as long as the view lives
+        self.parts: list = [r]
+        self.forms: list = []
+        self.kids: list = []
+        for x in self.parts:
+            form = type(x)
+            if form is RAtom:
+                form, inside = type(x.atom), ()
+            elif form is ROr:
+                inside = x.args
+            elif form is RSeq:
+                inside = (x.first, x.second)
+            elif form is RStar:
+                inside = (x.body,)
+            else:
+                inside = ()
+            first = len(self.parts)
+            self.forms.append(form)
+            self.kids.append(tuple(range(first, first + len(inside))))
+            self.parts.extend(inside)
+        # (part number, valuation) -> the edge of that atom there, or None
+        self.edges: dict = {}
         self.ids: dict = {}  # (labels, pending events) -> node set number
-        self.labels: list = []  # number -> labels, in witness order
+        self.labels: list = []  # number -> frozenset of labels
         self.pending: list = []  # number -> (events, node after them)
         self.moves: list = []  # number -> {event: number}, once built
         self.starts: dict = {}  # valuation -> number
@@ -77,12 +109,14 @@ class View:
 
     def start(self, s: Valuation) -> int:
         """The closed node set from which relation `r` runs at s."""
-        if s not in self.starts:
+        d = self.starts.get(s)
+        if d is None:
+            if self.forms[0] is RFalse:
+                return 0
             labels, pending = set(), set()
-            self._close([((self._part(self.relation),), s)], labels,
-                        pending)
-            self.starts[s] = self._number(labels, pending)
-        return self.starts[s]
+            self._close([((0,), s)], labels, pending)
+            d = self.starts[s] = self._number(labels, pending)
+        return d
 
     def successors(self, d: int) -> dict:
         """event -> the nonempty node set that it leads to from node set d,
@@ -93,7 +127,7 @@ class View:
             for events, after in self.pending[d]:
                 by_event.setdefault(events[0], []).append((events[1:], after))
             moves = self.moves[d] = {}
-            for e in sorted(by_event, key=str):
+            for e in witness_order(by_event):
                 labels, pending, reached = set(), set(), []
                 for rest, after in by_event[e]:
                     if rest:
@@ -122,29 +156,22 @@ class View:
                 return True
         return False
 
-    def _part(self, r) -> int:
-        """The number of r, a part of the view's relation.  `parts` keeps
-        r alive, so its id names it for as long as the view lives."""
-        n = self.part_numbers.get(id(r))
-        if n is None:
-            n = self.part_numbers[id(r)] = len(self.parts)
-            self.parts.append(r)
-        return n
-
     def _number(self, labels: set, pending: set) -> int:
         key = (frozenset(labels), frozenset(pending))
-        if key not in self.ids:
-            self.ids[key] = len(self.labels)
-            self.labels.append(tuple(sorted(labels, key=_label_key)))
+        n = self.ids.get(key)
+        if n is None:
+            n = self.ids[key] = len(self.labels)
+            self.labels.append(key[0])
             self.pending.append(key[1])
-            self.moves.append(None)
-        return self.ids[key]
+            self.moves.append(None if pending else _NO_MOVES)
+        return n
 
     def _close(self, reached: list, labels: set, pending: set) -> None:
         """Add to `labels` and `pending` what the nodes `reached` lead to by
-        silent moves: the labels, and the nodes that wait on an event."""
-        quiet, symtab, parts, part = (self.quiet, self.symtab, self.parts,
-                                      self._part)
+        silent moves: the labels, and the nodes that wait on an event.  An
+        atom's edge at a valuation is evaluated once (`edges`)."""
+        quiet, forms, kids, edges = (self.quiet, self.forms, self.kids,
+                                     self.edges)
         seen = set()
         while reached:
             node = reached.pop()
@@ -159,42 +186,50 @@ class View:
                 if not quiet:
                     labels.add(s)
                 continue
-            r, rest = parts[cont[0]], cont[1:]
-            if isinstance(r, RAtom):
-                a = r.atom
+            n = cont[0]
+            rest = cont[1:]
+            form = forms[n]
+            if form is QuiescentAtom or form is FinalAtom:
                 # a pause ends a postcondition view's walk, and a
                 # termination a pericondition view's
-                if isinstance(a, FinalAtom):
-                    if quiet and not rest or not eval_expr(a.cond, s):
-                        continue
-                    after = (rest, apply_to_valuation(a.subst, s, symtab))
-                else:
-                    if not quiet or not eval_expr(a.cond, s):
-                        continue
-                    after = (PAUSE, ground_set(a.accept, symtab, s))
-                events = ground_trace(a.trace, symtab, s)
+                final = form is FinalAtom
+                if final and quiet and not rest or not final and not quiet:
+                    continue
+                edge = edges.get((n, s), _UNSET)
+                if edge is _UNSET:
+                    edge = edges[n, s] = _edge(self.parts[n].atom, s,
+                                               self.symtab)
+                if edge is None:
+                    continue
+                events, x = edge
+                after = (rest, x) if final else (PAUSE, x)
                 if events:
                     pending.add((events, after))
                 else:
                     reached.append(after)
-            elif isinstance(r, ROr):
-                reached.extend(((part(x),) + rest, s) for x in r.args)
-            elif isinstance(r, RSeq):
-                reached.append(((part(r.first), part(r.second)) + rest, s))
-            elif isinstance(r, RStar):
+            elif form is ROr:
+                reached.extend([((b,) + rest, s) for b in kids[n]])
+            elif form is RSeq:
+                reached.append((kids[n] + rest, s))
+            elif form is RStar:
                 reached.append((rest, s))
-                reached.append(((part(r.body), cont[0]) + rest, s))
-            elif isinstance(r, RTrue):
+                reached.append((kids[n] + cont, s))
+            elif form is RTrue:
                 raise NotWalkable("the universal relation has no instance set")
-            elif not isinstance(r, RFalse):
-                raise TypeError(f"not a reactive relation: {r!r}")
+            elif form is not RFalse:
+                raise TypeError(f"not a reactive relation: {self.parts[n]!r}")
 
 
-def _label_key(x) -> tuple:
-    """Witness-order key of an accepted set or a final state."""
-    if isinstance(x, frozenset):
-        return tuple(sorted(map(str, x)))
-    return (str(x),)
+def _edge(a, s: Valuation, symtab: SymbolTable):
+    """(the ground events, then the final state or the accepted set) of
+    atom a at s, or None where its condition fails."""
+    if not eval_expr(a.cond, s):
+        return None
+    if isinstance(a, FinalAtom):
+        x = apply_to_valuation(a.subst, s, symtab)
+    else:
+        x = ground_set(a.accept, symtab, s)
+    return ground_trace(a.trace, symtab, s), x
 
 
 def instances(view: View, s: Valuation, bound: int) -> frozenset:

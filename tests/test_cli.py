@@ -295,6 +295,19 @@ def test_each_obligation_reports_the_traces_it_visited(capsys):
         ("pre", 0), ("peri", len({t for t, _ in pauses})), ("post", 0)]
 
 
+def test_crosscheck_reports_the_traces_it_visited(capsys):
+    # the buffer's one class of initial states pauses after each trace it
+    # can engage in and never terminates, so the walk visits the traces of
+    # its pericondition, as `dlf` does
+    code, out = _run(capsys, "crosscheck", str(CORPUS / "buffer.rp"),
+                     "--trace-bound", "8")
+    jsonschema.validate(out, _schema("crosscheck"))
+    assert (code, out["classes"], out["traces"]) == (0, 1, 5_121)
+    _, verdict = _run(capsys, "dlf", str(CORPUS / "buffer.rp"),
+                      "--trace-bound", "8")
+    assert verdict["obligations"][1]["traces"] == out["traces"]
+
+
 def test_refuted_obligation_is_named(capsys):
     code, verdict = _run(capsys, "inv-check", str(CORPUS / "buffer.rp"),
                          "--invariant", BUFFER_INV, "--trace-bound", "5")
@@ -483,11 +496,14 @@ def test_every_command_runs_without_the_cyclic_collector(capsys,
         gc.collect()
         assert cli.main(["crosscheck", "--random", "100"]) == 0
         assert gc.collect() < 1_000
-        # and a discharge leaves no more of them than a calculation does
+        # and a discharge leaves no more of them than a calculation does,
+        # nor does a cross-check, whose pairs of node sets form loops
         buffer = str(CORPUS / "buffer.rp")
         cli.main(["calc", buffer])
         parser = gc.collect()
-        for argv in (["dlf", buffer], ["refine", buffer, buffer]):
+        for argv in (["dlf", buffer], ["refine", buffer, buffer],
+                     ["crosscheck", buffer],
+                     ["crosscheck", "--random", "20", "--loops"]):
             assert cli.main([*argv, "--trace-bound", "6"]) == 0
             assert gc.collect() == parser, argv
     finally:

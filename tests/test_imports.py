@@ -1,9 +1,9 @@
 """Every name a `rdes` module or a test module imports is used in it, every
 `rdes` module imports only at its top level, every private module-level
 function or class of `rdes` is used in `rdes`, no `rdes` module uses a
-`functools` cache, the oracle's enumerator uses nothing that `oracle.py`
-imports from the calculus, and the transition-system view uses nothing
-from `ground`.
+`functools` cache, the oracle's operational semantics uses nothing that
+`oracle.py` imports from the calculus or the view, and neither the oracle
+nor the transition-system view uses anything from `ground`.
 
 Package `__init__.py` files re-export what they import, and `__future__`
 imports are compiler directives, so both are skipped.
@@ -182,12 +182,21 @@ def calculus_uses(source: str, function, modules=CALCULUS) -> list:
 
 
 def test_the_enumerator_is_independent_of_the_calculus():
-    # the enumerator, and the def-use rule that says which initial states
-    # it cannot tell apart
+    # the operational semantics, the sets read off it, and the def-use rule
+    # that says which initial states it cannot tell apart; nor does it read
+    # a relation's view
     source = (SRC / "oracle.py").read_text()
-    for function in ("enumerate_program", "_Enumeration", "_reads_writes",
-                     "_program_depends"):
-        assert calculus_uses(source, function) == [], function
+    for function in ("enumerate_program", "Observations", "_Semantics",
+                     "_cyclic", "_reads_writes", "_program_depends"):
+        assert calculus_uses(source, function, CALCULUS | {"view"}) == [], \
+            function
+
+
+def test_the_oracle_does_not_read_the_ground_reading():
+    # both sides of the cross-check are automata now; `ground` stays the
+    # reading behind `laws` and the tests
+    source = (SRC / "oracle.py").read_text()
+    assert calculus_uses(source, None, frozenset({"ground"})) == []
 
 
 def test_the_view_is_independent_of_the_ground_reading():

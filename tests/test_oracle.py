@@ -1,13 +1,20 @@
-"""The independent bounded enumerator and the calculus cross-check."""
+"""The oracle's operational semantics and the calculus cross-check, the
+automata read against the readings they replaced (kept at the end as
+references)."""
 
+import dataclasses
+import gc
+import itertools
 from pathlib import Path
 
 import pytest
 
-from rdes import dsl, oracle, randgen
+from rdes import contracts, dsl, ground, oracle, randgen, relalg
 from rdes.contracts import (
+    Contract,
     NotProductiveError,
     calculate,
+    chaos_c,
     miracle_c,
     skip_c,
     stop_c,
@@ -22,8 +29,15 @@ from rdes.oracle import (
     enumerate_program,
     observations_json,
 )
-from rdes.relalg import EventTerm
-from rdes.state import Event, valuation_of
+from rdes.relalg import FALSE_R, EventTerm, NegClause, ground_trace, pre_of
+from rdes.state import (
+    TRUE,
+    Event,
+    SymbolTable,
+    Valuation,
+    eval_expr,
+    valuation_of,
+)
 from rdes.verify import Config
 
 CFG = Config()
@@ -409,3 +423,303 @@ def test_a_class_difference_is_reported_for_each_state(monkeypatch):
     assert rep["diffs"] == per_state
     assert [d["state"] for d in rep["diffs"]] == [
         "{x=0}", "{x=0}", "{x=1}", "{x=1}", "{x=2}", "{x=2}"]
+
+
+def _reference_programs(batch):
+    """The corpus, or the programs `crosscheck --random 300 [--loops]`
+    checks at one seed."""
+    if batch == "corpus":
+        return [_corpus(p.stem) for p in sorted(CORPUS.glob("*.rp"))]
+    programs = []
+    for make, count in ((randgen.random_program, 300),
+                        (randgen.random_loop_program, 100)):
+        rng = randgen.rng_for(batch)
+        programs += [make(rng) for _ in range(count)]
+    return programs
+
+
+@pytest.mark.parametrize("batch", ["corpus", 0, 1, 2])
+def test_the_automata_give_the_reference_observations(batch):
+    # from every initial state at bounds 1-6, the operational semantics
+    # gives the structural enumeration's observations, and a contract's
+    # trie and views give the ground reading's
+    compared = 0
+    for tp in _reference_programs(batch):
+        try:
+            c = calculate(tp)
+        except NotProductiveError:
+            c = None
+        for s0, k in itertools.product(tp.symtab.valuations(), range(1, 7)):
+            got = enumerate_program(tp, s0, k)
+            assert frozenset(got) == _enumerated(tp, s0, k), (
+                dsl.pp_action(tp.body), str(s0), k)
+            compared += len(got)
+            if c is not None:
+                got = contract_obs(c, s0, tp.symtab, k)
+                assert frozenset(got) == _ground_contract_obs(
+                    c, s0, tp.symtab, k), (dsl.pp_action(tp.body), str(s0), k)
+    assert compared > 1_000
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_cross_check_runs_without_the_cyclic_collector(monkeypatch,
+                                                       collecting):
+    # as every command does, whoever calls it, and it leaves the collector
+    # as it found it
+    seen = []
+    real = oracle._Lockstep.walk
+
+    def spy(self, *args):
+        seen.append(gc.isenabled())
+        return real(self, *args)
+
+    monkeypatch.setattr(oracle._Lockstep, "walk", spy)
+    tp = _corpus("buffer")
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert cross_check(tp, calculate(tp), Config(trace_bound=3))["ok"]
+        assert gc.isenabled() == collecting
+    finally:
+        gc.enable()
+    assert seen == [False]
+
+
+def test_a_divergence_counts_only_where_no_prefix_diverged():
+    # divergences are compared as prefix-minimal sets, so a side that
+    # diverges again after a trace that diverged adds nothing: here both
+    # sides diverge first at <>, one of them again at <a>
+    a = EventTerm("a")
+    chaos = dsl.load_program("channel a\nchaos")
+    twice = Contract(pre_of([NegClause(TRUE, ()), NegClause(TRUE, (a,))],
+                            chaos.symtab), FALSE_R, FALSE_R)
+    loop = dsl.load_program("channel a\nwhile true do (skip |~| a -> skip)")
+    cfg = Config(trace_bound=3)
+    for tp, c in ((chaos, twice), (loop, chaos_c()), (loop, twice)):
+        walked = cross_check(tp, c, cfg)["diffs"]
+        assert walked == _reference_cross_check(tp, c, 3)
+        assert not [d for d in walked if d["kind"] == "divergence"]
+
+
+def _dropped_disjunct(ds, symtab):
+    return REAL_MERGE(ds[:-1] if len(ds) > 1 else ds, symtab)
+
+
+def _swapped_traces(f, q, symtab):
+    out = REAL_SEQ_FINAL_QUIESCENT(f, q, symtab)
+    if out is None:
+        return None
+    k = len(f.trace)
+    return dataclasses.replace(out, trace=out.trace[k:] + out.trace[:k])
+
+
+REAL_MERGE = relalg._merge_disjuncts
+REAL_SEQ_FINAL_QUIESCENT = relalg.seq_final_quiescent
+# (module, name, mutant, the least bound at which it shows): a merge that
+# drops a disjunct; a terminated observation composed with a quiescent one
+# after it, the traces swapped, which shows only on traces of two events;
+# an external choice that takes every branch's pauses at the empty trace as
+# resolving it, its guard dropped
+CALCULUS_MUTANTS = {
+    "dropped-disjunct": (relalg, "_merge_disjuncts", _dropped_disjunct, 1),
+    "swapped-traces": (relalg, "seq_final_quiescent", _swapped_traces, 2),
+    "dropped-guard": (contracts, "filter_r4", lambda r: r, 1),
+}
+
+
+def _reference_cross_check(tp, c, bound) -> list:
+    """`cross_check`'s differences, from the reference readings compared
+    as sets, once per class of initial states."""
+    symtab = tp.symtab
+    key_vars = oracle._program_depends(tp) | oracle._contract_depends(
+        c, symtab)
+
+    def key(s):
+        return tuple(v for n, v in s.items if n in key_vars)
+
+    diffs_of = {}
+    for s0 in symtab.valuations():
+        if key(s0) not in diffs_of:
+            diffs_of[key(s0)] = compare_observations(
+                _enumerated(tp, s0, bound),
+                _ground_contract_obs(c, s0, symtab, bound))
+    return [dict(d, state=str(s0))
+            for s0 in symtab.valuations() for d in diffs_of[key(s0)]]
+
+
+@pytest.mark.parametrize("mutant", list(CALCULUS_MUTANTS))
+def test_the_walk_lists_the_differences_of_the_sets(monkeypatch, mutant):
+    # a wrong calculus: the lockstep walk lists, in order and text, the
+    # differences that comparing the reference sets lists, past the 50 the
+    # command line prints
+    module, name, mutated, shows = CALCULUS_MUTANTS[mutant]
+    monkeypatch.setattr(module, name, mutated)
+    rng = randgen.rng_for(0)
+    checked = []
+    for tp in ([randgen.random_program(rng) for _ in range(150)]
+               + [randgen.random_loop_program(rng) for _ in range(50)]):
+        try:
+            checked.append((tp, calculate(tp)))
+        except (NotProductiveError, relalg.NormalizationIncomplete):
+            continue
+    for bound in range(1, TOP + 1):
+        cfg = Config(trace_bound=bound)
+        walked = [d for tp, c in checked
+                  for d in cross_check(tp, c, cfg)["diffs"]]
+        assert walked == [d for tp, c in checked
+                          for d in _reference_cross_check(tp, c, bound)], bound
+        assert (len(walked) > 50) == (bound >= shows), (bound, len(walked))
+
+
+# ---------------------------------------------------------------------------
+# References: the readings the automata replaced, kept to check them against
+
+
+def _enumerated(tp, s0, bound) -> frozenset:
+    """The observations from s0 within `bound`, enumerated by structural
+    recursion over states, as the oracle read programs before its
+    operational semantics."""
+    out = set()
+    for o in _Enumeration(tp.symtab).go(tp.body, s0, bound):
+        if o[0] == "q":
+            out.add(Quiet(s0, o[1], o[2]))
+        elif o[0] == "t":
+            out.add(Term(s0, o[1], o[2]))
+        else:
+            out.add(Div(s0, o[1]))
+    return frozenset(out)
+
+
+class _Enumeration:
+    """One enumeration's memo of internal observations.  Its methods refer
+    to each other through the instance, which holds no reference back to
+    them, so reference counting frees it when the enumeration ends."""
+
+    def __init__(self, symtab: SymbolTable):
+        self.symtab = symtab
+        # keyed by the action's identity: every action is a node of the
+        # program's body, alive for the whole enumeration, and hashing a
+        # node would walk its subtree
+        self.memo: dict = {}
+
+    def go(self, a: dsl.Action, s: Valuation, room: int) -> frozenset:
+        key = (id(a), s, room)
+        out = self.memo.get(key)
+        if out is None:
+            out = self.memo[key] = self.enum(a, s, room)
+        return out
+
+    def then(self, first, second: dsl.Action, room: int, out: set,
+             silent=None) -> set:
+        """`out` with `first` added, each termination (t1, s1) of `first`
+        followed by what `second(s1)` does in the room t1 leaves.  Given a
+        set `silent`, a termination with t1 empty only adds s1 to it."""
+        for o in first:
+            if o[0] != "t":
+                out.add(o)
+                continue
+            _, t1, s1 = o
+            if silent is not None and not t1:
+                silent.add(s1)
+                continue
+            rest = self.go(second, s1, room - len(t1))
+            if t1:
+                out.update((o2[0], t1 + o2[1]) + o2[2:] for o2 in rest)
+            else:
+                out |= rest
+        return out
+
+    def loop(self, a: dsl.While, s: Valuation, room: int) -> frozenset:
+        """The loop from s, read by its silent closure."""
+        out = set()
+        silent: dict = {}  # closure state -> states its silent passes reach
+        frontier = [s]
+        while frontier:
+            s1 = frontier.pop()
+            if s1 in silent:
+                continue
+            if not eval_expr(a.cond, s1):
+                silent[s1] = frozenset()
+                out.add(("t", (), s1))
+                continue
+            nxt = silent[s1] = set()
+            self.then(self.go(a.body, s1, room), a, room, out, nxt)
+            frontier.extend(nxt)
+        # prune each state none of whose silent passes leads to a state
+        # still unpruned; what remains lies on or leads to a silent cycle
+        live = {s1 for s1, nxt in silent.items() if nxt}
+        while True:
+            dead = {s1 for s1 in live if not silent[s1] & live}
+            if not dead:
+                break
+            live -= dead
+        if live:
+            out.add(("div", ()))
+        return frozenset(out)
+
+    def enum(self, a: dsl.Action, s: Valuation, room: int) -> frozenset:
+        if isinstance(a, dsl.Skip):
+            return frozenset({("t", (), s)})
+        if isinstance(a, dsl.Stop):
+            return frozenset({("q", (), frozenset())})
+        if isinstance(a, dsl.Chaos):
+            return frozenset({("div", ())})
+        if isinstance(a, dsl.Miracle):
+            return frozenset()
+        if isinstance(a, dsl.Assign):
+            v = eval_expr(a.expr, s)
+            return frozenset(
+                {("t", (), s.set(a.var, v, self.symtab.variables[a.var]))}
+            )
+        if isinstance(a, dsl.DoEvent):
+            data = None if a.data is None else eval_expr(a.data, s)
+            ev = self.symtab.ground_event(a.chan, data)
+            quiet = ("q", (), frozenset({ev}))
+            if room < 1:
+                return frozenset({quiet})
+            return frozenset({quiet, ("t", (ev,), s)})
+        if isinstance(a, dsl.Seq):
+            return frozenset(self.then(self.go(a.first, s, room), a.second,
+                                       room, set()))
+        if isinstance(a, dsl.IntChoice):
+            out = set()
+            for b in a.branches:
+                out |= self.go(b, s, room)
+            return frozenset(out)
+        if isinstance(a, dsl.ExtChoice):
+            branch_obs = [self.go(b, s, room) for b in a.branches]
+            out = set()
+            empty_quiets = []
+            for obs in branch_obs:
+                eq = [o for o in obs if o[0] == "q" and not o[1]]
+                empty_quiets.append(eq)
+                for o in obs:
+                    if o[0] == "q" and not o[1]:
+                        continue  # merged below, if every branch offers
+                    out.add(o)
+            if all(empty_quiets):
+                for combo in itertools.product(*empty_quiets):
+                    acc = frozenset().union(*(o[2] for o in combo))
+                    out.add(("q", (), acc))
+            return frozenset(out)
+        if isinstance(a, dsl.Cond):
+            branch = a.then if eval_expr(a.cond, s) else a.other
+            return self.go(branch, s, room)
+        if isinstance(a, dsl.While):
+            return self.loop(a, s, room)
+        raise TypeError(f"not a core action: {a!r}")
+
+
+def _ground_contract_obs(c, s0, symtab, bound) -> frozenset:
+    """The observations contract c denotes from s0 within `bound`, read
+    through `ground`'s instance sets."""
+    out = set()
+    for clause in c.pre.clauses:
+        if eval_expr(clause.cond, s0):
+            tt = ground_trace(clause.trace, symtab, s0)
+            if len(tt) <= bound:
+                out.add(Div(s0, tt))
+    for tt, acc in ground.quiet_instances(c.peri, s0, symtab, bound):
+        out.add(Quiet(s0, tt, acc))
+    for tt, s2 in ground.final_instances(c.post, s0, symtab, bound):
+        out.add(Term(s0, tt, s2))
+    return frozenset(out)
