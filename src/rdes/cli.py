@@ -340,19 +340,13 @@ def cmd_laws(args) -> int:
     return 0 if summary["ok"] else 1
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="rdes",
-        description="Contract calculator and verifier for reactive programs",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("calc", help="calculate a program's contract")
+def _calc_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     _add_bounds(p, trace=False)
     p.set_defaults(func=cmd_calc)
 
-    p = sub.add_parser("refine", help="check spec ⊑ impl")
+
+def _refine_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("spec", nargs="?", default=None,
                    help="spec program file, or 'dlf'")
     p.add_argument("impl")
@@ -362,24 +356,28 @@ def main(argv=None) -> int:
     _add_bounds(p)
     p.set_defaults(func=cmd_refine)
 
-    p = sub.add_parser("dlf", help="deadlock-freedom check")
+
+def _dlf_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     _add_bounds(p)
     p.set_defaults(func=cmd_dlf)
 
-    p = sub.add_parser("inv-check", help="loop invariant check")
+
+def _inv_check_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--invariant", required=True)
     _add_bounds(p)
     p.set_defaults(func=cmd_inv_check)
 
-    p = sub.add_parser("oracle", help="dump enumerated observations")
+
+def _oracle_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--emit", help="write observations JSON to a file")
     _add_bounds(p, wp=False, fmt=False)
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("crosscheck", help="calculus vs enumerator")
+
+def _crosscheck_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--random", type=int, default=0, metavar="N")
     p.add_argument("--loops", action="store_true",
@@ -389,7 +387,8 @@ def main(argv=None) -> int:
     _add_bounds(p)
     p.set_defaults(func=cmd_crosscheck)
 
-    p = sub.add_parser("laws", help="run the law suites")
+
+def _laws_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--per-law", type=int, default=50)
     p.add_argument("--terms", type=int, default=200)
     p.add_argument("--depth", type=int, default=3)
@@ -397,6 +396,48 @@ def main(argv=None) -> int:
     _add_bounds(p, trace=False, wp=False)
     p.set_defaults(func=cmd_laws)
 
+
+# command -> (help, what adds its arguments to its subparser)
+COMMANDS = {
+    "calc": ("calculate a program's contract", _calc_args),
+    "refine": ("check spec ⊑ impl", _refine_args),
+    "dlf": ("deadlock-freedom check", _dlf_args),
+    "inv-check": ("loop invariant check", _inv_check_args),
+    "oracle": ("dump enumerated observations", _oracle_args),
+    "crosscheck": ("calculus vs enumerator", _crosscheck_args),
+    "laws": ("run the law suites", _laws_args),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """The top-level parser.  It may hold the subparser of one command
+    alone, but its usage lists every command, so it reports an error of
+    its own through a parser that holds them all."""
+
+    def error(self, message):
+        _parser().error(message)
+
+
+def _parser(command=None) -> argparse.ArgumentParser:
+    """The argument parser with the subparser of `command` alone, or of
+    every command if `command` is None."""
+    parser = (argparse.ArgumentParser if command is None else _Parser)(
+        prog="rdes",
+        description="Contract calculator and verifier for reactive programs",
+    )
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=argparse.ArgumentParser)
+    for name, (text, add_args) in COMMANDS.items():
+        if command in (None, name):
+            add_args(sub.add_parser(name, help=text))
+    return parser
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # building a subparser costs as much as a short command, so only the
+    # named command's is built
+    parser = _parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     if args.command == "refine":
         # exactly one form of refine, so that no input is ignored

@@ -18,40 +18,40 @@ there is nothing to search.  Otherwise the search has two sources:
   failing trace is a left-hand clause's own ground trace, unless a
   right-hand or assumed clause active at s has a prefix of it.  Nothing is
   enumerated: the search is states times clauses;
-* every other obligation enumerates the right-hand side's observations
+* every other obligation is decided by a search over the right-hand side
   (`_least_failure`).  A relation is walked through its transition-system
-  view (`view.View`), trace by trace (`_walk`).  An invariant I is tested
-  on the traces within the bound and every accepted set or final state;
-  after a step, as `SeqInv(step, I)`, it is tested only on the suffixes
-  that follow each of the step's terminated instances, which the step's
-  view gives, so the step drives the enumeration (`_sweep`).  Each state
-  s1 that a step instance reaches has its suffixes swept once per
-  obligation, and every instance (t1, s1) puts t1 in front of the ones on
-  which I holds.
+  view (`view.View`), trace by trace (`_walk`).  An invariant I, alone or
+  after a step as `SeqInv(step, I)`, is read through its monitor
+  (`monitor.Monitor`), and the search goes over pairs of residues instead
+  of traces (`_search`).
 
 An invariant reads a trace only through its projections (`state.Proj`):
-the payload sequence of each channel it names.  So it cannot tell apart
-traces with equal projections on those channels, however their events
-interleave, and it is decided once per class of such traces:
+the payload sequence of each channel it names.  Its monitor, derived by the
+sequence laws `<e> ++ A <= <e> ++ B ⟺ A <= B` and `#(A ++ <e>) = #A + 1`,
+keeps of an initial state and a trace only the residue that decides the
+invariant on every extension, and steps it by one event.  The search over
+an invariant on the right goes breadth-first, one level per trace length,
+over pairs of what the walked trace leaves of each side: on the right the
+node set of the step's view, until the step terminates, and then the
+residue of I from the step's final state; on the left the residue of its
+invariant, or the node set of its relation's view; and the assumed traces
+that the walked trace may still complete.  Each level keeps its pairs in
+witness order of the (trace, state) that first reaches them, so the first
+failing pair of the first failing level is the least failure.  A pair
+seen at a shorter length has the same futures there, and a pair whose two
+residues are equal, whose right side allows nothing or whose left side
+allows everything cannot fail at all, so none of them is expanded.  An
+event on a channel that neither side reads changes no residue, so only
+the step and a whole-trace reader (an assumption, a relation on the left)
+expand one.  When no new pair remains, every trace length is decided.
 
-* an invariant on the right is swept on one suffix per class of traces
-  over the channels that either side reads (`_suffixes`): the class's
-  least member in witness order.  That member is the greedy merge of the
-  class's channel sequences, which puts first the least of their heads,
-  because events of different channels never print equal.  As each
-  channel's events print before those of a channel named after it, the
-  merge is the sequences' concatenation in channel-name order.  An event
-  on a channel that neither side reads changes no verdict and only
-  lengthens the trace, so no swept suffix holds one.  Assumed clauses and
-  a relation on the left read the trace whole, and then every trace is
-  swept;
-* an invariant on the left that reads the accepted set must reject every
-  superset of an instance's accepted set on which it fails, since the
-  instance admits them all.  Its failing sets are listed once per state
-  and projection of the trace, in witness order
-  (`_least_failing_superset`), and an instance fails with the first that
-  contains its accepted set.  That is the least failing superset, which
-  can print before the instance's own set: {a, b} before {b}.
+An invariant on the left that reads the accepted set must reject every
+superset of an instance's accepted set on which it fails, since the
+instance admits them all.  Its failing sets are listed once per residue,
+in witness order (`_least_failing_superset`), and an instance fails with
+the first that contains its accepted set.  That is the least failing
+superset, which can print before the instance's own set: {a, b} before
+{b}.
 
 An enumerated obligation is discharged from one initial state per class of
 states it cannot tell apart (`_starts`): those that agree on each variable
@@ -77,12 +77,18 @@ when they are equal, and drops it when it is discharged.
 The walk visits every (state, trace) pair within the bound that it reaches
 and keeps nothing across traces.  Two traces that reach the same pair of
 node sets have the same futures, so a walk that remembered the pairs it
-has seen could stop there and settle an obligation for every trace length.
-It does not: that closure would need the least witness kept per pair to
-stay minimal, and a certificate for the "unbounded" verdict it would give.
-Until then the walk answers what the trace bound asks, at a cost that
-grows with the bound.  Each obligation's verdict counts the (state, trace)
-pairs it visited (`traces`).
+has seen could stop there, as the monitor search does.  It does not, for
+two reasons.  The monitor search's pairs are few: residues of a small
+invariant, and one side's node sets for a step that terminates.  A walk's
+pairs are products of two views' node sets, and its cost measures how far
+a bound reaches; closing it would make every rung of the benchmark's
+`refine` and `deadlock` ladders cost the same, so those ladders would climb
+to the harness's deadline and measure nothing, until the benchmark gives
+them another scale.  So the walk answers what the trace bound asks, at a
+cost that grows with the bound, and it settles every length only when it
+ends every branch before the bound.  Each obligation's verdict counts the
+(state, trace) pairs its walk visited, or the pairs of residues its
+search visited, each one (state, trace) pair (`traces`).
 
 A refutation carries the least failing observation in witness order: trace
 length, then the trace's events, then the initial state, then the accepted
@@ -90,9 +96,12 @@ set or final state, each compared by its printed form.  This is the
 shortest-counterexample order that FDR3 also uses.  Every verdict carries its
 bounds, and anything the bounds cannot settle is reported inconclusive
 rather than guessed.  Each obligation's verdict also carries its scope: it
-is "unbounded" only when calculation settles it for every trace length (a
-calculated refutation, or a calculated "verified" with no failing clause at
-any length), and "bounded" otherwise.
+is "unbounded" when it is settled for every trace length, and "bounded"
+otherwise.  Calculation settles a precondition obligation (a refutation,
+or a "verified" with no failing clause at any length).  A "verified"
+verdict is also unbounded when the universal relation is on the left, when
+a monitor search runs out of new pairs, and when a walk ends every branch
+before the bound; an enumerated refutation is reported "bounded".
 """
 
 from __future__ import annotations
@@ -136,8 +145,10 @@ from .state import (
     pp_expr,
     pp_value,
     subterms,
+    witness_order,
 )
-from .view import NotWalkable, View, instances
+from .monitor import Monitor
+from .view import NotWalkable, View
 
 
 def _mentions_acc(side) -> bool:
@@ -171,7 +182,7 @@ class InvariantRel:
 @dataclass(frozen=True)
 class SeqInv:
     """A relation followed by an invariant: the step shape of the loop rule,
-    and only ever a right-hand side (`_invariant_observations`)."""
+    and only ever a right-hand side (`_search`)."""
 
     prefix: RRel
     inv: InvariantRel
@@ -197,7 +208,7 @@ class Verdict:
     reason: Optional[str] = None
     obligations: tuple = ()  # of (Obligation, Verdict)
     scope: str = "bounded"  # or "unbounded": no trace bound can change it
-    traces: int = 0  # the (state, trace) pairs an enumeration visited
+    traces: int = 0  # the (state, trace) pairs a walk or a search visited
 
     @property
     def verified(self) -> bool:
@@ -259,9 +270,10 @@ def check_rrel_refine(
 ) -> Verdict:
     """Discharge one obligation: search the right-hand side's observations
     within the bounds for the least one the left-hand side does not allow.
-    The universal relation on the left allows every observation."""
+    The universal relation on the left allows every observation at every
+    length."""
     if isinstance(ob.lhs, RTrue):
-        return Verdict("verified", cfg.bounds())
+        return Verdict("verified", cfg.bounds(), scope="unbounded")
     if ob.kind == "pre":
         hit, beyond = _pre_failure(ob, symtab, cfg.trace_bound)
         if hit is None:
@@ -270,11 +282,11 @@ def check_rrel_refine(
         return Verdict("refuted", cfg.bounds(), witness=_witness(ob, *hit),
                        scope="unbounded")
     try:
-        hit, traces = _least_failure(ob, symtab, cfg.trace_bound)
+        hit, traces, scope = _least_failure(ob, symtab, cfg.trace_bound)
     except NotWalkable as exc:
         return Verdict("inconclusive", cfg.bounds(), reason=str(exc))
     if hit is None:
-        return Verdict("verified", cfg.bounds(), traces=traces)
+        return Verdict("verified", cfg.bounds(), traces=traces, scope=scope)
     return Verdict("refuted", cfg.bounds(), witness=_witness(ob, *hit),
                    traces=traces)
 
@@ -338,8 +350,9 @@ def _member(side: Side, kind: str, view):
 
 
 class _Least:
-    """The least failing observation offered so far, in witness order, and
-    the (state, trace) pairs visited to find it."""
+    """The least failing observation offered so far, in witness order, the
+    (state, trace) pairs visited to find it, and whether the search left
+    some trace beyond the bound unvisited."""
 
     def __init__(self, kind: str, bound: int):
         self.x_key = _order_key if kind == "peri" else str
@@ -348,6 +361,7 @@ class _Least:
         # no trace longer than this can fail before the least failure
         self.longest = bound
         self.traces = 0
+        self.cut = False
 
     def offer(self, s: Valuation, tt: tuple, x) -> None:
         key = (len(tt), _order_key(tt), str(s), self.x_key(x))
@@ -359,10 +373,11 @@ class _Least:
 def _least_failure(ob: Obligation, symtab: SymbolTable, bound: int):
     """(the least observation (s, tt, x) that the right-hand side allows,
     the assumption does not exclude and the left-hand side does not allow,
-    or None; the (state, trace) pairs visited) from each visited state s.
-    Observations longer than the least failure so far are skipped.  Each
-    relation is read through one view, built for this obligation alone, so
-    equal relations on both sides share it."""
+    or None; the (state, trace) pairs visited; the scope of a verified
+    verdict) from each visited state s.  Observations longer than the
+    least failure so far are skipped.  Each relation is read through one
+    view, and each invariant through one monitor, built for this
+    obligation alone, so equal relations on both sides share a view."""
     views: dict = {}
 
     def view(r: RRel, kind: str = ob.kind) -> View:
@@ -372,10 +387,10 @@ def _least_failure(ob: Obligation, symtab: SymbolTable, bound: int):
 
     least = _Least(ob.kind, bound)
     if isinstance(ob.rhs, (InvariantRel, SeqInv)):
-        _sweep(ob, symtab, least, view)
+        _search(ob, symtab, least, view)
     else:
         _walk(ob, symtab, least, view)
-    return least.best, least.traces
+    return least.best, least.traces, "bounded" if least.cut else "unbounded"
 
 
 def _walk(ob: Obligation, symtab: SymbolTable, least: _Least, view) -> None:
@@ -430,15 +445,18 @@ def _walk(ob: Obligation, symtab: SymbolTable, least: _Least, view) -> None:
         assumed traces that extend the walked one."""
         after_l = lhs.successors(l) if lhs else {}
         moves = successors(d)
-        if n + 1 == least.longest and not ahead:
-            # the extensions are the longest traces within reach, so each
-            # is examined and none is extended
-            for e, after in moves.items():
-                # labels there, and undecided or with one failing
-                if labels[after] and decided.get(after, True):
-                    path[n] = e
-                    examine(after, after_l.get(e, 0), n + 1)
-            return len(moves)
+        if n + 1 == least.longest:
+            # the walk reaches the bound, and what lies beyond is unseen
+            least.cut = least.cut or bool(moves)
+            if not ahead:
+                # the extensions are the longest traces within reach, so
+                # each is examined and none is extended
+                for e, after in moves.items():
+                    # labels there, and undecided or with one failing
+                    if labels[after] and decided.get(after, True):
+                        path[n] = e
+                        examine(after, after_l.get(e, 0), n + 1)
+                return len(moves)
         visited = 0
         for e, after in moves.items():
             if n >= least.longest:
@@ -471,40 +489,23 @@ def _walk(ob: Obligation, symtab: SymbolTable, least: _Least, view) -> None:
     del extend
 
 
-def _sweep(ob: Obligation, symtab: SymbolTable, least: _Least, view) -> None:
-    """Offer every failing observation of a right-hand invariant, alone or
-    after a step (`_invariant_observations`)."""
-    lhs = _member(ob.lhs, ob.kind, view)
-    observations = _invariant_observations(ob, symtab, least, view)
-    for s in _starts(ob, symtab):
-        assumed = _active_traces(ob.assume.clauses, symtab, s)
-        last = None
-        for tt, x in observations(s):
-            if len(tt) > least.longest:
-                continue
-            if assumed and _extends(tt, assumed):
-                continue
-            if tt != last:
-                least.traces += 1
-                last = tt
-            if not lhs(s, tt, x):
-                least.offer(s, tt, x)
-
-
 def _least_failing_superset(inv: InvariantRel, symtab: SymbolTable):
     """(s, tt, x) -> the accepted set that prints least among the supersets
     of x on which the pericondition invariant `inv` fails at (s, tt), or
-    None.  `inv` tells traces apart only by their projections on the
-    channels it reads, so its failing sets are listed once per state and
-    projection, in witness order, and the answer is the first of them that
-    contains x.  It can print before x itself: {a, b} before {b}."""
+    None.  What `inv` allows at (s, tt) depends only on the residue that
+    (s, tt) leaves of it (`monitor.Monitor`), so its failing sets are
+    listed once per residue, in witness order, and the answer is the first
+    of them that contains x.  It can print before x itself: {a, b} before
+    {b}."""
     holds = _member(inv, "peri", None)
-    channels = sorted(_reads(inv))
+    monitor = Monitor(inv.body, "peri")
     accepted: list = []
-    failing: dict = {}  # (s, projections) -> the failing sets, in order
+    failing: dict = {}  # residue -> the failing sets, in order
 
     def first(s: Valuation, tt: tuple, x: frozenset):
-        key = (s, _projections(tt, channels)) if channels else s
+        key = monitor.start(s)
+        for e in tt:
+            key = monitor.step(key, e)
         if key not in failing:
             if not accepted:
                 accepted.extend(_accepted_sets(symtab.alphabet()))
@@ -512,6 +513,113 @@ def _least_failing_superset(inv: InvariantRel, symtab: SymbolTable):
         return next((a for a in failing[key] if x <= a), None)
 
     return first
+
+
+def _search(ob: Obligation, symtab: SymbolTable, least: _Least,
+            view) -> None:
+    """Offer the least failing observation of a right-hand invariant I,
+    alone or as `SeqInv(step, I)`, by a breadth-first search over pairs of
+    residues, one level per trace length.
+
+    A pair holds what the trace walked so far leaves of each side: on the
+    right the node set of the step's view, or the residue of I from each
+    terminated step instance's final state (or from the visited state); on
+    the left the residue of its invariant or the node set of its relation's
+    view; and the assumed traces that the walked trace may still complete.
+    Each pair keeps the least (trace, state) that reaches it in witness
+    order, and has the same futures whichever trace reached it, so a pair
+    seen at a shorter length, one whose two residues are equal, one whose
+    right side allows nothing and one whose left side allows everything is
+    dropped: none can fail first.  The first level with a failing pair
+    holds the least failure.  A search that runs out of pairs has decided
+    every trace length (`least.cut` stays False)."""
+    stepped = isinstance(ob.rhs, SeqInv)
+    inv = ob.rhs.inv if stepped else ob.rhs
+    right = Monitor(inv.body, ob.kind)
+    step = view(ob.rhs.prefix, "post") if stepped else None
+    same = isinstance(ob.lhs, InvariantRel)  # residues of both sides compare
+    if same:
+        left = right if ob.lhs.body == inv.body else Monitor(ob.lhs.body,
+                                                             ob.kind)
+        l_start, l_step, l_holds = left.start, left.step, left.holds
+    else:
+        lv = view(ob.lhs)
+        l_start, l_holds = lv.start, lv.allows
+        l_step = lambda l, e: lv.successors(l).get(e, 0)
+    alphabet = witness_order(symtab.alphabet())
+    # an event on a channel that no side reads changes no residue, so it
+    # only leads back to a pair already seen
+    reads = None if ob.assume.clauses else _reads(ob.lhs)
+    events = {e for e in alphabet
+              if reads is None or e.chan in reads or e.chan in right.channels}
+    if ob.kind == "post":
+        xs = sorted(symtab.valuations(), key=str)
+    elif _mentions_acc(ob.lhs) or _mentions_acc(inv):
+        xs = _accepted_sets(alphabet)
+    else:
+        xs = (frozenset(),)
+    seen: set = set()
+
+    def admit(level: dict, pair: tuple, value: tuple) -> bool:
+        """Put `pair` in `level` with `value`, the (state, trace) that
+        reaches it, unless it cannot fail first; whether it was put."""
+        d, r, l, _ = pair
+        if pair in seen or d is None and (
+                r is False or same and (l is True or r == l)):
+            return False
+        seen.add(pair)
+        level[pair] = value
+        return True
+
+    def reach(level: dict, pair: tuple, value: tuple) -> None:
+        if admit(level, pair, value) and pair[0] is not None:
+            # the step terminates here: I from each final state
+            for s1 in step.labels[pair[0]]:
+                admit(level, (None, right.start(s1)) + pair[2:], value)
+
+    # each level holds its pairs in witness order of what reaches them, so
+    # the first to reach a pair is the least
+    level: dict = {}  # pair -> (state, trace)
+    for s in _starts(ob, symtab):
+        assumed = frozenset(_active_traces(ob.assume.clauses, symtab, s))
+        if () in assumed:
+            continue
+        r = (step.start(s), None) if stepped else (None, right.start(s))
+        reach(level, r + (l_start(s), assumed), (s, ()))
+    for n in range(least.bound + 1):
+        least.traces += len(level)
+        for (d, r, l, _), (s, tt) in level.items():
+            if d is None:
+                x = next((x for x in xs
+                          if right.holds(r, x) and not l_holds(l, x)), None)
+                if x is not None:
+                    least.offer(s, tt, x)
+                    return
+        after: dict = {}
+        # the pairs that one trace reaches, from states in order
+        for tt, group in itertools.groupby(level.items(),
+                                           key=lambda item: item[1][1]):
+            group = list(group)
+            for e in alphabet:
+                te = tt + (e,)
+                for (d, r, l, a), (s, _) in group:
+                    if d is None:
+                        if e not in events:
+                            continue
+                        r, moved = right.step(r, e), None
+                    else:
+                        moved = step.successors(d).get(e)
+                        if moved is None:
+                            continue
+                    if a:
+                        a = frozenset(t[1:] for t in a if t[0] == e)
+                        if () in a:
+                            continue
+                    reach(after, (moved, r, l_step(l, e), a), (s, te))
+            if n == least.bound and after:
+                least.cut = True
+                return
+        level = after
 
 
 def _starts(ob: Obligation, symtab: SymbolTable) -> list:
@@ -537,63 +645,6 @@ def _depends(side: Side, kind: str, symtab: SymbolTable) -> frozenset:
     return depends(side, kind, frozenset(symtab.variables))
 
 
-def _invariant_observations(ob: Obligation, symtab, least: _Least, view):
-    """s -> the observations (tt, x) from s of an invariant I, alone or as
-    `SeqInv(step, I)`: from ((), s), or from each terminated step instance
-    (t1, s1) over the alphabet, (t1 + t2, x) for each swept suffix t2 with
-    len(t1 + t2) <= least.longest and each accepted set or final state x
-    with I true at (s1, t2, x).
-
-    The swept suffixes are one per class of traces that the obligation
-    cannot tell apart (`_suffixes`), by the channels both sides read.
-    Assumed clauses, or a relation on the left, read the trace whole, and
-    then every trace is swept.  Each reached state s1's suffixes are swept
-    once per obligation, shared by every start and step instance that
-    reaches s1: one length at a time, when a start first needs it, keeping
-    the (t2, x) on which I holds.  So I is evaluated once per (s1, class,
-    x), and no suffix longer than the least failure so far is swept."""
-    inv = ob.rhs.inv if isinstance(ob.rhs, SeqInv) else ob.rhs
-    holds = _member(inv, ob.kind, None)
-    alphabet = symtab.alphabet()
-    if ob.kind == "post":
-        xs = symtab.valuations()
-    elif _mentions_acc(ob.lhs) or _mentions_acc(inv):
-        xs = _accepted_sets(alphabet)
-    else:
-        xs = (frozenset(),)
-    reads = None if ob.assume.clauses else _reads(ob.lhs)
-    if reads is not None:
-        reads |= _reads(inv)
-    traces = _suffixes(alphabet, reads)
-    swept: dict = {}  # s1 -> [the kept (t2, x) with len(t2) = m, for each m]
-
-    def suffixes(s1: Valuation, m: int) -> list:
-        by_length = swept.setdefault(s1, [])
-        while len(by_length) <= m:
-            by_length.append([(t2, x) for t2 in traces(len(by_length))
-                              for x in xs if holds(s1, t2, x)])
-        return by_length[m]
-
-    def observations(s: Valuation):
-        starts = (((), s),)
-        if isinstance(ob.rhs, SeqInv):
-            # in witness order, so where the first failure cuts the sweep
-            # short does not depend on the set's iteration order
-            starts = sorted(
-                instances(view(ob.rhs.prefix, "post"), s, least.bound),
-                key=lambda i: (len(i[0]), _order_key(i[0]), str(i[1])))
-        for t1, s1 in starts:
-            if not set(alphabet).issuperset(t1):
-                continue
-            for n in itertools.count(len(t1)):
-                if n > least.longest:
-                    break
-                yield from ((t1 + t2, x)
-                            for t2, x in suffixes(s1, n - len(t1)))
-
-    return observations
-
-
 def _reads(side: Side) -> Optional[frozenset]:
     """The channels whose projections are all that an invariant side reads
     of a trace (`state.Proj`), or None for a side that reads it whole."""
@@ -603,41 +654,6 @@ def _reads(side: Side) -> Optional[frozenset]:
         return None
     return frozenset(x.chan for x in subterms(side.body)
                      if isinstance(x, Proj))
-
-
-def _projections(tt: tuple, channels) -> tuple:
-    """A trace's projection on each of `channels`, in order."""
-    return tuple(tuple(e.data for e in tt if e.chan == c) for c in channels)
-
-
-def _suffixes(alphabet: tuple, channels):
-    """m -> the traces of length m over `alphabet` to sweep.  With
-    `channels` None that is every trace.  Otherwise it is one trace per
-    class of traces over the events of `channels` with equal projections on
-    them: the class's least member in witness order.  A suffix with an
-    event on another channel passes or fails as it does without the event,
-    which is shorter, so none is swept.
-
-    The least member is the greedy merge of the class's per-channel
-    sequences, which puts first the least of their heads: events of
-    different channels never print equal.  An event prints as its channel's
-    name, then a dot and its payload if it has one, and a channel name is
-    an identifier, whose characters all print after the dot.  So each event
-    of a channel prints before every event of a channel whose name sorts
-    after it, and the merge is the sequences' concatenation in channel-name
-    order."""
-    if channels is None:
-        return lambda m: itertools.product(alphabet, repeat=m)
-    events = [e for e in alphabet if e.chan in channels]
-    levels = [[()]]
-
-    def traces(m: int) -> list:
-        while len(levels) <= m:
-            levels.append([t + (e,) for t in levels[-1] for e in events
-                           if not t or t[-1].chan <= e.chan])
-        return levels[m]
-
-    return traces
 
 
 def _accepted_sets(alphabet) -> list:
@@ -720,10 +736,17 @@ def check_invariant_loop(
     and `WpNotConvergedError` for an assumption that does not saturate
     within the wp bound.
     """
+    obs = _loop_obligations(b, body, inv, symtab, cfg.wp_bound)
+    return _combine(_check_all(obs, symtab, cfg), cfg)
+
+
+def _loop_obligations(b: Expr, body: Contract, inv: tuple,
+                      symtab: SymbolTable, wp_bound: int) -> list:
+    """The loop rule's five obligations (`check_invariant_loop`)."""
     i1, i2, i3 = inv
-    assumption, step, pause = loop_parts(b, body, symtab, cfg.wp_bound)
+    assumption, step, pause = loop_parts(b, body, symtab, wp_bound)
     exit_ = normalize(state_test(negate(b)), symtab)
-    obs = [
+    return [
         Obligation(assumption, i1, "pre", "assumption weakening"),
         Obligation(i2, pause, "peri", "pause establishes invariant"),
         Obligation(i2, SeqInv(step, i2), "peri",
@@ -732,7 +755,6 @@ def check_invariant_loop(
         Obligation(i3, SeqInv(step, i3), "post",
                    "step preserves exit invariant"),
     ]
-    return _combine(_check_all(obs, symtab, cfg), cfg)
 
 
 # ---------------------------------------------------------------------------

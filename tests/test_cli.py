@@ -267,7 +267,8 @@ def test_collection_thresholds_hold_only_while_a_command_runs(
 
 def test_obligations_report_their_verdicts_and_scopes(capsys):
     # the precondition obligation is calculated, so no bound can change it;
-    # the pericondition is read from instances within the bound
+    # the pericondition is walked to the bound; the universal postcondition
+    # allows every observation at every length
     code, verdict = _run(capsys, "dlf", str(CORPUS / "buffer.rp"))
     jsonschema.validate(verdict, _schema("verdict"))
     assert code == 0
@@ -275,7 +276,7 @@ def test_obligations_report_their_verdicts_and_scopes(capsys):
             for o in verdict["obligations"]] == [
         ("pre", "verified", "unbounded"),
         ("peri", "verified", "bounded"),
-        ("post", "verified", "bounded"),
+        ("post", "verified", "unbounded"),
     ]
 
 
@@ -306,6 +307,31 @@ def test_crosscheck_reports_the_traces_it_visited(capsys):
     _, verdict = _run(capsys, "dlf", str(CORPUS / "buffer.rp"),
                       "--trace-bound", "8")
     assert verdict["obligations"][1]["traces"] == out["traces"]
+
+
+def test_the_guarded_buffer_keeps_its_invariant_at_every_length(capsys):
+    # the monitor search closes: from each of the 7 classes of states it
+    # visits the step's start and the 7 pairs after one event, where each
+    # side has the residue bf; a pause ends every branch of its walk, and
+    # the universal postcondition allows every observation
+    for bound in ("3", "8", "40"):
+        code, verdict = _run(capsys, "inv-check",
+                             str(CORPUS / "buffer_guarded.rp"),
+                             "--invariant", BUFFER_INV, "--trace-bound", bound)
+        jsonschema.validate(verdict, _schema("verdict"))
+        assert code == 0
+        assert [(o["verdict"], o["scope"], o["traces"])
+                for o in verdict["obligations"]] == [
+            ("verified", "unbounded", 0), ("verified", "unbounded", 7),
+            ("verified", "unbounded", 14), ("verified", "unbounded", 0),
+            ("verified", "unbounded", 0)], bound
+    # the unguarded buffer's lag grows when an input is dropped, so the
+    # search stops at the bound, short of the refutation at bound 5
+    code, verdict = _run(capsys, "inv-check", str(CORPUS / "buffer.rp"),
+                         "--invariant", BUFFER_INV, "--trace-bound", "4")
+    assert code == 0
+    assert [o["scope"] for o in verdict["obligations"]] == [
+        "unbounded", "unbounded", "bounded", "unbounded", "unbounded"]
 
 
 def test_refuted_obligation_is_named(capsys):
@@ -496,15 +522,76 @@ def test_every_command_runs_without_the_cyclic_collector(capsys,
         gc.collect()
         assert cli.main(["crosscheck", "--random", "100"]) == 0
         assert gc.collect() < 1_000
-        # and a discharge leaves no more of them than a calculation does,
-        # nor does a cross-check, whose pairs of node sets form loops
+        # and a calculation or a discharge leaves no more of them than
+        # parsing its arguments does, nor does a cross-check, whose pairs of
+        # node sets form loops; each command builds its own subparser
         buffer = str(CORPUS / "buffer.rp")
-        cli.main(["calc", buffer])
-        parser = gc.collect()
-        for argv in (["dlf", buffer], ["refine", buffer, buffer],
-                     ["crosscheck", buffer],
+        for argv in (["calc", buffer], ["dlf", buffer],
+                     ["refine", buffer, buffer], ["crosscheck", buffer],
                      ["crosscheck", "--random", "20", "--loops"]):
-            assert cli.main([*argv, "--trace-bound", "6"]) == 0
+            if argv[0] != "calc":
+                argv += ["--trace-bound", "6"]
+            cli._parser(argv[0]).parse_args(argv)
+            parser = gc.collect()
+            assert cli.main(argv) == 0
             assert gc.collect() == parser, argv
     finally:
         gc.enable()
+
+
+PARSER_ERRORS = [
+    ["--help"], ["-h"], [], ["dlf", "--help"], ["nosuch"], ["nosuch", "x"],
+    ["--format", "json"], ["dlf", "skip.rp", "--bogus"], ["dlf"],
+    ["dlf", "skip.rp", "--trace-bound", "x"],
+    # the refine forms that exclude each other print the top-level usage
+    ["refine", "skip.rp"],
+    ["refine", "stop.rp", "skip.rp", "--invariant", "true"],
+    ["refine", "skip.rp", "--invariant", "true", "--post", "false"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ERRORS,
+                         ids=lambda argv: " ".join(argv) or "nothing")
+def test_one_commands_parser_prints_what_every_commands_parser_does(
+        capsys, monkeypatch, argv):
+    # only the named command's subparser is built, yet help, usage and
+    # errors are byte for byte those of the parser that holds every
+    # command, whose usage lists them all
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [str(CORPUS / a) if a.endswith(".rp") else a for a in argv]
+
+    def run():
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    got = run()
+    everything = cli._parser
+    monkeypatch.setattr(cli, "_parser", lambda command=None: everything())
+    assert got == run()
+    assert got[0] == (0 if "--help" in argv or "-h" in argv else 2)
+    # the top-level usage, or the subparser's for an error of its own
+    text = got[1] + got[2]
+    assert ("{calc,refine,dlf,inv-check,oracle,crosscheck,laws}" in text
+            or text.startswith("usage: rdes dlf "))
+
+
+def test_main_builds_the_subparser_of_the_named_command_alone(
+        capsys, monkeypatch):
+    built = []
+    real = cli._parser
+
+    def spy(command=None):
+        parser = real(command)
+        built.append(sorted(parser._subparsers._group_actions[0].choices))
+        return parser
+
+    monkeypatch.setattr(cli, "_parser", spy)
+    assert cli.main(["dlf", str(CORPUS / "a_stop.rp")]) == 1
+    with pytest.raises(SystemExit):
+        cli.main(["nosuch"])
+    capsys.readouterr()
+    # an unknown command is reported by the parser of every command
+    assert built == [["dlf"], sorted(cli.COMMANDS)]

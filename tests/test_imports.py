@@ -2,8 +2,9 @@
 `rdes` module imports only at its top level, every private module-level
 function or class of `rdes` is used in `rdes`, no `rdes` module uses a
 `functools` cache, the oracle's operational semantics uses nothing that
-`oracle.py` imports from the calculus or the view, and neither the oracle
-nor the transition-system view uses anything from `ground`.
+`oracle.py` imports from the calculus or the view, neither the oracle nor
+the transition-system view uses anything from `ground`, and an invariant's
+monitor reads only `state`.
 
 Package `__init__.py` files re-export what they import, and `__future__`
 imports are compiler directives, so both are skipped.
@@ -204,6 +205,17 @@ def test_the_view_is_independent_of_the_ground_reading():
     # view must not compute with `ground`
     source = (SRC / "view.py").read_text()
     assert calculus_uses(source, None, frozenset({"ground"})) == []
+
+
+def test_the_monitor_reads_only_the_state_module():
+    # an invariant's monitor is derived from the invariant alone, so that
+    # the search over residues does not lean on a reading of relations
+    source = (SRC / "monitor.py").read_text()
+    readings = frozenset({"relalg", "contracts", "ground", "view", "oracle",
+                          "kleene", "verify"})
+    assert calculus_uses(source, None, readings) == []
+    assert {n.module for n in ast.parse(source).body
+            if isinstance(n, ast.ImportFrom)} == {"__future__", "state"}
 
 
 def test_detector_flags_a_use_of_the_calculus():

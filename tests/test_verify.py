@@ -21,6 +21,7 @@ from rdes.contracts import (
     while_contract,
 )
 from rdes.kleene import star_wp
+from rdes.view import instances
 from rdes.relalg import (
     EventTerm,
     PreNF,
@@ -903,6 +904,246 @@ def test_enumerated_obligations_match_the_sweep():
     assert refuted > 800 and verified > 1500
 
 
+# ---------------------------------------------------------------------------
+# The suffix sweep that the monitor search replaced, kept as its reference
+
+
+def _sweep(ob, symtab, least, view):
+    """Offer every failing observation of a right-hand invariant, alone or
+    after a step (`_invariant_observations`)."""
+    lhs = verify._member(ob.lhs, ob.kind, view)
+    observations = _invariant_observations(ob, symtab, least, view)
+    for s in verify._starts(ob, symtab):
+        assumed = verify._active_traces(ob.assume.clauses, symtab, s)
+        last = None
+        for tt, x in observations(s):
+            if len(tt) > least.longest:
+                continue
+            if assumed and verify._extends(tt, assumed):
+                continue
+            if tt != last:
+                least.traces += 1
+                last = tt
+            if not lhs(s, tt, x):
+                least.offer(s, tt, x)
+
+
+def _invariant_observations(ob, symtab, least, view):
+    """s -> the observations (tt, x) from s of an invariant I, alone or as
+    `SeqInv(step, I)`: from ((), s), or from each terminated step instance
+    (t1, s1) over the alphabet, (t1 + t2, x) for each swept suffix t2 with
+    len(t1 + t2) <= least.longest and each accepted set or final state x
+    with I true at (s1, t2, x).
+
+    The swept suffixes are one per class of traces that the obligation
+    cannot tell apart (`_suffixes`), by the channels both sides read.
+    Assumed clauses, or a relation on the left, read the trace whole, and
+    then every trace is swept.  Each reached state s1's suffixes are swept
+    once per obligation, shared by every start and step instance that
+    reaches s1: one length at a time, when a start first needs it, keeping
+    the (t2, x) on which I holds.  So I is evaluated once per (s1, class,
+    x), and no suffix longer than the least failure so far is swept."""
+    inv = ob.rhs.inv if isinstance(ob.rhs, SeqInv) else ob.rhs
+    holds = verify._member(inv, ob.kind, None)
+    alphabet = symtab.alphabet()
+    if ob.kind == "post":
+        xs = symtab.valuations()
+    elif verify._mentions_acc(ob.lhs) or verify._mentions_acc(inv):
+        xs = verify._accepted_sets(alphabet)
+    else:
+        xs = (frozenset(),)
+    reads = None if ob.assume.clauses else verify._reads(ob.lhs)
+    if reads is not None:
+        reads |= verify._reads(inv)
+    traces = _suffixes(alphabet, reads)
+    swept = {}  # s1 -> [the kept (t2, x) with len(t2) = m, for each m]
+
+    def suffixes(s1, m):
+        by_length = swept.setdefault(s1, [])
+        while len(by_length) <= m:
+            by_length.append([(t2, x) for t2 in traces(len(by_length))
+                              for x in xs if holds(s1, t2, x)])
+        return by_length[m]
+
+    def observations(s):
+        starts = (((), s),)
+        if isinstance(ob.rhs, SeqInv):
+            # in witness order, so where the first failure cuts the sweep
+            # short does not depend on the set's iteration order
+            starts = sorted(
+                instances(view(ob.rhs.prefix, "post"), s, least.bound),
+                key=lambda i: (len(i[0]), verify._order_key(i[0]),
+                               str(i[1])))
+        for t1, s1 in starts:
+            if not set(alphabet).issuperset(t1):
+                continue
+            for n in itertools.count(len(t1)):
+                if n > least.longest:
+                    break
+                yield from ((t1 + t2, x)
+                            for t2, x in suffixes(s1, n - len(t1)))
+
+    return observations
+
+
+def _projections(tt, channels):
+    """A trace's projection on each of `channels`, in order."""
+    return tuple(tuple(e.data for e in tt if e.chan == c) for c in channels)
+
+
+def _suffixes(alphabet, channels):
+    """m -> the traces of length m over `alphabet` to sweep.  With
+    `channels` None that is every trace.  Otherwise it is one trace per
+    class of traces over the events of `channels` with equal projections on
+    them: the class's least member in witness order.  A suffix with an
+    event on another channel passes or fails as it does without the event,
+    which is shorter, so none is swept.
+
+    The least member is the greedy merge of the class's per-channel
+    sequences, which puts first the least of their heads: events of
+    different channels never print equal.  An event prints as its channel's
+    name, then a dot and its payload if it has one, and a channel name is
+    an identifier, whose characters all print after the dot.  So each event
+    of a channel prints before every event of a channel whose name sorts
+    after it, and the merge is the sequences' concatenation in channel-name
+    order."""
+    if channels is None:
+        return lambda m: itertools.product(alphabet, repeat=m)
+    events = [e for e in alphabet if e.chan in channels]
+    levels = [[()]]
+
+    def traces(m):
+        while len(levels) <= m:
+            levels.append([t + (e,) for t in levels[-1] for e in events
+                           if not t or t[-1].chan <= e.chan])
+        return levels[m]
+
+    return traces
+
+
+def _least_failing_superset(inv, symtab):
+    """`verify._least_failing_superset` as it was before the monitor: the
+    failing sets listed once per state and projection on the channels
+    `inv` reads."""
+    holds = verify._member(inv, "peri", None)
+    channels = sorted(verify._reads(inv))
+    accepted = []
+    failing = {}  # (s, projections) -> the failing sets, in order
+
+    def first(s, tt, x):
+        key = (s, _projections(tt, channels)) if channels else s
+        if key not in failing:
+            if not accepted:
+                accepted.extend(verify._accepted_sets(symtab.alphabet()))
+            failing[key] = [a for a in accepted if not holds(s, tt, a)]
+        return next((a for a in failing[key] if x <= a), None)
+
+    return first
+
+
+def _swept_least_failure(ob, symtab, bound):
+    """`verify._least_failure` as it was before the monitor search: a
+    right-hand invariant is swept on suffixes up to the bound, and a
+    right-hand relation walked; a sweep's verdict is always bounded."""
+    views = {}
+
+    def view(r, kind=ob.kind):
+        if (r, kind) not in views:
+            views[r, kind] = verify.View(r, kind, symtab)
+        return views[r, kind]
+
+    least = verify._Least(ob.kind, bound)
+    if isinstance(ob.rhs, (InvariantRel, SeqInv)):
+        _sweep(ob, symtab, least, view)
+        least.cut = True
+    else:
+        verify._walk(ob, symtab, least, view)
+    return least.best, least.traces, "bounded" if least.cut else "unbounded"
+
+
+@contextlib.contextmanager
+def _swept(monkeypatch):
+    """Discharge obligations by the reference sweep while inside."""
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_least_failure", _swept_least_failure)
+        m.setattr(verify, "_least_failing_superset", _least_failing_superset)
+        yield
+
+
+def _buffer_loop_obligations(invariants, specs=()):
+    """The loop-rule obligations of both buffers with each of `invariants`,
+    and the implication of each of `specs` by the reduced invariant."""
+    for name in ("buffer", "buffer_guarded"):
+        tp, _ = _corpus(name)
+        loop = tp.body.second
+        body = calculate(dsl.TypedProgram(tp.symtab, loop.body))
+        for source in invariants:
+            i2 = InvariantRel("peri", dsl.parse_invariant(source, tp.symtab))
+            yield from ((ob, tp.symtab) for ob in verify._loop_obligations(
+                loop.cond, body, (TRUE_PRE, i2, TRUE_R), tp.symtab,
+                CFG.wp_bound))
+            _, reduced = inv_check_program(tp, i2.body, Config(trace_bound=1))
+            for spec in specs:
+                spec = InvariantRel("peri", dsl.parse_invariant(spec,
+                                                                tp.symtab))
+                yield (Obligation(spec, reduced.peri, "peri", "implied"),
+                       tp.symtab)
+
+
+def _search_and_sweep(monkeypatch, ob, symtab, bounds):
+    """(the monitor search's verdict, the reference sweep's) at each bound."""
+    for bound in bounds:
+        cfg = Config(trace_bound=bound)
+        got = check_rrel_refine(ob, symtab, cfg)
+        with _swept(monkeypatch):
+            yield got, check_rrel_refine(ob, symtab, cfg)
+
+
+def test_the_monitor_search_gives_the_verdicts_of_the_sweep(monkeypatch):
+    """The step-driven and implied obligations of `_enumerated_obligations`
+    and the loop rule of the buffers with the benchmark's two invariants
+    give the sweep's verdict, witness and reason at bounds 1-6.  Where the
+    search closes, the verdict holds at every length, so the sweep also
+    verifies the obligation at bound 8, and then at every bound below."""
+    obligations = [*_enumerated_obligations(), *_buffer_loop_obligations(
+        [BUFFER_INV, "outps(tt)<=inps(tt)"], ["outps(tt)<=inps(tt)"])]
+    refuted = closed = 0
+    for ob, symtab in obligations:
+        unbounded = False
+        for got, want in _search_and_sweep(monkeypatch, ob, symtab,
+                                           range(1, 7)):
+            assert (got.kind, got.witness, got.reason) == (
+                want.kind, want.witness, want.reason), ob
+            refuted += got.kind == "refuted"
+            unbounded = unbounded or got.scope == "unbounded"
+        if unbounded and ob.kind != "pre":
+            with _swept(monkeypatch):
+                v = check_rrel_refine(ob, symtab, Config(trace_bound=8))
+            assert v.verified, ob
+            closed += 1
+    assert len(obligations) == 765 and refuted == 2024 and closed == 390
+
+
+def test_an_invariant_outside_the_fragment_gives_the_sweeps_verdict(
+        monkeypatch):
+    """Invariants with a leaf that only their projections decide: their
+    residues grow with the trace, so a verified step obligation stays
+    bounded."""
+    outside = ["head(inps(tt)) = 0 or #inps(tt) = 0",
+               "#inps(tt) = 0 or head(inps(tt)) <= 1"]
+    kinds = []
+    for ob, symtab in _buffer_loop_obligations(outside):
+        if not isinstance(ob.rhs, SeqInv) or ob.kind != "peri":
+            continue
+        for got, want in _search_and_sweep(monkeypatch, ob, symtab,
+                                           range(1, 7)):
+            assert (got.kind, got.witness, got.scope) == (
+                want.kind, want.witness, "bounded"), ob
+            kinds.append(got.kind)
+    assert kinds == ["refuted"] * 6 + ["verified"] * 6 + [
+        "refuted"] * 6 + ["verified"] * 6
+
+
 def _evaluations(monkeypatch, body) -> list:
     """The arguments of each evaluation of `body` that `verify` makes while
     the returned list is filled."""
@@ -944,12 +1185,11 @@ def test_each_reached_state_is_swept_once(monkeypatch):
             channels = _read_channels(ob.lhs, inv)
         else:
             inv, whole = ob.rhs, True
-        with monkeypatch.context() as m:
+        with _swept(monkeypatch), monkeypatch.context() as m:
             calls = _evaluations(m, inv.body)
             check_rrel_refine(ob, symtab, Config(trace_bound=SWEEP_BOUND))
         classes = {
-            (s, tt if whole else verify._projections(tt, channels), acc,
-             primed)
+            (s, tt if whole else _projections(tt, channels), acc, primed)
             for s, tt, acc, primed in calls}
         assert len(calls) == len(classes), ob
         swept += len(calls)
@@ -971,18 +1211,18 @@ def test_suffixes_are_the_least_member_of_each_class():
     alphabet = symtab.alphabet()
     for channels in ({"a"}, {"ab"}, {"d"}, {"a", "c"}, {"ab", "d"},
                      {"a", "ab", "c", "d"}, set()):
-        traces = verify._suffixes(alphabet, frozenset(channels))
+        traces = _suffixes(alphabet, frozenset(channels))
         read = [e for e in alphabet if e.chan in channels]
         for m in range(4):
             least = {}
             for t in sorted(itertools.product(read, repeat=m),
                             key=lambda t: tuple(map(str, t))):
-                least.setdefault(verify._projections(t, sorted(channels)), t)
+                least.setdefault(_projections(t, sorted(channels)), t)
             assert sorted(traces(m)) == sorted(least.values()), (channels, m)
     # the buffer's two channels at n = 9: (n + 1) * 2^n classes of 4^9
     buffer = _corpus("buffer")[0].symtab
-    assert len(verify._suffixes(buffer.alphabet(),
-                                frozenset({"inp", "out"}))(9)) == 5_120
+    assert len(_suffixes(buffer.alphabet(),
+                         frozenset({"inp", "out"}))(9)) == 5_120
 
 
 @pytest.mark.parametrize("program, bound, evaluations", [
@@ -998,8 +1238,9 @@ def test_the_loop_rule_evaluates_the_invariant_once_per_argument(
     tp = dsl.load_program((CORPUS / program).read_text())
     calls = _evaluations(monkeypatch, dsl.parse_invariant(BUFFER_INV,
                                                           tp.symtab))
-    cli.main(["inv-check", str(CORPUS / program), "--invariant", BUFFER_INV,
-              "--trace-bound", str(bound)])
+    with _swept(monkeypatch):
+        cli.main(["inv-check", str(CORPUS / program), "--invariant",
+                  BUFFER_INV, "--trace-bound", str(bound)])
     capsys.readouterr()
     assert len(calls) == evaluations
 
@@ -1212,7 +1453,7 @@ def _ground_least_failure(ob, symtab, bound):
                 key = (len(tt), verify._order_key(tt), str(s), x_key(a))
                 if best is None or key < best_key:
                     best, best_key = (s, tt, a), key
-    return best, 0
+    return best, 0, "bounded"
 
 
 def _invariants_over_relations():
@@ -1235,24 +1476,40 @@ def test_the_walk_gives_the_verdicts_of_the_ground_reading(monkeypatch):
     them, the relation obligations of `_class_checks`, some under an
     assumption, and invariants over calculated relations give the verdict
     and witness of each obligation that the ground instance sets give, at
-    bounds 1-6."""
+    bounds 1-6.  A walk that ends every branch before the bound reports
+    scope "unbounded", and then no larger bound refutes the obligation."""
     checks = [*_class_checks(), *_invariants_over_relations()]
-    refuted = 0
+    refuted = unbounded = 0
+    settled = {}  # label -> the obligations verified "unbounded"
     for bound in range(1, 7):
         cfg = Config(trace_bound=bound)
-        got = [_outcome(check(cfg)) for _, check in checks]
+        verdicts = [check(cfg) for _, check in checks]
+        got = [_outcome(v, scope=False) for v in verdicts]
         with monkeypatch.context() as m:
             m.setattr(verify, "_least_failure", _ground_least_failure)
-            want = [_outcome(check(cfg)) for _, check in checks]
-        for (label, _), g, w in zip(checks, got, want):
+            want = [_outcome(check(cfg), scope=False) for _, check in checks]
+        for (label, _), g, w, v in zip(checks, got, want, verdicts):
             assert g == w, (label, bound)
+            for o, ov in _obligations(v):
+                if o in settled.get(label, ()):
+                    assert ov.kind == "verified", (label, o, bound)
+                elif ov.kind == "verified" and ov.scope == "unbounded":
+                    settled.setdefault(label, set()).add(o)
         refuted += sum(g[0] == "refuted" for g in got)
-    assert len(checks) == 796 and refuted == 1743
+        unbounded += sum(len(x) for x in settled.values())
+    assert len(checks) == 796 and refuted == 1743 and unbounded > 0
 
 
-def _outcome(v):
+def _obligations(v):
+    """(origin, verdict) of each obligation of a combined verdict, or of a
+    single one."""
+    return [(o.origin, w) for o, w in v.obligations] or [("", v)]
+
+
+def _outcome(v, scope=True):
     return v.kind, v.witness, v.reason, tuple(
-        (o.origin, w.kind, w.witness, w.scope) for o, w in v.obligations)
+        (o.origin, w.kind, w.witness, w.scope if scope else None)
+        for o, w in v.obligations)
 
 
 def test_one_state_per_class_gives_the_verdicts_of_every_state(monkeypatch):
