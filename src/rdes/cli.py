@@ -71,13 +71,14 @@ INPUT_ERRORS = (
 
 
 # The least value of each numeric option
-LEAST = {"trace_bound": 1, "wp_bound": 1, "random": 0, "per_law": 0,
+LEAST = {"trace_bound": 1, "wp_bound": 1, "random": 1, "per_law": 0,
          "terms": 0, "depth": 0}
 
 
 def _config(args) -> Config:
     for name, least in LEAST.items():
-        if getattr(args, name, least) < least:
+        value = getattr(args, name, None)
+        if value is not None and value < least:
             print(f"error: --{name.replace('_', '-')} must be >= {least}",
                   file=sys.stderr)
             raise SystemExit(2)
@@ -263,8 +264,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     cfg = _config(args)
-    if args.random:
-        rng = randgen.rng_for(args.seed)
+    if args.random is not None:
+        rng = randgen.rng_for(args.seed or 0)
         make = (randgen.random_loop_program if args.loops
                 else randgen.random_program)
         programs = [make(rng) for _ in range(args.random)]
@@ -379,10 +380,10 @@ def _oracle_args(p: argparse.ArgumentParser) -> None:
 
 def _crosscheck_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", nargs="?", default=None)
-    p.add_argument("--random", type=int, default=0, metavar="N")
+    p.add_argument("--random", type=int, metavar="N")
     p.add_argument("--loops", action="store_true",
                    help="generate loop programs instead of star-free ones")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=int,
                    help="seed of the --random programs")
     _add_bounds(p)
     p.set_defaults(func=cmd_crosscheck)
@@ -453,6 +454,16 @@ def main(argv=None) -> int:
         if args.invariant and args.post:
             parser.error("refine --invariant proves no postcondition, "
                          "so --post would be ignored")
+    if args.command == "crosscheck":
+        # a file, or --random N with what generates its programs
+        if args.random is not None and args.file is not None:
+            parser.error(f"crosscheck reads no file with --random, "
+                         f"so {args.file} would be ignored")
+        for flag, given in (("--loops", args.loops),
+                            ("--seed", args.seed is not None)):
+            if given and args.random is None:
+                parser.error(f"crosscheck generates no programs without "
+                             f"--random, so {flag} would be ignored")
     # A check keeps millions of small tuples and sets alive until it ends,
     # and every collection of the oldest generation traverses all of them.
     # What a command builds holds no reference cycles, so it runs without

@@ -1053,4 +1053,9 @@ def _resolve(e: Expr, symtab: SymbolTable) -> Expr:
             return Acc()
         return rebuild(x, go)
 
-    return go(e)
+    try:
+        return go(e)
+    finally:
+        # `go` reaches itself through its closure: break that cycle, since
+        # commands run without the cyclic collector
+        del go

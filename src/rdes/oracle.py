@@ -73,22 +73,38 @@ and compare the sides for every trace length.  It does not: such a closure
 makes the cost stop growing with the bound, so the bound would no longer
 measure anything, and an "unbounded" agreement would need a certificate of
 its own (see `verify`'s docstring for the same choice).  Each report counts
-the (class, trace) nodes visited (`traces`).
+the (walk, trace) nodes visited (`traces`), over the walks below.
 
-`cross_check` reads both sides from one initial state per class of states
-that neither side can tell apart.  Each side has its own def-use rule: the
-oracle's is `_reads_writes`, over the program's core actions as the
-semantics reads them, and the contract's is `relalg.depends`, over its
-three relations.  A class is the states that agree on every variable that
-either rule names: what the side reads, and what a termination may leave
-unwritten, since final states carry it.  Each rule is a fact about its own
-side's reading alone: from the states of one class, that reading gives the
-same observations with `st` replaced.  So the two sides differ at a state
-exactly where they differ at the first state of its class, and comparing
-there decides the whole class.  A wrong calculus shows at that state as it
-would at any other.  The classes of one program are read off one
-semantics, one denotation and one table of pairs, so that a class reuses
-the node sets and pairs that an earlier one reached.
+`cross_check` reads both sides once per class of initial states, in two
+tiers.  Each side has its own frame rule: what the side reads, and what a
+termination may leave unwritten, which final states carry.  The oracle's
+is `_reads_writes`, over the program's core actions as the semantics reads
+them, and the contract's is `relalg.reads_writes`, over its three
+relations.  Each rule is a fact about its own side's reading alone.
+
+A coarse class is the states that agree on what either side reads.  A
+variable that some side may leave unwritten and neither reads is only ever
+copied, as the paper's final atom Phi(b | s | t) frames every variable
+outside the domain of s.  So a coarse class is walked once, from its first
+state with the marker `KEPT` as the value of each such variable
+(`_marked`).  No evaluation on either side can read that value, so a final
+state holds `KEPT` exactly where the run left the variable alone, and from
+each state of the class each side gives the marked observations with `st`,
+and `KEPT`, replaced by that state's values.  The replacement is the same
+on both sides, so a marked walk that finds no difference decides every
+state of the class.  A marked difference does not: the replacement can make
+two final states equal, as where one side keeps x and the other writes
+x := 0, which differ only where x is not 0.  There each fine class inside
+the coarse one, the states that also agree on the marked variables, is
+walked from its first state, concretely; the two sides differ at a state
+exactly where they differ there.  With nothing to mark, the coarse class
+is the fine one and its one walk is concrete.  A wrong calculus shows at
+these states as it would at any other, and a wrong contract that reads a
+variable keeps that variable concrete, since the contract's rule names it.
+The classes of one program are read off one semantics, one denotation and
+one table of pairs, so that a class reuses the node sets and pairs that an
+earlier one reached.  Each report counts the walks (`classes`): the marked
+ones, and the fine ones where a marked walk differed.
 """
 
 from __future__ import annotations
@@ -100,7 +116,7 @@ from typing import NamedTuple
 
 from . import dsl
 from .contracts import Contract
-from .relalg import depends, ground_trace, pp_trace
+from .relalg import depends, ground_trace, pp_trace, reads_writes
 from .state import (
     SymbolTable,
     Valuation,
@@ -487,13 +503,29 @@ def _reads_writes(a: dsl.Action, variables: frozenset) -> tuple:
     raise TypeError(f"not a core action: {a!r}")
 
 
-def _program_depends(tp: dsl.TypedProgram) -> frozenset:
-    """The variables whose initial value can change the oracle's
-    observations of `tp`: what it reads, and what a termination may leave
-    unwritten."""
+def _program_frame(tp: dsl.TypedProgram) -> tuple:
+    """(reads, unwritten) of `tp` by the oracle's rule: the variables whose
+    initial value it reads, and those that a termination may leave
+    unwritten, which its final states carry."""
     variables = frozenset(tp.symtab.variables)
     reads, writes = _reads_writes(tp.body, variables)
-    return reads | (variables - writes)
+    return reads, variables - writes
+
+
+class _Kept:
+    """The type of `KEPT`, the value a marked state gives each carried
+    variable (see the module docstring)."""
+
+    def __repr__(self) -> str:
+        return "KEPT"
+
+
+KEPT = _Kept()
+
+
+def _marked(s: Valuation, kept: frozenset) -> Valuation:
+    """s with `KEPT` for the value of each variable in `kept`."""
+    return Valuation(tuple((n, KEPT if n in kept else v) for n, v in s.items))
 
 
 # ---------------------------------------------------------------------------
@@ -585,13 +617,14 @@ class _Labels:
         return self.peri[p], self.post[q], t in self.ends
 
 
-
-def _contract_depends(c: Contract, symtab: SymbolTable) -> frozenset:
-    """The variables whose initial value can change `contract_obs` of c."""
+def _contract_frame(c: Contract, symtab: SymbolTable) -> tuple:
+    """(reads, unwritten) of c by `relalg`'s rule: the variables whose
+    initial value `contract_obs` of c reads, and those that a postcondition
+    instance may leave unwritten, which its final states carry."""
     variables = frozenset(symtab.variables)
-    return (depends(c.pre, "pre", variables)
-            | depends(c.peri, "peri", variables)
-            | depends(c.post, "post", variables))
+    reads, writes = reads_writes(c.post, variables)
+    return (reads | depends(c.pre, "pre", variables)
+            | depends(c.peri, "peri", variables)), variables - writes
 
 
 # ---------------------------------------------------------------------------
@@ -770,9 +803,10 @@ class _Lockstep:
 
 def cross_check(tp: dsl.TypedProgram, calc: Contract, cfg) -> dict:
     """Compare enumerated and calculated observations from every initial
-    state, once per class of states that neither reading can tell apart
-    (see the module docstring).  The differences from a class's first state
-    are reported for each of its states, in valuation order.
+    state: once per coarse class of states from a marked state, and where
+    that walk differs, once per fine class inside it (see the module
+    docstring).  The differences from a fine class's first state are
+    reported for each of its states, in valuation order.
 
     It runs without the cyclic collector, whoever calls it, for the reason
     `cli.main` runs every command so: the automata keep many containers
@@ -788,30 +822,48 @@ def cross_check(tp: dsl.TypedProgram, calc: Contract, cfg) -> dict:
 
 
 def _cross_check(tp: dsl.TypedProgram, calc: Contract, cfg) -> dict:
-    symtab = tp.symtab
-    key_vars = _program_depends(tp) | _contract_depends(calc, symtab)
-    # each state's class: its values of the variables either side reads
-    keys = [tuple(v for n, v in s.items if n in key_vars)
-            for s in symtab.valuations()]
-    diffs_of: dict = {}  # class key -> the differences from its first state
-    traces = 0
+    symtab, bound = tp.symtab, cfg.trace_bound
+    program_reads, program_unwritten = _program_frame(tp)
+    calc_reads, calc_unwritten = _contract_frame(calc, symtab)
+    reads = program_reads | calc_reads
+    key_vars = reads | program_unwritten | calc_unwritten
+    kept = key_vars - reads  # carried by some side, read by neither
     # every class is read off one automaton per side
     semantics, denotation = _Semantics(symtab, tp.body), _Denotation(calc,
                                                                      symtab)
     lockstep = _Lockstep(semantics, denotation)
-    for s0, k in zip(symtab.valuations(), keys):
-        if k not in diffs_of:
-            left = enumerate_program(tp, s0, cfg.trace_bound, semantics)
-            right = contract_obs(calc, s0, symtab, cfg.trace_bound,
-                                 denotation)
-            diffs_of[k], visited = lockstep.walk(left.start, right.start,
-                                                 cfg.trace_bound)
+
+    def walk(s0: Valuation) -> tuple:
+        left = enumerate_program(tp, s0, bound, semantics)
+        right = contract_obs(calc, s0, symtab, bound, denotation)
+        return lockstep.walk(left.start, right.start, bound)
+
+    # each state's coarse class, its values of what either side reads, and
+    # its fine class, its values of every variable either rule names
+    keys = [(tuple(v for n, v in s.items if n in reads),
+             tuple(v for n, v in s.items if n in key_vars))
+            for s in symtab.valuations()]
+    agrees: dict = {}  # coarse key -> whether its marked walk agreed
+    diffs_of: dict = {}  # fine key -> the differences from its first state
+    classes = traces = 0
+    for s0, (coarse, fine) in zip(symtab.valuations(), keys):
+        if coarse not in agrees:
+            found, visited = walk(_marked(s0, kept) if kept else s0)
+            agrees[coarse] = not found
+            if not kept:  # that walk was the fine class's
+                diffs_of[fine] = found
+            classes += 1
+            traces += visited
+        if not agrees[coarse] and fine not in diffs_of:
+            diffs_of[fine], visited = walk(s0)
+            classes += 1
             traces += visited
     diffs = [dict(d, state=str(s0))
-             for s0, k in zip(symtab.valuations(), keys) for d in diffs_of[k]]
+             for s0, (coarse, fine) in zip(symtab.valuations(), keys)
+             if not agrees[coarse] for d in diffs_of[fine]]
     return {"ok": not diffs, "diffs": diffs,
             "initial_states": len(symtab.valuations()),
-            "classes": len(diffs_of), "traces": traces}
+            "classes": classes, "traces": traces}
 
 
 def observations_json(tp: dsl.TypedProgram, cfg) -> dict:

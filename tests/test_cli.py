@@ -161,6 +161,11 @@ def test_calc_rejects_external_choice_over_a_loop(capsys, tmp_path):
         (["crosscheck", "--random", "1", "--jobs", "2"], False),
         # oracle prints only JSON
         (["oracle", "skip.rp", "--format", "text"], False),
+        # crosscheck reads a file, or generates at least one program
+        (["crosscheck", "skip.rp", "--random", "2"], False),
+        (["crosscheck", "skip.rp", "--loops"], False),
+        (["crosscheck", "skip.rp", "--seed", "3"], False),
+        (["crosscheck", "--random", "0"], False),
     ],
 )
 def test_flags_only_where_read(capsys, argv, accepted):
@@ -184,6 +189,16 @@ def test_flags_only_where_read(capsys, argv, accepted):
          "ignored"),
         (["refine", "dlf", "skip.rp", "--post", "true"],
          "refine reads no spec with --post, so dlf would be ignored"),
+        # crosscheck checks a file or random programs, never both
+        (["crosscheck", "skip.rp", "--random", "2"],
+         "crosscheck reads no file with --random, so skip.rp would be "
+         "ignored"),
+        (["crosscheck", "skip.rp", "--loops"],
+         "crosscheck generates no programs without --random, so --loops "
+         "would be ignored"),
+        (["crosscheck", "skip.rp", "--seed", "3"],
+         "crosscheck generates no programs without --random, so --seed "
+         "would be ignored"),
     ],
 )
 def test_refine_names_the_input_it_would_ignore(capsys, argv, ignored):
@@ -418,7 +433,7 @@ def test_refuted_obligation_is_named(capsys):
         (["oracle", "skip.rp", "--emit", "missing/x.json"],
          "--emit: No such file or directory"),
         (["crosscheck", "--random", "-4", "--loops"],
-         "--random must be >= 0"),
+         "--random must be >= 1"),
         (["laws", "--per-law", "-3", "--terms", "-2"],
          "--per-law must be >= 0"),
         (["laws", "--terms", "-2"], "--terms must be >= 0"),
@@ -524,12 +539,17 @@ def test_every_command_runs_without_the_cyclic_collector(capsys,
         assert gc.collect() < 1_000
         # and a calculation or a discharge leaves no more of them than
         # parsing its arguments does, nor does a cross-check, whose pairs of
-        # node sets form loops; each command builds its own subparser
+        # node sets form loops, nor reading an invariant; each command
+        # builds its own subparser.  The invariant holds within bound 4
         buffer = str(CORPUS / "buffer.rp")
+        invariant = ["--invariant", BUFFER_INV, "--trace-bound", "4"]
         for argv in (["calc", buffer], ["dlf", buffer],
                      ["refine", buffer, buffer], ["crosscheck", buffer],
-                     ["crosscheck", "--random", "20", "--loops"]):
-            if argv[0] != "calc":
+                     ["crosscheck", "--random", "20", "--loops"],
+                     ["inv-check", buffer, *invariant],
+                     ["refine", buffer, *invariant,
+                      "--peri", "outps(tt)<=inps(tt)"]):
+            if argv[0] != "calc" and "--trace-bound" not in argv:
                 argv += ["--trace-bound", "6"]
             cli._parser(argv[0]).parse_args(argv)
             parser = gc.collect()
@@ -547,6 +567,9 @@ PARSER_ERRORS = [
     ["refine", "skip.rp"],
     ["refine", "stop.rp", "skip.rp", "--invariant", "true"],
     ["refine", "skip.rp", "--invariant", "true", "--post", "false"],
+    # and so do the crosscheck inputs that one would be ignored
+    ["crosscheck", "skip.rp", "--random", "2"],
+    ["crosscheck", "skip.rp", "--loops"],
 ]
 
 

@@ -183,12 +183,13 @@ def calculus_uses(source: str, function, modules=CALCULUS) -> list:
 
 
 def test_the_enumerator_is_independent_of_the_calculus():
-    # the operational semantics, the sets read off it, and the def-use rule
-    # that says which initial states it cannot tell apart; nor does it read
-    # a relation's view
+    # the operational semantics, the sets read off it, the def-use rule
+    # that says which initial states it cannot tell apart, and the marked
+    # states it runs from; nor does it read a relation's view
     source = (SRC / "oracle.py").read_text()
     for function in ("enumerate_program", "Observations", "_Semantics",
-                     "_cyclic", "_reads_writes", "_program_depends"):
+                     "_cyclic", "_reads_writes", "_program_frame", "_Kept",
+                     "_marked"):
         assert calculus_uses(source, function, CALCULUS | {"view"}) == [], \
             function
 

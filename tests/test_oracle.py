@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from rdes import contracts, dsl, ground, oracle, randgen, relalg
+from rdes import contracts, dsl, ground, oracle, randgen, relalg, state, view
 from rdes.contracts import (
     Contract,
     NotProductiveError,
@@ -329,16 +329,16 @@ def _class_programs(seed):
 
 
 def _readings(tp, side):
-    """(the variables `side`'s class rule names, its reading (s, k) ->
+    """(`side`'s frame rule, (reads, unwritten), its reading (s, k) ->
     observations), or None where the calculator rejects the program."""
     if side == "oracle":
-        return (oracle._program_depends(tp),
+        return (oracle._program_frame(tp),
                 lambda s, k: enumerate_program(tp, s, k))
     try:
         c = calculate(tp)
     except NotProductiveError:
         return None
-    return (oracle._contract_depends(c, tp.symtab),
+    return (oracle._contract_frame(c, tp.symtab),
             lambda s, k: contract_obs(c, s, tp.symtab, k))
 
 
@@ -360,7 +360,8 @@ def test_a_class_of_initial_states_has_one_reading(side, seed):
         reading = _readings(tp, side)
         if reading is None:
             continue
-        key_vars, read = reading
+        (reads, unwritten), read = reading
+        key_vars = reads | unwritten
         first: dict = {}
         for s in tp.symtab.valuations():
             first.setdefault(tuple(v for n, v in s.items if n in key_vars), s)
@@ -374,6 +375,105 @@ def test_a_class_of_initial_states_has_one_reading(side, seed):
                         o._replace(st=s) for o in at_first[rep]), (
                         dsl.pp_action(tp.body), str(s), k)
     assert merged > (0 if seed is None else 1_000)
+
+
+def _instantiated(obs, s) -> frozenset:
+    """Observations read from a marked state, as from state s: `st`
+    replaced, and each `KEPT` in a final state by s's value."""
+    out = set()
+    for o in obs:
+        if type(o) is Term:
+            o = o._replace(st2=Valuation(tuple(
+                (n, mine if v is oracle.KEPT else v)
+                for (n, v), (_, mine) in zip(o.st2.items, s.items))))
+        out.add(o._replace(st=s))
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("batch", ["corpus", 0, 1, 2])
+@pytest.mark.parametrize("side", ["oracle", "contract"])
+def test_a_marked_reading_gives_every_state_of_its_class(side, batch):
+    # each side's frame rule on its own: from the first state of the states
+    # that agree on what the side reads, with `KEPT` for every variable it
+    # does not read, the side's observations are those from each state of
+    # that class, with `st` and the kept values replaced
+    marked = 0
+    for tp in _reference_programs(batch):
+        reading = _readings(tp, side)
+        if reading is None:
+            continue
+        (reads, _), read = reading
+        unread = frozenset(tp.symtab.variables) - reads
+        if not unread:
+            continue
+        first: dict = {}
+        for s in tp.symtab.valuations():
+            first.setdefault(tuple(v for n, v in s.items if n in reads),
+                             oracle._marked(s, unread))
+        for k in range(1, TOP + 1):
+            at_marked = {m: read(m, k) for m in first.values()}
+            for s in tp.symtab.valuations():
+                m = first[tuple(v for n, v in s.items if n in reads)]
+                assert read(s, k) == _instantiated(at_marked[m], s), (
+                    dsl.pp_action(tp.body), str(s), k)
+                marked += 1
+    assert marked > (0 if batch == "corpus" else 1_000)
+
+
+def test_a_marked_walk_never_evaluates_a_kept_value(monkeypatch):
+    # `KEPT` stands for values that neither side reads: no evaluation in a
+    # cross-check reads it or returns it
+    real_var, real = state._EVAL[state.Var], state.eval_expr
+    marked = []
+
+    def var(e, val, *rest):
+        v = real_var(e, val, *rest)
+        assert v is not oracle.KEPT, (e.name, str(val))
+        return v
+
+    def checked(e, val, *rest):
+        v = real(e, val, *rest)
+        assert v is not oracle.KEPT, str(val)
+        if oracle.KEPT in dict(val.items).values():
+            marked.append(e)
+        return v
+
+    monkeypatch.setitem(state._EVAL, state.Var, var)
+    for module in (state, oracle, relalg, view):
+        monkeypatch.setattr(module, "eval_expr", checked)
+    for batch in ("corpus", 0, 1, 2):
+        for tp in _reference_programs(batch):
+            try:
+                c = calculate(tp)
+            except NotProductiveError:
+                continue
+            cross_check(tp, c, Config(trace_bound=3))
+    assert len(marked) > 1_000
+
+
+def test_a_marked_difference_is_decided_state_by_state(monkeypatch):
+    # the program keeps x and the contract writes 0 to it, so from the
+    # marked state their final states differ, KEPT against 0; at x = 0 they
+    # agree, so each state of the class is walked on its own
+    declared = "channel a\nvar x : int[0..2]\n"
+    tp = dsl.load_program(declared + "a -> skip")
+    wrong = calculate(dsl.load_program(declared + "a -> x := 0"))
+    per_state = [
+        dict(d, state=str(s)) for s in tp.symtab.valuations()
+        for d in compare_observations(enumerate_program(tp, s, 4),
+                                      contract_obs(wrong, s, tp.symtab, 4))]
+    enumerated = _counting(monkeypatch, "enumerate_program")
+    rep = cross_check(tp, wrong, CFG)
+    assert rep["diffs"] == per_state
+    assert [d["state"] for d in rep["diffs"]] == [
+        "{x=1}", "{x=1}", "{x=2}", "{x=2}"]
+    marked = Valuation((("x", oracle.KEPT),))
+    assert enumerated == [marked, *tp.symtab.valuations()]
+    assert rep["classes"] == 4
+    # against its own contract, the marked walk decides all three states
+    enumerated.clear()
+    rep = cross_check(tp, calculate(tp), CFG)
+    assert rep["ok"] and enumerated == [marked] and rep["classes"] == 1
 
 
 def _counting(monkeypatch, name):
@@ -404,8 +504,10 @@ def test_cross_check_reads_each_class_once(monkeypatch):
     for _ in range(600):
         tp = randgen.random_program(rng)
         cross_check(tp, calculate(tp), cfg)
-    # one for each state would be 6,413
-    assert len(enumerated) == len(denoted) == 5_519
+    # one for each state would be 6,413, and one for each class of the
+    # states that agree on every variable either rule names 5,519; these are
+    # the marked walks, and the walks of those classes where one differed
+    assert len(enumerated) == len(denoted) == 3_720
 
 
 def test_a_class_difference_is_reported_for_each_state(monkeypatch):
@@ -530,8 +632,8 @@ def _reference_cross_check(tp, c, bound) -> list:
     """`cross_check`'s differences, from the reference readings compared
     as sets, once per class of initial states."""
     symtab = tp.symtab
-    key_vars = oracle._program_depends(tp) | oracle._contract_depends(
-        c, symtab)
+    key_vars = frozenset().union(*oracle._program_frame(tp),
+                                 *oracle._contract_frame(c, symtab))
 
     def key(s):
         return tuple(v for n, v in s.items if n in key_vars)
