@@ -28,7 +28,6 @@ Exit codes: 0 verified/ok, 1 refuted/differences, 2 inconclusive or error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
 import sys
@@ -52,10 +51,12 @@ def _add_bounds(p: argparse.ArgumentParser, trace=True, wp=True,
                 fmt=True) -> None:
     """The bound flags the command reads, and --format if it has a text
     form."""
+    defaults = Config()
     if trace:
-        p.add_argument("--trace-bound", type=int, default=Config.trace_bound)
+        p.add_argument("--trace-bound", type=int,
+                       default=defaults.trace_bound)
     if wp:
-        p.add_argument("--wp-bound", type=int, default=Config.wp_bound)
+        p.add_argument("--wp-bound", type=int, default=defaults.wp_bound)
     if fmt:
         p.add_argument("--format", choices=["text", "json"], default="text")
 
@@ -221,9 +222,8 @@ def _loop_rule(tp: dsl.TypedProgram, cfg: Config, invariant: str,
             "reduced invariant implies specification",
         )
         implied = check_rrel_refine(ob, tp.symtab, cfg)
-        verdict = dataclasses.replace(
-            implied, obligations=verdict.obligations + ((ob, implied),)
-        )
+        verdict = implied._replace(
+            obligations=verdict.obligations + ((ob, implied),))
     return verdict, reduced
 
 
@@ -326,7 +326,7 @@ def cmd_laws(args) -> int:
         "ok": rel["ok"] and ka["ok"],
     }
     if args.format == "json":
-        print(json.dumps(summary, indent=2, default=str))
+        print(json.dumps(summary, indent=2))
     else:
         print(
             f"relational laws: {rel['instances']} instances, "

@@ -19,8 +19,6 @@ and guarded pause to both the calculator and the loop-invariant rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import dsl
 from .kleene import WP_BOUND, WpNotConvergedError, star_wp
 from .relalg import (
@@ -68,6 +66,7 @@ from .state import (
     cond_is_false,
     cond_is_true,
     negate,
+    node,
 )
 
 _EMPTY_TAB = SymbolTable({}, {})
@@ -81,7 +80,7 @@ class NotProductiveError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@node
 class Contract:
     """A contract, or a specification whose peri- or postcondition may be
     an invariant (`verify.InvariantRel`) instead of a relation."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .state import (
@@ -43,6 +42,7 @@ from .state import (
     compose_subst,
     fold,
     free_vars,
+    node,
     pp_expr,
     pp_value,
     rebuild,
@@ -79,46 +79,46 @@ class InfiniteDomainError(Exception):
 # AST
 
 
-@dataclass(frozen=True)
+@node
 class Declaration:
     kind: str  # "channel" | "var"
     name: str
     vtype: Optional[ValueType]  # None only for dataless channels
 
 
-@dataclass(frozen=True)
+@node
 class Skip:
     pass
 
 
-@dataclass(frozen=True)
+@node
 class Stop:
     pass
 
 
-@dataclass(frozen=True)
+@node
 class Chaos:
     pass
 
 
-@dataclass(frozen=True)
+@node
 class Miracle:
     pass
 
 
-@dataclass(frozen=True)
+@node
 class Assign:
     var: str
     expr: Expr
 
 
-@dataclass(frozen=True)
+@node
 class DoEvent:
     chan: str
     data: Optional[Expr] = None
 
 
-@dataclass(frozen=True)
+@node
 class InputPrefix:
     chan: str
     var: str
@@ -126,24 +126,24 @@ class InputPrefix:
     body: "Action"
 
 
-@dataclass(frozen=True)
+@node
 class Guard:
     cond: Expr
     body: "Action"
 
 
-@dataclass(frozen=True)
+@node
 class Seq:
     first: "Action"
     second: "Action"
 
 
-@dataclass(frozen=True)
+@node
 class ExtChoice:
     branches: tuple
 
 
-@dataclass(frozen=True)
+@node
 class IntChoice:
     branches: tuple
 
@@ -164,14 +164,14 @@ def int_choice(branches) -> "IntChoice":
     return IntChoice(tuple(flat))
 
 
-@dataclass(frozen=True)
+@node
 class Cond:
     cond: Expr
     then: "Action"
     other: "Action"
 
 
-@dataclass(frozen=True)
+@node
 class While:
     cond: Expr
     body: "Action"
@@ -183,13 +183,13 @@ Action = Union[
 ]
 
 
-@dataclass(frozen=True)
+@node
 class Program:
     decls: tuple
     body: Action
 
 
-@dataclass(frozen=True)
+@node
 class TypedProgram:
     """Typechecked program with input prefix and guard desugared away."""
 
@@ -219,7 +219,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@node
 class Token:
     kind: str  # "num" | "id" | "kw" | operator text | "eof"
     text: str
@@ -278,8 +278,9 @@ class _Parser:
             self.i += 1
         return t
 
-    def fail(self, message: str):
-        t = self.peek()
+    def fail(self, message: str, at: Optional[Token] = None):
+        """Reject the input at token `at`, by default the next one."""
+        t = at or self.peek()
         if self.committed:
             raise ParseError(t.line, t.col, message)
         raise _Backtrack()
@@ -331,13 +332,14 @@ class _Parser:
             return BoolType()
         if self.at_kw("int"):
             self.next()
-            if self.accept("["):
+            start = self.accept("[")
+            if start:
                 lo = self.parse_signed_int()
                 self.expect("..", "'..'")
                 hi = self.parse_signed_int()
                 self.expect("]", "']'")
                 if lo > hi:
-                    self.fail("empty integer range")
+                    self.fail("empty integer range", at=start)
                 return IntType(lo, hi)
             # unbounded; rejected by the typechecker with a precise error
             return IntType(0, -1)
@@ -558,7 +560,8 @@ class _Parser:
             self.expect("(", "'('")
             tok = self.expect("id", "the trace variable tt")
             if tok.text != "tt":
-                self.fail("projection applies to the trace variable tt")
+                self.fail("projection applies to the trace variable tt",
+                          at=tok)
             self.expect(",", "','")
             chan = self.expect("id", "a channel name").text
             self.expect(")", "')'")
@@ -594,7 +597,7 @@ class _Parser:
                 self.next()
                 tok = self.expect("id", "the trace variable tt")
                 if tok.text != "tt":
-                    self.fail("projection shorthand applies to tt")
+                    self.fail("projection shorthand applies to tt", at=tok)
                 self.expect(")", "')'")
                 return Proj("?" + name)  # resolved against the symbol table
             return Var(name)

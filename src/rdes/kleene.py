@@ -8,8 +8,6 @@ Non-convergence within the bound is reported, never guessed away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ground import final_instances, observations
 from .relalg import (
     NegClause,
@@ -23,7 +21,7 @@ from .relalg import (
     traces_equiv,
     wp_or_final,
 )
-from .state import SymbolTable, cond_implies
+from .state import SymbolTable, cond_implies, node
 
 
 # Default number of saturation steps a weakest precondition may take
@@ -34,7 +32,7 @@ class WpNotConvergedError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@node
 class SaturationResult:
     clauses: PreNF
     converged: bool

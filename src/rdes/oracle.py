@@ -62,9 +62,8 @@ prefix-minimal sets: anything may follow a divergence, so a divergence
 after a trace that already diverged on the same side says nothing new.
 The walk carries, per side, whether a proper prefix of the walked trace
 has diverged, and a side's divergence counts only where none has.  A trace
-is built as a tuple only where the two sides differ, and
-`compare_observations` formats those few observations as it formats the
-differences of two sets.
+is built as a tuple only where the two sides differ, and `_listed`
+formats those few observations.
 
 The walk visits every trace within the bound and prunes nothing across
 traces.  Two traces that reach the same pair of node sets have the same
@@ -632,41 +631,6 @@ def _contract_frame(c: Contract, symtab: SymbolTable) -> tuple:
 
 _KINDS = ("quiet", "term", "divergence")
 _SIDES = ("oracle", "calculus")
-
-
-def _antichain(traces: set) -> set:
-    """Prefix-minimal elements."""
-    out = set()
-    for t in sorted(traces, key=len):
-        if not any(t[: len(p)] == p for p in out):
-            out.add(t)
-    return out
-
-
-def compare_observations(oracle_obs, calc_obs) -> list:
-    """Differences between the two observation sets, with divergences
-    compared as prefix-minimal sets.  Equal sets have no differences, since
-    both readings below are functions of the set."""
-    if oracle_obs == calc_obs:
-        return []
-
-    def visible(obs):
-        quiets, terms, divs = set(), set(), set()
-        for o in obs:
-            if isinstance(o, Quiet):
-                quiets.add((o.tt, o.acc))
-            elif isinstance(o, Term):
-                terms.add((o.tt, o.st2))
-            else:
-                divs.add(o.tt)
-        return quiets, terms, _antichain(divs)
-
-    left, right = visible(oracle_obs), visible(calc_obs)
-    return _listed({
-        (kind, side): mine - theirs
-        for kind, l, r in zip(_KINDS, left, right)
-        for side, mine, theirs in zip(_SIDES, (l, r), (r, l))
-    })
 
 
 def _listed(missing: dict) -> list:

@@ -22,7 +22,6 @@ conjunction of negated initial conditions (``NegClause``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .state import (
@@ -45,6 +44,7 @@ from .state import (
     fold,
     free_vars,
     negate,
+    node,
     pp_expr,
     subst_of,
     substs_equiv,
@@ -68,7 +68,7 @@ class TraceMismatchError(Exception):
 # Event terms, trace expressions, acceptance-set expressions
 
 
-@dataclass(frozen=True)
+@node
 class EventTerm:
     chan: str
     data: Optional[Expr] = None
@@ -142,7 +142,7 @@ def pp_trace(t: TraceExpr) -> str:
     return "<" + ", ".join(str(e) for e in t) + ">"
 
 
-@dataclass(frozen=True)
+@node
 class SingletonPart:
     """One event, offered when the guard holds (guard None = always)."""
 
@@ -155,7 +155,7 @@ class SingletonPart:
         return f"{self.term} if {pp_expr(self.guard)}"
 
 
-@dataclass(frozen=True)
+@node
 class ImagePart:
     """Every event of one channel, offered when the guard holds."""
 
@@ -168,7 +168,7 @@ class ImagePart:
         return f"{self.chan}.* if {pp_expr(self.guard)}"
 
 
-@dataclass(frozen=True)
+@node
 class EventSetExpr:
     """Finite union of guarded singletons and channel images."""
 
@@ -316,7 +316,7 @@ def sets_equiv(a: EventSetExpr, b: EventSetExpr, symtab: SymbolTable) -> bool:
 # Atoms
 
 
-@dataclass(frozen=True)
+@node
 class QuiescentAtom:
     cond: Expr
     trace: TraceExpr
@@ -328,7 +328,7 @@ class QuiescentAtom:
         )
 
 
-@dataclass(frozen=True)
+@node
 class FinalAtom:
     cond: Expr
     subst: Subst
@@ -365,19 +365,19 @@ def is_unit_final(a: Atom) -> bool:
 # Relation nodes
 
 
-@dataclass(frozen=True)
+@node
 class RFalse:
     def __str__(self) -> str:
         return "false"
 
 
-@dataclass(frozen=True)
+@node
 class RTrue:
     def __str__(self) -> str:
         return "true_r"
 
 
-@dataclass(frozen=True)
+@node
 class RAtom:
     atom: Atom
 
@@ -385,7 +385,7 @@ class RAtom:
         return str(self.atom)
 
 
-@dataclass(frozen=True)
+@node
 class ROr:
     args: tuple
 
@@ -396,7 +396,7 @@ class ROr:
         )
 
 
-@dataclass(frozen=True)
+@node
 class RSeq:
     first: "RRel"
     second: "RRel"
@@ -409,7 +409,7 @@ class RSeq:
         return " ; ".join(parts)
 
 
-@dataclass(frozen=True)
+@node
 class RStar:
     body: "RRel"
 
@@ -631,7 +631,7 @@ def _filter(r: RRel, keep_empty: bool) -> RRel:
 # Preconditions: conjunctions of negated initial conditions
 
 
-@dataclass(frozen=True)
+@node
 class NegClause:
     cond: Expr
     trace: TraceExpr
@@ -640,7 +640,7 @@ class NegClause:
         return f"not I({pp_expr(self.cond)} | {pp_trace(self.trace)})"
 
 
-@dataclass(frozen=True)
+@node
 class PreNF:
     """Precondition normal form: a conjunction of negated-init clauses.
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from collections import _tuplegetter  # namedtuple's field getter
 from typing import Iterator, NamedTuple, Optional, Union
 
 # Runtime value representation: bool must be tested before int (bool <: int).
@@ -24,10 +24,52 @@ Value = Union[int, bool, tuple, frozenset]
 
 
 # ---------------------------------------------------------------------------
+# Immutable nodes
+
+
+class Node(tuple):
+    """An immutable term: a tuple of a tag, the module-qualified name of its
+    class, followed by its fields.  Building, `==` and `hash` run in C; the
+    tag keeps nodes of different classes with equal fields apart (a plain
+    named tuple would make `Skip() == Stop()`), and, being a string, keeps
+    hashes reproducible under a fixed `PYTHONHASHSEED`.  Never a `Value`,
+    and always true, as every node holds its tag."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self[1:]))
+        return f"{type(self).__qualname__}({inner})"
+
+    def _replace(self, **changes) -> "Node":
+        return type(self)(**dict(zip(self._fields, self[1:]), **changes))
+
+
+def node(cls) -> type:
+    """`cls` rebuilt as a `Node`, its annotated names its fields in order
+    and their class-level values their defaults, as a frozen dataclass reads
+    them."""
+    ns = {k: v for k, v in vars(cls).items()
+          if k not in ("__dict__", "__weakref__")}
+    fields = tuple(ns.get("__annotations__", ()))
+    first = next((i for i, f in enumerate(fields) if f in ns), len(fields))
+    defaults = tuple(ns.pop(f) for f in fields[first:])
+    for i, f in enumerate(fields, 1):
+        ns[f] = _tuplegetter(i, None)
+    params = "".join(f", {f}" for f in fields)
+    new = eval(f"lambda _cls{params}: _new(_cls, (_tag{params},))",
+               {"_new": tuple.__new__, "__builtins__": {},
+                "_tag": f"{cls.__module__}.{cls.__qualname__}"})
+    new.__defaults__ = defaults or None
+    ns.update(__new__=new, __slots__=(), _fields=fields)
+    return type(cls.__name__, (Node,), ns)
+
+
+# ---------------------------------------------------------------------------
 # Value types
 
 
-@dataclass(frozen=True)
+@node
 class IntType:
     lo: int
     hi: int
@@ -53,7 +95,7 @@ class IntType:
         return f"int[{self.lo}..{self.hi}]"
 
 
-@dataclass(frozen=True)
+@node
 class BoolType:
     def values(self) -> Iterator[bool]:
         return iter((False, True))
@@ -68,7 +110,7 @@ class BoolType:
         return "bool"
 
 
-@dataclass(frozen=True)
+@node
 class SeqType:
     elem: "ValueType"
     maxlen: int
@@ -218,65 +260,65 @@ def valuation_of(mapping: dict) -> Valuation:
 # Expressions
 
 
-@dataclass(frozen=True)
+@node
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class Primed:
     """Final-state variable x'; only meaningful in postcondition invariants."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class Lit:
     value: Value
 
 
-@dataclass(frozen=True)
+@node
 class BinOp:
     op: str  # + - * ++ = != < <= and or
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@node
 class Not:
     arg: "Expr"
 
 
-@dataclass(frozen=True)
+@node
 class Head:
     arg: "Expr"
 
 
-@dataclass(frozen=True)
+@node
 class Tail:
     arg: "Expr"
 
 
-@dataclass(frozen=True)
+@node
 class Len:
     arg: "Expr"
 
 
-@dataclass(frozen=True)
+@node
 class IfE:
     cond: "Expr"
     then: "Expr"
     other: "Expr"
 
 
-@dataclass(frozen=True)
+@node
 class SeqDisplay:
     """Sequence display <e1, ..., en> with non-literal elements."""
 
     elems: tuple
 
 
-@dataclass(frozen=True)
+@node
 class Clamp:
     """Saturation of a value into a declared carrier.
 
@@ -289,14 +331,14 @@ class Clamp:
     vtype: "ValueType"
 
 
-@dataclass(frozen=True)
+@node
 class Proj:
     """Data sequence of the events of one channel in the trace contribution."""
 
     chan: str
 
 
-@dataclass(frozen=True)
+@node
 class Acc:
     """The acceptance set at a quiescent observation (invariants only)."""
 
@@ -572,7 +614,7 @@ def fold(e: Expr) -> Expr:
 # Substitutions
 
 
-@dataclass(frozen=True)
+@node
 class Subst:
     """Finite map from variable names to expressions; identity elsewhere."""
 

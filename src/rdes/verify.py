@@ -107,7 +107,6 @@ before the bound; an enumerated refutation is reported "bounded".
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import dsl
@@ -142,6 +141,7 @@ from .state import (
     eval_expr,
     free_vars,
     negate,
+    node,
     pp_expr,
     pp_value,
     subterms,
@@ -157,7 +157,7 @@ def _mentions_acc(side) -> bool:
         isinstance(x, Acc) for x in subterms(side.body))
 
 
-@dataclass(frozen=True)
+@node
 class Config:
     trace_bound: int = 4
     wp_bound: int = WP_BOUND
@@ -166,7 +166,7 @@ class Config:
         return {"trace": self.trace_bound, "wp": self.wp_bound}
 
 
-@dataclass(frozen=True)
+@node
 class InvariantRel:
     """A reactive invariant: a condition over the initial state, the trace
     contribution (via projections), the acceptance set (quiescent kind), and
@@ -179,7 +179,7 @@ class InvariantRel:
         return pp_expr(self.body)
 
 
-@dataclass(frozen=True)
+@node
 class SeqInv:
     """A relation followed by an invariant: the step shape of the loop rule,
     and only ever a right-hand side (`_search`)."""
@@ -191,7 +191,7 @@ class SeqInv:
 Side = Union[PreNF, RRel, InvariantRel, SeqInv]
 
 
-@dataclass(frozen=True)
+@node
 class Obligation:
     lhs: Side
     rhs: Side
@@ -200,7 +200,7 @@ class Obligation:
     assume: PreNF = TRUE_PRE
 
 
-@dataclass(frozen=True)
+@node
 class Verdict:
     kind: str  # "verified" | "refuted" | "inconclusive"
     bounds: dict

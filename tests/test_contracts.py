@@ -1,6 +1,5 @@
 """Contract constructors, combinators, derived facts, and calculation."""
 
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -52,6 +51,7 @@ from rdes.state import (
     IntType,
     Len,
     Lit,
+    Node,
     SeqType,
     SymbolTable,
     TRUE,
@@ -493,12 +493,12 @@ def _event_terms(x):
     """The event terms anywhere inside a contract, relation or atom."""
     if isinstance(x, EventTerm):
         yield x
+    elif isinstance(x, Node):
+        for f in x._fields:
+            yield from _event_terms(getattr(x, f))
     elif isinstance(x, tuple):
         for y in x:
             yield from _event_terms(y)
-    elif dataclasses.is_dataclass(x):
-        for f in dataclasses.fields(x):
-            yield from _event_terms(getattr(x, f.name))
 
 
 def test_every_literal_payload_lies_in_its_carrier():

@@ -74,6 +74,21 @@ def test_parse_error_carries_position():
     assert exc.value.line == 1
 
 
+@pytest.mark.parametrize("source, where", [
+    ("var x : int[3..0]\nskip", "1:12: empty integer range"),
+    ("channel a : int[0..1]\nvar x : bool\nx := proj(t, a) = <>",
+     "3:11: projection applies to the trace variable tt"),
+    ("channel a : int[0..1]\nvar x : bool\nx := as(x) = <>",
+     "3:9: projection shorthand applies to tt"),
+], ids=["range", "proj", "shorthand"])
+def test_a_rejected_token_is_reported_where_it_stands(source, where):
+    # not at the token after it: the range at its `[`, a projection at the
+    # name that should have been tt
+    with pytest.raises(ParseError) as exc:
+        parse(source)
+    assert str(exc.value) == where
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ParseError):
         parse("channel a\na -> $")

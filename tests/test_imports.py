@@ -3,14 +3,18 @@
 function or class of `rdes` is used in `rdes`, no `rdes` module uses a
 `functools` cache, the oracle's operational semantics uses nothing that
 `oracle.py` imports from the calculus or the view, neither the oracle nor
-the transition-system view uses anything from `ground`, and an invariant's
-monitor reads only `state`.
+the transition-system view uses anything from `ground`, an invariant's
+monitor reads only `state`, and starting the command line loads neither
+`dataclasses` nor `inspect`.
 
 Package `__init__.py` files re-export what they import, and `__future__`
 imports are compiler directives, so both are skipped.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -230,3 +234,20 @@ def test_detector_flags_a_use_of_the_calculus():
     assert calculus_uses(src, "Walk") == ["ground (line 15)"]
     assert calculus_uses(src, None, frozenset({"ground"})) == [
         "ground (line 15)", "ground (line 7)"]
+
+
+# Every command is a fresh process, so what importing the command line
+# loads is paid on each run; `dataclasses` alone brings `inspect`, `ast`,
+# `dis` and `tokenize`, and each frozen dataclass execs its methods
+SLOW_TO_LOAD = ("dataclasses", "inspect")
+
+
+def test_the_command_line_starts_without_slow_modules():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, rdes.cli; print([m for m in {SLOW_TO_LOAD!r} "
+         "if m in sys.modules])"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert proc.stdout.strip() == "[]"

@@ -2,7 +2,6 @@
 automata read against the readings they replaced (kept at the end as
 references)."""
 
-import dataclasses
 import gc
 import itertools
 from pathlib import Path
@@ -23,7 +22,6 @@ from rdes.oracle import (
     Div,
     Quiet,
     Term,
-    compare_observations,
     contract_obs,
     cross_check,
     enumerate_program,
@@ -611,7 +609,7 @@ def _swapped_traces(f, q, symtab):
     if out is None:
         return None
     k = len(f.trace)
-    return dataclasses.replace(out, trace=out.trace[k:] + out.trace[:k])
+    return out._replace(trace=out.trace[k:] + out.trace[:k])
 
 
 REAL_MERGE = relalg._merge_disjuncts
@@ -674,6 +672,42 @@ def test_the_walk_lists_the_differences_of_the_sets(monkeypatch, mutant):
 
 # ---------------------------------------------------------------------------
 # References: the readings the automata replaced, kept to check them against
+
+
+def _antichain(traces: set) -> set:
+    """Prefix-minimal elements."""
+    out = set()
+    for t in sorted(traces, key=len):
+        if not any(t[: len(p)] == p for p in out):
+            out.add(t)
+    return out
+
+
+def compare_observations(oracle_obs, calc_obs) -> list:
+    """Differences between the two observation sets, with divergences
+    compared as prefix-minimal sets, listed as `cross_check` lists the
+    differences its walk finds.  Equal sets have no differences, since both
+    readings below are functions of the set."""
+    if oracle_obs == calc_obs:
+        return []
+
+    def visible(obs):
+        quiets, terms, divs = set(), set(), set()
+        for o in obs:
+            if isinstance(o, Quiet):
+                quiets.add((o.tt, o.acc))
+            elif isinstance(o, Term):
+                terms.add((o.tt, o.st2))
+            else:
+                divs.add(o.tt)
+        return quiets, terms, _antichain(divs)
+
+    left, right = visible(oracle_obs), visible(calc_obs)
+    return oracle._listed({
+        (kind, side): mine - theirs
+        for kind, l, r in zip(oracle._KINDS, left, right)
+        for side, mine, theirs in zip(oracle._SIDES, (l, r), (r, l))
+    })
 
 
 def _enumerated(tp, s0, bound) -> frozenset:

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdes import state
+from rdes import contracts, dsl, kleene, relalg, state, verify
+from rdes.dsl import Chaos, DoEvent, Miracle, Skip, Stop
+from rdes.kleene import WP_BOUND
+from rdes.relalg import TRUE_PRE, TRUE_R, EventTerm, RFalse, RTrue
 from rdes.state import (
     Acc,
     BinOp,
@@ -18,6 +21,7 @@ from rdes.state import (
     IntType,
     Len,
     Lit,
+    Node,
     Not,
     Primed,
     Proj,
@@ -241,6 +245,55 @@ def test_events_and_valuations_keep_their_forms():
     assert str(s) == "{bf=<1>, v=1}"
     assert hash(s) == hash((s.items,))
     assert s.set("v", 5, IntType(0, 1)) == val(bf=(1,), v=1)
+
+
+def _node_classes() -> list:
+    """Every node class the package defines."""
+    modules = (state, dsl, relalg, contracts, kleene, verify)
+    return [c for m in modules for c in vars(m).values()
+            if isinstance(c, type) and issubclass(c, Node) and c is not Node
+            and c.__module__ == m.__name__]
+
+
+def test_nodes_keep_the_forms_of_frozen_dataclasses():
+    # witness keys sort on str() of traces, which prints nodes by repr, and
+    # set iteration order follows the hash: the tag and the fields tuple's
+    classes = _node_classes()
+    assert {Skip, Stop, Chaos, Miracle, RFalse, RTrue, Head,
+            Tail, Len, Not, verify.Config, verify.Verdict} <= set(classes)
+    for cls in classes:
+        values = tuple(f"<{f}>" for f in cls._fields)
+        x = cls(*values)
+        assert repr(x) == f"{cls.__qualname__}(" + ", ".join(
+            f"{f}={v!r}" for f, v in zip(cls._fields, values)) + ")"
+        assert x == cls(**dict(zip(cls._fields, values)))
+        assert hash(x) == hash(cls(*values)) == hash(
+            (f"{cls.__module__}.{cls.__qualname__}",) + values)
+        assert x  # never empty: the tag is element 0
+        for f in cls._fields + ("other",):
+            with pytest.raises(AttributeError):
+                setattr(x, f, None)
+        # nodes of different classes never compare equal, even with equal
+        # fields, as the normaliser's `t == o` and `d == seen` assume
+        assert [other for other in classes
+                if other is not cls and len(other._fields) == len(values)
+                and other(*values) == x] == []
+    assert len({Skip(), Stop(), Chaos(), Miracle(), RFalse(), RTrue()}) == 6
+    assert len({Head(W), Tail(W), Len(W), Not(W)}) == 4
+    assert repr(BinOp("+", V, Lit(1))) == (
+        "BinOp(op='+', left=Var(name='v'), right=Lit(value=1))")
+    assert repr(Acc()) == "Acc()" and str(V) == "Var(name='v')"
+    assert str(IntType(0, 1)) == "int[0..1]"
+    # defaults, keyword construction and replacement
+    assert EventTerm("a") == EventTerm(chan="a", data=None)
+    assert DoEvent("a").data is None
+    assert verify.Config() == verify.Config(trace_bound=4, wp_bound=WP_BOUND)
+    v = verify.Verdict("verified", {})
+    assert (v.witness, v.reason, v.obligations, v.scope, v.traces) == (
+        None, None, (), "bounded", 0)
+    assert v._replace(traces=3) == verify.Verdict("verified", {}, traces=3)
+    ob = verify.Obligation(TRUE_R, TRUE_R, "peri", "o")
+    assert ob.assume == TRUE_PRE
 
 
 V, W = Var("v"), Var("bf")

@@ -1,7 +1,6 @@
 """Refinement discharge, loop invariants, and deadlock freedom."""
 
 import contextlib
-import dataclasses
 import functools
 import io
 import itertools
@@ -825,7 +824,7 @@ def _enumerated_obligations():
             step_ob = Obligation(inv, SeqInv(step, inv), inv.kind, "step")
             yield step_ob, symtab
             if assumption.clauses and inv.kind == "peri":
-                yield dataclasses.replace(step_ob, assume=assumption), symtab
+                yield step_ob._replace(assume=assumption), symtab
         if events ** SWEEP_BOUND * states * 2 ** events <= SWEEP_TRIPLES:
             for spec, reduced in itertools.product(peri[:4], repeat=2):
                 yield Obligation(spec, reduced, "peri", "implied"), symtab
@@ -1180,7 +1179,7 @@ def test_each_reached_state_is_swept_once(monkeypatch):
             channels = _read_channels(inv)
         elif isinstance(ob.lhs, InvariantRel):
             inv = ob.rhs.inv if isinstance(ob.rhs, SeqInv) else ob.rhs
-            ob = dataclasses.replace(ob, lhs=InvariantRel(
+            ob = ob._replace(lhs=InvariantRel(
                 ob.lhs.kind, BinOp("and", TRUE, ob.lhs.body)))
             channels = _read_channels(ob.lhs, inv)
         else:
