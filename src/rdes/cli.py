@@ -68,6 +68,7 @@ INPUT_ERRORS = (
     dsl.DuplicateNameError,
     dsl.UnboundNameError,
     dsl.InfiniteDomainError,
+    dsl.NestingTooDeepError,
 )
 
 
@@ -96,7 +97,10 @@ def _load(path: str) -> dsl.TypedProgram:
     except FileNotFoundError:
         print(f"error: no such file: {path}", file=sys.stderr)
         raise SystemExit(2)
-    except INPUT_ERRORS as exc:
+    except OSError as exc:
+        print(f"error: {path}: {exc.strerror}", file=sys.stderr)
+        raise SystemExit(2)
+    except (UnicodeDecodeError, *INPUT_ERRORS) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
 

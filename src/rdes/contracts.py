@@ -4,9 +4,13 @@ A contract is a triple of reactive relations: the precondition (a
 conjunction of negated initial conditions, characterising divergence
 freedom), the pericondition (quiescent observations), and the postcondition
 (terminated observations).  Programs denote contracts; the constructors and
-combinators here calculate that denotation bottom-up, and each result is
-normalised once, where it is built: a relation taken from a contract is
-already in normal form.
+combinators here calculate that denotation bottom-up, and a relation taken
+from a contract is already in normal form.  The constructors build atoms
+that are normal as they stand.  The combinators join their operands'
+relations with `relalg.join_or`, `join_seq` and `join_star`, which take
+parts already in normal form and do not normalise them again; only what a
+combinator builds raw, such as a state test or the combined offers of
+`conj_offers`, goes through `relalg.normalize`.
 
 Nothing else is stored.  Whether a contract is productive (every
 terminated observation extends the trace) or instantaneous (no quiescent
@@ -28,7 +32,6 @@ from .relalg import (
     NegClause,
     PreNF,
     RAtom,
-    ROr,
     RRel,
     RSeq,
     RStar,
@@ -43,9 +46,11 @@ from .relalg import (
     fold_event,
     guard_pre,
     guard_rrel,
+    join_or,
+    join_seq,
+    join_star,
     merge_cond,
     normalize,
-    or_of,
     pre_of,
     pre_to_json,
     productive,
@@ -158,8 +163,8 @@ def seq_contract(
     """Sequential composition: the first must not violate the second's
     precondition; quiescence comes from either side."""
     pre = and_pre(c1.pre, _wp_rrel(c1.post, c2.pre, symtab, wp_bound), symtab)
-    peri = normalize(ROr((c1.peri, RSeq(c1.post, c2.peri))), symtab)
-    post = normalize(RSeq(c1.post, c2.post), symtab)
+    peri = join_or([c1.peri, join_seq([c1.post, c2.peri], symtab)], symtab)
+    post = join_seq([c1.post, c2.post], symtab)
     return Contract(pre, peri, post)
 
 
@@ -191,8 +196,8 @@ def intchoice_contract(cs: list, symtab: SymbolTable) -> Contract:
     pre = TRUE_PRE
     for c in cs:
         pre = and_pre(pre, c.pre, symtab)
-    peri = normalize(or_of([c.peri for c in cs]), symtab)
-    post = normalize(or_of([c.post for c in cs]), symtab)
+    peri = join_or([c.peri for c in cs], symtab)
+    post = join_or([c.post for c in cs], symtab)
     return Contract(pre, peri, post)
 
 
@@ -206,8 +211,8 @@ def extchoice_contract(cs: list, symtab: SymbolTable) -> Contract:
         pre = and_pre(pre, c.pre, symtab)
     unresolved = conj_offers([filter_r5(c.peri) for c in cs], symtab)
     resolved = [filter_r4(c.peri) for c in cs]
-    peri = normalize(or_of([unresolved] + resolved), symtab)
-    post = normalize(or_of([c.post for c in cs]), symtab)
+    peri = join_or([unresolved] + resolved, symtab)
+    post = join_or([c.post for c in cs], symtab)
     return Contract(pre, peri, post)
 
 
@@ -245,9 +250,9 @@ def while_contract(
     if not body.productive and body.instantaneous and cond_is_true(b, symtab):
         return chaos_c()
     pre, step, pause = loop_parts(b, body, symtab, wp_bound)
-    star = normalize(RStar(step), symtab)
-    peri = normalize(RSeq(star, pause), symtab)
-    post = normalize(RSeq(star, state_test(negate(b))), symtab)
+    star = join_star(step, symtab)
+    peri = join_seq([star, pause], symtab)
+    post = join_seq([star, normalize(state_test(negate(b)), symtab)], symtab)
     return Contract(pre, peri, post)
 
 

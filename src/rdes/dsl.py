@@ -75,6 +75,11 @@ class InfiniteDomainError(Exception):
     pass
 
 
+class NestingTooDeepError(Exception):
+    """A program or expression nests deeper than the parser and the
+    desugaring can recurse."""
+
+
 # ---------------------------------------------------------------------------
 # AST
 
@@ -612,7 +617,10 @@ def parse(source: str) -> Program:
 def parse_expression(source: str) -> Expr:
     """Parse a single expression (used for invariants and specs)."""
     p = _Parser(tokenize(source))
-    e = p.parse_expr()
+    try:
+        e = p.parse_expr()
+    except RecursionError:
+        raise NestingTooDeepError("expression is nested too deeply") from None
     p.expect("eof", "end of input")
     return e
 
@@ -995,7 +1003,12 @@ def _desugar(a: Action, symtab: SymbolTable, s: Subst = IDENTITY) -> Action:
 
 
 def load_program(source: str) -> TypedProgram:
-    return typecheck(parse(source))
+    """Parse, typecheck and desugar a program.  A program nested deeper
+    than their recursion reaches raises `NestingTooDeepError`."""
+    try:
+        return typecheck(parse(source))
+    except RecursionError:
+        raise NestingTooDeepError("program is nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
-"""Iteration support: weakest-precondition saturation and bounded checks of
-the Kleene identities.
+"""Iteration support: weakest-precondition saturation.
 
 `star_wp` computes the precondition of an iterated relation against a clause
 set by saturating wp steps, using clause subsumption to detect the fixpoint.
@@ -8,15 +7,10 @@ Non-convergence within the bound is reported, never guessed away.
 
 from __future__ import annotations
 
-from .ground import final_instances, observations
 from .relalg import (
     NegClause,
     PreNF,
     RRel,
-    RSeq,
-    RStar,
-    ROr,
-    UNIT_R,
     pre_of,
     traces_equiv,
     wp_or_final,
@@ -78,106 +72,3 @@ def star_wp(
             return SaturationResult(current, True, i)
         current = merged
     return SaturationResult(current, False, bound)
-
-
-# ---------------------------------------------------------------------------
-# Bounded checks of the iteration identities
-
-
-def _law(name: str, lhs: RRel, rhs: RRel, symtab: SymbolTable, depth: int):
-    left, right = (observations(final_instances, r, symtab, depth)
-                   for r in (lhs, rhs))
-    ok = left == right
-    witness = None
-    if not ok:
-        diff = (left - right) | (right - left)
-        witness = str(sorted(str(x) for x in diff)[0])
-    return {"law": name, "ok": ok, "witness": witness}
-
-
-def _leq(name: str, lhs: RRel, rhs: RRel, symtab: SymbolTable, depth: int):
-    """lhs <= rhs in the refinement order: every lhs observation is an rhs one."""
-    left, right = (observations(final_instances, r, symtab, depth)
-                   for r in (lhs, rhs))
-    ok = left <= right
-    witness = None
-    if not ok:
-        witness = str(sorted(str(x) for x in (left - right))[0])
-    return {"law": name, "ok": ok, "witness": witness}
-
-
-def ka_laws_check(
-    x: RRel, y: RRel, symtab: SymbolTable, depth: int = 3
-) -> list:
-    """Check the star identities and unfold/induction axioms on x and y by
-    observation-set comparison up to trace length `depth`."""
-    sx = RStar(x)
-    results = [
-        _law("star_idempotent", RStar(sx), sx, symtab, depth),
-        _law("star_unfold_eq", sx, ROr((UNIT_R, RSeq(x, sx))), symtab, depth),
-        _law(
-            "denesting",
-            RStar(ROr((x, y))),
-            RStar(RSeq(RStar(x), RStar(y))),
-            symtab,
-            depth,
-        ),
-        _law("star_slide", RSeq(x, sx), RSeq(sx, x), symtab, depth),
-        _leq(
-            "unfold_axiom",
-            ROr((UNIT_R, RSeq(x, sx))),
-            sx,
-            symtab,
-            depth,
-        ),
-    ]
-    # induction axioms, with candidate fixpoints built by unrolling;
-    # the premise is re-checked at the bound so the implication is honest
-    z = y
-    y0: RRel = z
-    for _ in range(depth):
-        y0 = ROr((z, RSeq(x, y0)))
-    results.append(
-        _implication(
-            "induction_left",
-            ROr((z, RSeq(x, y0))),
-            y0,
-            RSeq(RStar(x), z),
-            y0,
-            symtab,
-            depth,
-        )
-    )
-    y1: RRel = z
-    for _ in range(depth):
-        y1 = ROr((z, RSeq(y1, x)))
-    results.append(
-        _implication(
-            "induction_right",
-            ROr((z, RSeq(y1, x))),
-            y1,
-            RSeq(z, RStar(x)),
-            y1,
-            symtab,
-            depth,
-        )
-    )
-    return results
-
-
-def _implication(
-    name: str,
-    prem_lhs: RRel,
-    prem_rhs: RRel,
-    conc_lhs: RRel,
-    conc_rhs: RRel,
-    symtab: SymbolTable,
-    depth: int,
-):
-    left, right = (observations(final_instances, r, symtab, depth)
-                   for r in (prem_lhs, prem_rhs))
-    if not left <= right:
-        return {"law": name, "ok": True, "witness": None, "vacuous": True}
-    out = _leq(name, conc_lhs, conc_rhs, symtab, depth)
-    out["vacuous"] = False
-    return out

@@ -1,5 +1,6 @@
-"""Randomised law suites: every rewrite rule of the calculus is replayed
-against an independent ground reading on freshly generated atom instances.
+"""Randomised law suites: every rewrite rule of the calculus, and the
+iteration identities, are replayed against an independent ground reading
+on freshly generated atom instances.
 
 The ground reading composes relations by stepping through intermediate
 states (see `ground`), so each comparison is evidence for a rewrite rule,
@@ -20,12 +21,15 @@ from .contracts import (
     stop_c,
 )
 from .ground import final_instances, observations, quiet_instances
-from .kleene import ka_laws_check
 from .relalg import (
     FALSE_R,
     NegClause,
     RAtom,
+    ROr,
+    RRel,
     RSeq,
+    RStar,
+    UNIT_R,
     conj_offers,
     conj_quiescent,
     disjuncts,
@@ -44,7 +48,7 @@ from .relalg import (
     subst_rrel,
     wp_final,
 )
-from .state import compose_subst, eval_expr
+from .state import SymbolTable, compose_subst, eval_expr
 
 
 # Trace bound of the ground readings
@@ -114,7 +118,8 @@ def check_cond_final(rng) -> list:
     symtab = randgen.random_symtab(rng)
     c = randgen.random_cond(rng, symtab)
     f1, f2 = (randgen.random_final_atom(rng, symtab) for _ in range(2))
-    merged = merge_cond(RAtom(f1), c, RAtom(f2), symtab)
+    merged = merge_cond(normalize(RAtom(f1), symtab), c,
+                        normalize(RAtom(f2), symtab), symtab)
     lhs = _conditional_obs(c, RAtom(f1), RAtom(f2), symtab, final_instances)
     if lhs != observations(final_instances, merged, symtab, BOUND):
         return [_fail("cond_final", f"{f1} <|{c}|> {f2}")]
@@ -125,7 +130,8 @@ def check_cond_quiescent(rng) -> list:
     symtab = randgen.random_symtab(rng)
     c = randgen.random_cond(rng, symtab)
     q1, q2 = (randgen.random_quiescent_atom(rng, symtab) for _ in range(2))
-    merged = merge_cond(RAtom(q1), c, RAtom(q2), symtab)
+    merged = merge_cond(normalize(RAtom(q1), symtab), c,
+                        normalize(RAtom(q2), symtab), symtab)
     lhs = _conditional_obs(c, RAtom(q1), RAtom(q2), symtab, quiet_instances)
     if lhs != observations(quiet_instances, merged, symtab, BOUND):
         return [_fail("cond_quiescent", f"{q1} <|{c}|> {q2}")]
@@ -298,6 +304,109 @@ def check_filter_partition(rng) -> list:
     if (got_grew | got_same) != whole or (got_grew & got_same):
         return [_fail("filter_partition_disjoint", str(r))]
     return []
+
+
+# ---------------------------------------------------------------------------
+# Bounded checks of the iteration identities, by the ground reading
+
+
+def _law(name: str, lhs: RRel, rhs: RRel, symtab: SymbolTable, depth: int):
+    left, right = (observations(final_instances, r, symtab, depth)
+                   for r in (lhs, rhs))
+    ok = left == right
+    witness = None
+    if not ok:
+        diff = (left - right) | (right - left)
+        witness = str(sorted(str(x) for x in diff)[0])
+    return {"law": name, "ok": ok, "witness": witness}
+
+
+def _leq(name: str, lhs: RRel, rhs: RRel, symtab: SymbolTable, depth: int):
+    """lhs <= rhs in the refinement order: every lhs observation is an rhs one."""
+    left, right = (observations(final_instances, r, symtab, depth)
+                   for r in (lhs, rhs))
+    ok = left <= right
+    witness = None
+    if not ok:
+        witness = str(sorted(str(x) for x in (left - right))[0])
+    return {"law": name, "ok": ok, "witness": witness}
+
+
+def ka_laws_check(
+    x: RRel, y: RRel, symtab: SymbolTable, depth: int = 3
+) -> list:
+    """Check the star identities and unfold/induction axioms on x and y by
+    observation-set comparison up to trace length `depth`."""
+    sx = RStar(x)
+    results = [
+        _law("star_idempotent", RStar(sx), sx, symtab, depth),
+        _law("star_unfold_eq", sx, ROr((UNIT_R, RSeq(x, sx))), symtab, depth),
+        _law(
+            "denesting",
+            RStar(ROr((x, y))),
+            RStar(RSeq(RStar(x), RStar(y))),
+            symtab,
+            depth,
+        ),
+        _law("star_slide", RSeq(x, sx), RSeq(sx, x), symtab, depth),
+        _leq(
+            "unfold_axiom",
+            ROr((UNIT_R, RSeq(x, sx))),
+            sx,
+            symtab,
+            depth,
+        ),
+    ]
+    # induction axioms, with candidate fixpoints built by unrolling;
+    # the premise is re-checked at the bound so the implication is honest
+    z = y
+    y0: RRel = z
+    for _ in range(depth):
+        y0 = ROr((z, RSeq(x, y0)))
+    results.append(
+        _implication(
+            "induction_left",
+            ROr((z, RSeq(x, y0))),
+            y0,
+            RSeq(RStar(x), z),
+            y0,
+            symtab,
+            depth,
+        )
+    )
+    y1: RRel = z
+    for _ in range(depth):
+        y1 = ROr((z, RSeq(y1, x)))
+    results.append(
+        _implication(
+            "induction_right",
+            ROr((z, RSeq(y1, x))),
+            y1,
+            RSeq(z, RStar(x)),
+            y1,
+            symtab,
+            depth,
+        )
+    )
+    return results
+
+
+def _implication(
+    name: str,
+    prem_lhs: RRel,
+    prem_rhs: RRel,
+    conc_lhs: RRel,
+    conc_rhs: RRel,
+    symtab: SymbolTable,
+    depth: int,
+):
+    left, right = (observations(final_instances, r, symtab, depth)
+                   for r in (prem_lhs, prem_rhs))
+    if not left <= right:
+        return {"law": name, "ok": True, "witness": None, "vacuous": True}
+    out = _leq(name, conc_lhs, conc_rhs, symtab, depth)
+    out["vacuous"] = False
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ conjunction of negated initial conditions (``NegClause``).
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Optional, Union
 
 from .state import (
@@ -85,6 +86,9 @@ class EventTerm:
 
 
 TraceExpr = tuple  # of EventTerm; literal form only
+
+# The key that sorts (printed form, part) pairs in printed order
+_FIRST = itemgetter(0)
 
 
 def subst_event(s: Subst, e: EventTerm) -> EventTerm:
@@ -271,8 +275,9 @@ def canon_set(es: EventSetExpr, symtab: SymbolTable) -> EventSetExpr:
     # drop duplicates and parts shadowed by an unguarded image
     images = {p.chan for p in out if isinstance(p, ImagePart) and p.guard is None}
     dedup = []
-    for p in sorted(out, key=str):
-        if dedup and str(dedup[-1]) == str(p):
+    last = None
+    for key, p in sorted(zip(map(str, out), out), key=_FIRST):
+        if key == last:
             continue
         if (
             isinstance(p, SingletonPart)
@@ -282,6 +287,7 @@ def canon_set(es: EventSetExpr, symtab: SymbolTable) -> EventSetExpr:
         if isinstance(p, ImagePart) and p.guard is not None and p.chan in images:
             continue
         dedup.append(p)
+        last = key
     return EventSetExpr(tuple(dedup))
 
 
@@ -509,15 +515,15 @@ def seq_final_quiescent(
 
 
 def merge_cond(r1: RRel, c: Expr, r2: RRel, symtab: SymbolTable) -> RRel:
-    """Conditional of two relations: pointwise for two same-kind atoms
-    whose traces align, and the guarded disjunction otherwise.  Atoms of
-    two kinds do not merge (`KindMismatchError`).
+    """Conditional of two relations in normal form: pointwise for two
+    same-kind atoms whose traces align, and the guarded disjunction
+    otherwise.  Atoms of two kinds do not merge (`KindMismatchError`).
     """
     c = fold(c)
     if cond_is_true(c, symtab):
-        return normalize(r1, symtab)
+        return r1
     if cond_is_false(c, symtab):
-        return normalize(r2, symtab)
+        return r2
     a1 = r1.atom if isinstance(r1, RAtom) else None
     a2 = r2.atom if isinstance(r2, RAtom) else None
     if a1 is not None and a2 is not None and type(a1) is not type(a2):
@@ -545,8 +551,8 @@ def merge_cond(r1: RRel, c: Expr, r2: RRel, symtab: SymbolTable) -> RRel:
                 conditional_set(c, a1.accept, a2.accept), symtab
             )
             return normalize(RAtom(quiescent(cond, trace, accept)), symtab)
-    return normalize(
-        ROr((guard_rrel(c, r1, symtab), guard_rrel(negate(c), r2, symtab))),
+    return join_or(
+        [guard_rrel(c, r1, symtab), guard_rrel(negate(c), r2, symtab)],
         symtab,
     )
 
@@ -563,8 +569,9 @@ def state_test(cond: Expr) -> RAtom:
 
 
 def guard_rrel(cond: Expr, r: RRel, symtab: SymbolTable) -> RRel:
-    """Conjoin an initial-state condition: b /\\ P as a reactive relation."""
-    return normalize(RSeq(state_test(cond), r), symtab)
+    """Conjoin an initial-state condition: b /\\ P as a reactive relation,
+    of P in normal form."""
+    return join_seq([normalize(state_test(cond), symtab), r], symtab)
 
 
 def conj_quiescent(atoms: list, symtab: SymbolTable) -> QuiescentAtom:
@@ -725,7 +732,11 @@ def wp_or_final(r: RRel, p: PreNF, symtab: SymbolTable) -> PreNF:
 
 
 def normalize(r: RRel, symtab: SymbolTable) -> RRel:
-    """Reduce to disjunctive atom form where possible.
+    """Reduce a raw term to disjunctive atom form where possible.
+
+    This is the entry for terms built from raw parts: it normalises every
+    atom and sub-term, then joins them (`join_or`, `join_seq`,
+    `join_star`), which take parts already in normal form.
 
     Idempotent: a second pass returns its input unchanged.  What makes the
     form canonical: an atom's condition is never a non-literal that holds
@@ -747,35 +758,48 @@ def normalize(r: RRel, symtab: SymbolTable) -> RRel:
             )
         return RAtom(FinalAtom(cond, a.subst, trace))
     if isinstance(r, ROr):
-        return _norm_or(r, symtab)
+        parts = []
+        for a in r.args:
+            n = normalize(a, symtab)
+            if isinstance(n, RTrue):
+                return TRUE_R
+            parts.append(n)
+        return join_or(parts, symtab)
     if isinstance(r, RSeq):
-        return _norm_seq(r, symtab)
+        parts = []
+        for x in seq_items(r):
+            n = normalize(x, symtab)
+            if isinstance(n, RFalse):
+                return FALSE_R
+            parts.append(n)
+        return join_seq(parts, symtab)
     if isinstance(r, RStar):
-        return _norm_star(r, symtab)
+        return join_star(normalize(r.body, symtab), symtab)
     raise TypeError(f"not a reactive relation: {r!r}")
 
 
-def _norm_or(r: ROr, symtab: SymbolTable) -> RRel:
+def join_or(parts: list, symtab: SymbolTable) -> RRel:
+    """The normal form of the disjunction of `parts`, each already in
+    normal form; `normalize` of an `ROr` of them, without normalising
+    them again."""
     flat = []
-    for a in r.args:
-        n = normalize(a, symtab)
-        if isinstance(n, RFalse):
-            continue
+    for n in parts:
         if isinstance(n, RTrue):
             return TRUE_R
         flat.extend(disjuncts(n))
-    return _merge_disjuncts(flat, symtab)
+    return _merge_disjuncts([(str(d), d) for d in flat], symtab)
 
 
 def _merge_disjuncts(ds: list, symtab: SymbolTable) -> RRel:
-    """Disjoin normal-form disjuncts, merging atoms that differ at most in
-    their condition, in the order given: an atom whose condition is
-    equivalent to that of an earlier atom of the same shape is dropped, and
-    otherwise the two conditions are disjoined."""
+    """Disjoin normal-form disjuncts, each given with its printed form,
+    merging atoms that differ at most in their condition, in the order
+    given: an atom whose condition is equivalent to that of an earlier atom
+    of the same shape is dropped, and otherwise the two conditions are
+    disjoined.  The result is in printed order."""
     merged: list = []
-    for d in ds:
+    for key, d in ds:
         if isinstance(d, RAtom):
-            for i, seen in enumerate(merged):
+            for i, (_, seen) in enumerate(merged):
                 if isinstance(seen, RAtom) and _same_shape(
                         seen.atom, d.atom, symtab):
                     a, b = seen.atom, d.atom
@@ -784,16 +808,18 @@ def _merge_disjuncts(ds: list, symtab: SymbolTable) -> RRel:
                     # both disjuncts are normal, so satisfiable: atom_cond
                     # is never None
                     cond = atom_cond(disj(a.cond, b.cond), symtab)
-                    merged[i] = RAtom(
+                    m = RAtom(
                         final(cond, a.subst, a.trace)
                         if isinstance(a, FinalAtom)
                         else quiescent(cond, a.trace, a.accept))
+                    merged[i] = (str(m), m)
                     break
             else:
-                merged.append(d)
-        elif not any(d == seen for seen in merged):
-            merged.append(d)
-    return or_of(sorted(merged, key=str))
+                merged.append((key, d))
+        elif not any(d == seen for _, seen in merged):
+            merged.append((key, d))
+    merged.sort(key=_FIRST)
+    return or_of([d for _, d in merged])
 
 
 def _same_shape(a: Atom, b: Atom, symtab: SymbolTable) -> bool:
@@ -805,10 +831,12 @@ def _same_shape(a: Atom, b: Atom, symtab: SymbolTable) -> bool:
     return sets_equiv(a.accept, b.accept, symtab)
 
 
-def _norm_seq(r: RSeq, symtab: SymbolTable) -> RRel:
+def join_seq(parts: list, symtab: SymbolTable) -> RRel:
+    """The normal form of the sequential composition of `parts`, each
+    already in normal form; `normalize` of an `RSeq` of them, without
+    normalising them again."""
     items = []
-    for x in seq_items(r):
-        n = normalize(x, symtab)
+    for n in parts:
         if isinstance(n, RFalse):
             return FALSE_R
         items.extend(seq_items(n))
@@ -837,7 +865,7 @@ def _norm_seq(r: RSeq, symtab: SymbolTable) -> RRel:
                     c
                     for f1 in acc
                     for f2 in finals
-                    if (c := seq_final_final(f1, f2, symtab)) is not None
+                    if (c := _then_final(f1, f2, symtab)) is not None
                 ]
                 if not acc:
                     return FALSE_R
@@ -849,8 +877,7 @@ def _norm_seq(r: RSeq, symtab: SymbolTable) -> RRel:
                     c
                     for f in acc
                     for d in disjuncts(item)
-                    if (c := seq_final_quiescent(f, d.atom, symtab))
-                    is not None
+                    if (c := _then_quiescent(f, d.atom, symtab)) is not None
                 ]
                 acc = None
                 if not composed:
@@ -877,7 +904,46 @@ def _norm_seq(r: RSeq, symtab: SymbolTable) -> RRel:
 
 def _merge_atoms(atoms: list, symtab: SymbolTable) -> RRel:
     # merge in printed order, the order a second pass sees them in
-    return _merge_disjuncts(sorted([RAtom(a) for a in atoms], key=str), symtab)
+    keyed = [(str(d), d) for d in map(RAtom, atoms)]
+    keyed.sort(key=_FIRST)
+    return _merge_disjuncts(keyed, symtab)
+
+
+def _then_cond(c1: Expr, c2: Expr, symtab: SymbolTable) -> Optional[Expr]:
+    """The normal condition of c1 and then, with the state unchanged, c2,
+    both normal conditions; None when no state satisfies both."""
+    if c1 == TRUE:
+        return c2
+    if c2 == TRUE:
+        return c1
+    return atom_cond(conj(c1, c2), symtab)
+
+
+def _then_final(
+    f1: FinalAtom, f2: FinalAtom, symtab: SymbolTable
+) -> Optional[FinalAtom]:
+    """`seq_final_final` of two atoms in normal form.  After an identity
+    update the second atom's update and carried trace stay as they are."""
+    if not f1.subst.is_identity():
+        return seq_final_final(f1, f2, symtab)
+    cond = _then_cond(f1.cond, f2.cond, symtab)
+    if cond is None:
+        return None
+    return FinalAtom(cond, f2.subst, f1.trace + f2.trace)
+
+
+def _then_quiescent(
+    f: FinalAtom, q: QuiescentAtom, symtab: SymbolTable
+) -> Optional[QuiescentAtom]:
+    """`seq_final_quiescent` of two atoms in normal form.  After an
+    identity update the quiescent atom's carried trace and canonical
+    accepted set stay as they are."""
+    if not f.subst.is_identity():
+        return seq_final_quiescent(f, q, symtab)
+    cond = _then_cond(f.cond, q.cond, symtab)
+    if cond is None:
+        return None
+    return QuiescentAtom(cond, f.trace + q.trace, q.accept)
 
 
 def _ends_quiescent(out: list) -> bool:
@@ -900,8 +966,9 @@ def _disjunct_kinds(r: RRel) -> str:
     return "other"
 
 
-def _norm_star(r: RStar, symtab: SymbolTable) -> RRel:
-    body = normalize(r.body, symtab)
+def join_star(body: RRel, symtab: SymbolTable) -> RRel:
+    """The normal form of the iteration of `body`, already in normal form;
+    `normalize` of an `RStar` of it, without normalising it again."""
     if isinstance(body, RFalse):
         return UNIT_R
     # state tests and the unit are absorbed by the implicit unit of iteration

@@ -532,7 +532,8 @@ _EMPTY_VAL = Valuation(())
 
 
 def fold(e: Expr) -> Expr:
-    """Constant folding; never changes evaluation results."""
+    """Constant folding; never changes evaluation results.  Where nothing
+    inside e folds, the result is e itself."""
     if isinstance(e, (Var, Lit, Proj, Acc, Primed)):
         return e
     if isinstance(e, Not):
@@ -541,22 +542,22 @@ def fold(e: Expr) -> Expr:
             return Lit(not a.value)
         if isinstance(a, Not):
             return a.arg
-        return Not(a)
+        return e if a is e.arg else Not(a)
     if isinstance(e, Head):
         a = fold(e.arg)
         if isinstance(a, Lit):
             return Lit(a.value[0] if a.value else 0)
-        return Head(a)
+        return e if a is e.arg else Head(a)
     if isinstance(e, Tail):
         a = fold(e.arg)
         if isinstance(a, Lit):
             return Lit(a.value[1:] if a.value else ())
-        return Tail(a)
+        return e if a is e.arg else Tail(a)
     if isinstance(e, Len):
         a = fold(e.arg)
         if isinstance(a, Lit):
             return Lit(len(a.value))
-        return Len(a)
+        return e if a is e.arg else Len(a)
     if isinstance(e, IfE):
         c = fold(e.cond)
         t = fold(e.then)
@@ -565,11 +566,15 @@ def fold(e: Expr) -> Expr:
             return t if c.value else o
         if t == o:
             return t
+        if c is e.cond and t is e.then and o is e.other:
+            return e
         return IfE(c, t, o)
     if isinstance(e, SeqDisplay):
         elems = tuple(fold(x) for x in e.elems)
         if all(isinstance(x, Lit) for x in elems):
             return Lit(tuple(x.value for x in elems))
+        if all(x is y for x, y in zip(elems, e.elems)):
+            return e
         return SeqDisplay(elems)
     if isinstance(e, Clamp):
         a = fold(e.arg)
@@ -577,7 +582,7 @@ def fold(e: Expr) -> Expr:
             return Lit(e.vtype.clamp(a.value))
         if isinstance(a, Clamp) and a.vtype == e.vtype:
             return a
-        return Clamp(a, e.vtype)
+        return e if a is e.arg else Clamp(a, e.vtype)
     if isinstance(e, BinOp):
         l = fold(e.left)
         r = fold(e.right)
@@ -590,22 +595,22 @@ def fold(e: Expr) -> Expr:
                 return FALSE
             if isinstance(r, Lit) and not r.value:
                 return FALSE
-            return BinOp("and", l, r)
-        if e.op == "or":
+        elif e.op == "or":
             if isinstance(l, Lit):
                 return TRUE if l.value else r
             if isinstance(r, Lit):
                 return TRUE if r.value else l
             if l == r:
                 return l
-            return BinOp("or", l, r)
-        if isinstance(l, Lit) and isinstance(r, Lit):
+        elif isinstance(l, Lit) and isinstance(r, Lit):
             return Lit(eval_expr(BinOp(e.op, l, r), _EMPTY_VAL))
-        if e.op == "++":
+        elif e.op == "++":
             if l == Lit(()):
                 return r
             if r == Lit(()):
                 return l
+        if l is e.left and r is e.right:
+            return e
         return BinOp(e.op, l, r)
     raise TypeError(f"not an expression: {e!r}")
 

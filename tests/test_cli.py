@@ -15,19 +15,27 @@ from rdes.contracts import NotProductiveError, calculate, skip_c
 from rdes.relalg import NormalizationIncomplete
 from rdes.state import StateSpaceTooLarge
 
-ROOT = Path(__file__).resolve().parent.parent
+TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
 CORPUS = ROOT / "corpus"
 BUFFER_INV = "outps(tt)<=bf++inps(tt)"
 TOO_LARGE = ("StateSpaceTooLarge: state space too large to enumerate: more "
              "than 500000 valuations")
 
 # Programs the commands reject, written out by the tests that name them: one
-# the calculator rejects, and one with too many states to enumerate
+# the calculator rejects, one with too many states to enumerate, three
+# nested deeper than the parser or the desugaring recurses, a file that is
+# not UTF-8 (bytes) and a directory (None)
 REJECTED = {
     "ext_over_loop.rp": "channel a\nchannel b\nvar x : int[0..1]\n"
                         "while x < 1 do ((a -> (while x < 1 do "
                         "(b -> x := x + 1))) [] b -> skip)\n",
     "too_large.rp": "var x : seq int[0..3] maxlen 12\nx := <>\n",
+    "deep_seq.rp": "channel a\n" + " ; ".join(["a"] * 600) + "\n",
+    "deep_action.rp": "channel a\na -> " + "(" * 500 + "skip" + ")" * 500,
+    "deep_expr.rp": "var x : int[0..3]\nx := " + "(" * 500 + "1" + ")" * 500,
+    "not_utf8.rp": b"channel a\n\xff\n",
+    "a_directory.rp": None,
 }
 
 
@@ -443,19 +451,72 @@ def test_refuted_obligation_is_named(capsys):
          "relational laws checked nothing"),
         (["laws", "--per-law", "0"], "relational laws checked nothing"),
         (["laws", "--terms", "0"], "iteration laws checked nothing"),
+        # a program nested too deeply, whichever command reads it
+        *([[command, f"deep_{kind}.rp"],
+           f"TMP/deep_{kind}.rp: program is nested too deeply"]
+          for command in ("calc", "dlf", "crosscheck")
+          for kind in ("seq", "action", "expr")),
+        # a file that cannot be read as a program
+        (["calc", "not_utf8.rp"],
+         "TMP/not_utf8.rp: 'utf-8' codec can't decode byte 0xff in "
+         "position 10: invalid start byte"),
+        (["calc", "a_directory.rp"], "TMP/a_directory.rp: Is a directory"),
+        (["inv-check", "buffer.rp", "--invariant",
+          "(" * 500 + "true" + ")" * 500],
+         "--invariant: expression is nested too deeply"),
     ],
 )
 def test_malformed_options_exit_2_with_a_message(capsys, tmp_path, argv,
                                                  message):
     for name, source in REJECTED.items():
-        (tmp_path / name).write_text(source)
+        if source is None:
+            (tmp_path / name).mkdir()
+        elif isinstance(source, bytes):
+            (tmp_path / name).write_bytes(source)
+        else:
+            (tmp_path / name).write_text(source)
     argv = [str((tmp_path if a in REJECTED else CORPUS) / a)
             if a.endswith(".rp") else
             str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert capsys.readouterr() == (
+        "", f"error: {message.replace('TMP', str(tmp_path))}\n")
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.rp")),
+                         ids=lambda p: p.stem)
+@pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json")])
+def test_calc_prints_the_pinned_contract(capsys, path, fmt, suffix):
+    # the canonical printed order, end to end: what `calc` writes for each
+    # corpus file, stdout then stderr, as the files in `expected_calc` pin it
+    try:
+        cli.main(["calc", str(path), "--format", fmt])
+    except SystemExit:
+        pass
+    out, err = capsys.readouterr()
+    expected = TESTS / "expected_calc" / f"{path.stem}.{suffix}"
+    assert out + err == expected.read_text()
+
+
+def test_calc_keeps_true_and_1_apart(capsys, tmp_path):
+    # nodes compare as tuples, so Lit(True) == Lit(1): anything that looked
+    # a node up by its value would print 1 where the program says true, or
+    # the other way round, in an update, a payload or a conditional branch
+    path = tmp_path / "truth.rp"
+    path.write_text(
+        "channel c : int[0..1]\nchannel d : bool\n"
+        "var x : int[0..1]\nvar y : bool\n"
+        "(x := 1 ; y := true ; c!1 -> d!true -> skip)\n"
+        "  [] (if y then (x := 1 ; c!x -> d!true -> skip)\n"
+        "      else (y := true ; c!1 -> d!y -> skip))\n")
+    assert cli.main(["calc", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "⦗true_r | E(true | <> | {c.1}) \\/ E(true | <c.1> | {d.true}) | "
+        "Phi(true | {x |-> (if y then 1 else x), "
+        "y |-> (if y then y else true)} | <c.1, d.true>) \\/ "
+        "Phi(true | {x |-> 1, y |-> true} | <c.1, d.true>)⦘\n")
 
 
 def test_wp_bound_holds_after_a_loop(capsys, tmp_path):

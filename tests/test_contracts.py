@@ -392,13 +392,28 @@ def test_instantaneous_distributes_from_left():
 
 
 def test_calculated_relations_are_normal_forms():
-    # an event's accepted set is canonical from the start, so a contract
-    # calculated from a bare event is already a fixed point of normalize
-    for seed in range(400):
-        tp = randgen.random_program(randgen.rng_for(seed))
+    # the combinators join parts already in normal form without normalising
+    # them again, so a full `normalize` of each calculated relation, called
+    # from outside any calculation, must give it back, printed alike: over
+    # the corpus, an external choice whose offers hold under contradicting
+    # conditions (`conj_offers` must drop their conjunction),
+    # `random_program` seeds 0-399 and `random_loop_program` seeds 0-99
+    programs = [(p.stem, dsl.load_program(p.read_text()))
+                for p in sorted(CORPUS.glob("*.rp")) if p.stem != "while_bad"]
+    programs.append(("contradicting offers", dsl.load_program(
+        "channel a\nchannel b\nchannel c\nvar x : int[0..1]\n"
+        "(if x = 0 then a -> skip else (b -> c -> skip))\n"
+        "  [] (if x = 1 then c -> skip else (a -> b -> skip))\n")))
+    programs += [(seed, randgen.random_program(randgen.rng_for(seed)))
+                 for seed in range(400)]
+    programs += [(f"loop {seed}",
+                  randgen.random_loop_program(randgen.rng_for(seed)))
+                 for seed in range(100)]
+    for name, tp in programs:
         c = calculate(tp)
         for r in (c.peri, c.post):
-            assert normalize(r, tp.symtab) == r, seed
+            again = normalize(r, tp.symtab)
+            assert again == r and str(again) == str(r), name
 
 
 def _relation_nodes(r):

@@ -2,8 +2,9 @@
 `rdes` module imports only at its top level, every private module-level
 function or class of `rdes` is used in `rdes`, no `rdes` module uses a
 `functools` cache, the oracle's operational semantics uses nothing that
-`oracle.py` imports from the calculus or the view, neither the oracle nor
-the transition-system view uses anything from `ground`, an invariant's
+`oracle.py` imports from the calculus or the view, neither the oracle, the
+transition-system view nor the calculus (`relalg`, `kleene`, `contracts`)
+uses anything from `ground`, an invariant's
 monitor reads only `state`, and starting the command line loads neither
 `dataclasses` nor `inspect`.
 
@@ -210,6 +211,15 @@ def test_the_view_is_independent_of_the_ground_reading():
     # view must not compute with `ground`
     source = (SRC / "view.py").read_text()
     assert calculus_uses(source, None, frozenset({"ground"})) == []
+
+
+def test_the_calculus_does_not_read_the_ground_reading():
+    # `laws` and the tests check the calculus against `ground`, so the
+    # calculus must not compute with it
+    for module in ("relalg", "kleene", "contracts"):
+        source = (SRC / f"{module}.py").read_text()
+        assert calculus_uses(source, None, frozenset({"ground"})) == [], \
+            module
 
 
 def test_the_monitor_reads_only_the_state_module():

@@ -4,7 +4,8 @@
 written out."""
 
 from rdes import ground
-from rdes.kleene import ka_laws_check, star_wp
+from rdes.kleene import star_wp
+from rdes.laws import ka_laws_check
 from rdes.relalg import (
     FALSE_R,
     NegClause,
