@@ -120,11 +120,15 @@ def _invariant(flag: str, source: str, tp: dsl.TypedProgram, cfg: Config):
 def _calculating(f, *args):
     """f(*args), with what it raises printed as one `error:` line, exit 2.
     The calculator rejects a program by `NotProductiveError`,
-    `WpNotConvergedError` or `NormalizationIncomplete`."""
+    `WpNotConvergedError` or `NormalizationIncomplete`, and one that loads
+    but nests deeper than its recursion reaches as the loader does."""
     try:
         return f(*args)
     except contracts.NotProductiveError as exc:
         print(f"error: NotProductive: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+    except RecursionError:
+        print("error: program is nested too deeply", file=sys.stderr)
         raise SystemExit(2)
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

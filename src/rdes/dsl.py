@@ -19,6 +19,7 @@ from .state import (
     Acc,
     BinOp,
     BoolType,
+    COMPARISONS,
     Clamp,
     Expr,
     Head,
@@ -27,7 +28,9 @@ from .state import (
     IntType,
     Len,
     Lit,
+    NOT,
     Not,
+    PREC,
     Primed,
     Proj,
     SeqDisplay,
@@ -268,6 +271,10 @@ class _Backtrack(Exception):
     pass
 
 
+# `>` and `>=` read as `<` and `<=` with their operands swapped
+_FLIPPED = {">": "<", ">=": "<="}
+
+
 class _Parser:
     def __init__(self, tokens: list):
         self.toks = tokens
@@ -465,71 +472,37 @@ class _Parser:
             return False
         return self.parse_signed_int()
 
-    # -- expressions; precedence mirrors state.pp_expr
+    # -- expressions; binding levels from state.PREC, which pp_expr prints by
 
-    def parse_expr(self) -> Expr:
-        if self.at_kw("if"):
+    def parse_expr(self, prec: int = 0) -> Expr:
+        """An expression whose binary operators bind at level `prec` or
+        tighter, by precedence climbing (Pratt 1973).  `if` reads only at
+        the top and `not` only down to its own level.  After a binary
+        operator the loop takes no tighter one, nor another of its level if
+        it is a comparison; after `not`, only a looser one."""
+        if prec == 0 and self.at_kw("if"):
             self.next()
             cond = self.parse_expr()
             self.expect_kw("then")
             then = self.parse_expr()
             self.expect_kw("else")
             return IfE(cond, then, self.parse_expr())
-        return self.parse_or()
-
-    def parse_or(self) -> Expr:
-        left = self.parse_and()
-        while self.at_kw("or"):
+        if prec <= NOT and self.at_kw("not"):
             self.next()
-            left = BinOp("or", left, self.parse_and())
-        return left
-
-    def parse_and(self) -> Expr:
-        left = self.parse_not()
-        while self.at_kw("and"):
+            left, limit = Not(self.parse_expr(NOT)), NOT - 1
+        else:
+            left, limit = self.parse_unary(), TIGHT
+        while True:
+            text = self.peek().text
+            op = _FLIPPED.get(text, text)
+            p = PREC.get(op)
+            if p is None or not prec <= p <= limit:
+                return left
             self.next()
-            left = BinOp("and", left, self.parse_not())
-        return left
-
-    def parse_not(self) -> Expr:
-        if self.at_kw("not"):
-            self.next()
-            return Not(self.parse_not())
-        return self.parse_cmp()
-
-    def parse_cmp(self) -> Expr:
-        left = self.parse_concat()
-        t = self.peek()
-        if t.kind in ("=", "!=", "<", "<=", ">", ">="):
-            self.next()
-            right = self.parse_concat()
-            if t.kind == ">":
-                return BinOp("<", right, left)
-            if t.kind == ">=":
-                return BinOp("<=", right, left)
-            return BinOp(t.kind, left, right)
-        return left
-
-    def parse_concat(self) -> Expr:
-        left = self.parse_add()
-        while self.peek().kind == "++":
-            self.next()
-            left = BinOp("++", left, self.parse_add())
-        return left
-
-    def parse_add(self) -> Expr:
-        left = self.parse_mul()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            left = BinOp(op, left, self.parse_mul())
-        return left
-
-    def parse_mul(self) -> Expr:
-        left = self.parse_unary()
-        while self.peek().kind == "*":
-            self.next()
-            left = BinOp("*", left, self.parse_unary())
-        return left
+            right = self.parse_expr(p + 1)
+            left = (BinOp(op, right, left) if text in _FLIPPED
+                    else BinOp(op, left, right))
+            limit = p - 1 if op in COMPARISONS else p
 
     def parse_unary(self) -> Expr:
         if self.peek().kind == "#":
@@ -577,9 +550,9 @@ class _Parser:
         if t.kind == "<":
             self.next()
             # elements parse above comparison level so '>' closes the display
-            elems = [self.parse_concat()]
+            elems = [self.parse_expr(PREC["++"])]
             while self.accept(","):
-                elems.append(self.parse_concat())
+                elems.append(self.parse_expr(PREC["++"]))
             self.expect(">", "'>'")
             if all(isinstance(x, Lit) for x in elems):
                 return Lit(tuple(x.value for x in elems))
@@ -924,7 +897,7 @@ def _check_action(a: Action, symtab: SymbolTable, scope: dict) -> None:
             for v in a.values:
                 if not _value_in(v, declared):
                     raise TypeMismatchError(
-                        f"value {v!r} outside the domain of {a.chan!r}"
+                        f"value {pp_value(v)} outside the domain of {a.chan!r}"
                     )
         inner = dict(scope)
         inner[a.var] = declared
@@ -957,7 +930,8 @@ def _check_action(a: Action, symtab: SymbolTable, scope: dict) -> None:
 
 
 def _value_in(v, t: ValueType) -> bool:
-    return any(v == x for x in t.values())
+    # of the same kind too, since true == 1
+    return any(v == x and type(v) is type(x) for x in t.values())
 
 
 def _desugar(a: Action, symtab: SymbolTable, s: Subst = IDENTITY) -> Action:
@@ -1024,20 +998,24 @@ def parse_invariant(source: str, symtab: SymbolTable,
     `proj(tt, c)` extracts the payload sequence of channel c; for a declared
     channel the shorthand channel-name + "s" or "ps" applied to tt is also
     accepted, e.g. `inps(tt)` and `outps(tt)` for channels inp and out.  A
-    body that is not a condition is rejected.
+    body that is not a condition is rejected, and one nested deeper than
+    parsing, resolving or typing it can recurse raises `NestingTooDeepError`.
     """
-    expr = _resolve(parse_expression(source), symtab)
-    for name in sorted(free_vars(expr)):
-        if name not in symtab.variables:
-            raise UnboundNameError(f"unbound name {name!r} in invariant")
-    for x in subterms(expr):
-        if isinstance(x, Acc) and kind == "post":
-            raise TypeMismatchError("acc is only for periconditions")
-        if isinstance(x, Primed) and kind == "peri":
-            raise TypeMismatchError(
-                f"primed variable {x.name}' is only for postconditions")
-    _require(infer_type(expr, symtab.variables, symtab), BoolType(), expr)
-    return fold(expr)
+    try:
+        expr = _resolve(parse_expression(source), symtab)
+        for name in sorted(free_vars(expr)):
+            if name not in symtab.variables:
+                raise UnboundNameError(f"unbound name {name!r} in invariant")
+        for x in subterms(expr):
+            if isinstance(x, Acc) and kind == "post":
+                raise TypeMismatchError("acc is only for periconditions")
+            if isinstance(x, Primed) and kind == "peri":
+                raise TypeMismatchError(
+                    f"primed variable {x.name}' is only for postconditions")
+        _require(infer_type(expr, symtab.variables, symtab), BoolType(), expr)
+        return fold(expr)
+    except RecursionError:
+        raise NestingTooDeepError("expression is nested too deeply") from None
 
 
 def _resolve(e: Expr, symtab: SymbolTable) -> Expr:

@@ -784,11 +784,14 @@ def substs_equiv(s1: Subst, s2: Subst, symtab: SymbolTable) -> bool:
 # ---------------------------------------------------------------------------
 # Pretty-printing (parseable by the DSL expression grammar)
 
-# Binary operators bind by these levels; `not` sits at 3, the prefix `#` and
-# unary minus at 8, and TIGHT is an operand that admits no operator at all,
-# such as the payload of an event prefix `c!e`.
+# Binary operators bind by these levels, which the DSL parser reads too;
+# `not` sits at NOT, the prefix `#` and unary minus at 8, and TIGHT is an
+# operand that admits no operator at all, such as the payload of an event
+# prefix `c!e`.  The comparisons are non-associative, the rest associate to
+# the left.
+NOT = 3
 TIGHT = 9
-_PREC = {
+PREC = {
     "or": 1,
     "and": 2,
     "=": 4,
@@ -800,6 +803,7 @@ _PREC = {
     "-": 6,
     "*": 7,
 }
+COMPARISONS = frozenset({"=", "!=", "<", "<="})
 
 
 def pp_value(v: Value) -> str:
@@ -832,8 +836,8 @@ def pp_expr(e: Expr, prec: int = 0) -> str:
         s = f"#{pp_expr(e.arg, 8)}"
         return f"({s})" if prec == TIGHT else s
     if isinstance(e, Not):
-        s = f"not {pp_expr(e.arg, 3)}"
-        return f"({s})" if prec > 3 else s
+        s = f"not {pp_expr(e.arg, NOT)}"
+        return f"({s})" if prec > NOT else s
     if isinstance(e, SeqDisplay):
         return "<" + ", ".join(pp_expr(x) for x in e.elems) + ">"
     if isinstance(e, Clamp):
@@ -845,11 +849,8 @@ def pp_expr(e: Expr, prec: int = 0) -> str:
         )
         return f"({s})"
     if isinstance(e, BinOp):
-        p = _PREC[e.op]
-        # comparisons are non-associative; others associate to the left
-        lp, rp = p, p + 1
-        if e.op in ("=", "!=", "<", "<="):
-            lp = p + 1
-        s = f"{pp_expr(e.left, lp)} {e.op} {pp_expr(e.right, rp)}"
+        p = PREC[e.op]
+        lp = p + 1 if e.op in COMPARISONS else p
+        s = f"{pp_expr(e.left, lp)} {e.op} {pp_expr(e.right, p + 1)}"
         return f"({s})" if p < prec else s
     raise TypeError(f"not an expression: {e!r}")

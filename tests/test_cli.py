@@ -24,8 +24,10 @@ TOO_LARGE = ("StateSpaceTooLarge: state space too large to enumerate: more "
 
 # Programs the commands reject, written out by the tests that name them: one
 # the calculator rejects, one with too many states to enumerate, three
-# nested deeper than the parser or the desugaring recurses, a file that is
-# not UTF-8 (bytes) and a directory (None)
+# nested deeper than the parser or the desugaring recurses, one that loads
+# but nests deeper than the calculator recurses, two whose input values are
+# of the other kind than their channel's, a file that is not UTF-8 (bytes)
+# and a directory (None)
 REJECTED = {
     "ext_over_loop.rp": "channel a\nchannel b\nvar x : int[0..1]\n"
                         "while x < 1 do ((a -> (while x < 1 do "
@@ -34,6 +36,11 @@ REJECTED = {
     "deep_seq.rp": "channel a\n" + " ; ".join(["a"] * 600) + "\n",
     "deep_action.rp": "channel a\na -> " + "(" * 500 + "skip" + ")" * 500,
     "deep_expr.rp": "var x : int[0..3]\nx := " + "(" * 500 + "1" + ")" * 500,
+    "deep_loops.rp": "var x : int[0..1]\nchannel a\n"
+                     + "while x = 0 do a -> (" * 120 + "skip" + ")" * 120,
+    "true_for_int.rp": "channel c : int[0..2]\nchannel d\n"
+                       "c?x:{true} -> d -> skip\n",
+    "one_for_bool.rp": "channel c : bool\nchannel d\nc?x:{1} -> d -> skip\n",
     "not_utf8.rp": b"channel a\n\xff\n",
     "a_directory.rp": None,
 }
@@ -456,6 +463,14 @@ def test_refuted_obligation_is_named(capsys):
            f"TMP/deep_{kind}.rp: program is nested too deeply"]
           for command in ("calc", "dlf", "crosscheck")
           for kind in ("seq", "action", "expr")),
+        # and one the calculator cannot recurse through
+        *([[command, "deep_loops.rp"], "program is nested too deeply"]
+          for command in ("calc", "dlf", "crosscheck")),
+        # an input value of the other kind, though true == 1 in Python
+        (["calc", "true_for_int.rp"],
+         "TMP/true_for_int.rp: value true outside the domain of 'c'"),
+        (["calc", "one_for_bool.rp"],
+         "TMP/one_for_bool.rp: value 1 outside the domain of 'c'"),
         # a file that cannot be read as a program
         (["calc", "not_utf8.rp"],
          "TMP/not_utf8.rp: 'utf-8' codec can't decode byte 0xff in "
@@ -463,6 +478,9 @@ def test_refuted_obligation_is_named(capsys):
         (["calc", "a_directory.rp"], "TMP/a_directory.rp: Is a directory"),
         (["inv-check", "buffer.rp", "--invariant",
           "(" * 500 + "true" + ")" * 500],
+         "--invariant: expression is nested too deeply"),
+        (["inv-check", "buffer_guarded.rp", "--invariant",
+          "not " * 400 + "(#bf < 3)"],
          "--invariant: expression is nested too deeply"),
     ],
 )

@@ -3,6 +3,7 @@
 import pytest
 
 from rdes import dsl
+from rdes.contracts import calculate
 from rdes.dsl import (
     Assign,
     Cond,
@@ -21,7 +22,20 @@ from rdes.dsl import (
     pp_program,
     typecheck,
 )
-from rdes.state import BinOp, Len, Lit, Proj, Var
+from rdes.state import (
+    PREC,
+    BinOp,
+    Head,
+    IfE,
+    Len,
+    Lit,
+    Not,
+    Primed,
+    Proj,
+    SeqDisplay,
+    Var,
+    pp_expr,
+)
 
 BUFFER_SRC = """\
 channel inp : int[0..1]
@@ -287,6 +301,105 @@ def test_expression_precedence():
         Var("b"),
         BinOp("<=", BinOp("+", Var("x"), BinOp("*", Lit(1), Lit(2))), Lit(4)),
     )
+
+
+a, b, c, d, s, x, y = (Var(n) for n in "abcdsxy")
+
+
+@pytest.mark.parametrize("source, parsed", [
+    # comparisons: > and >= read as < and <= with their operands swapped
+    ("x > y", BinOp("<", y, x)),
+    ("x >= y", BinOp("<=", y, x)),
+    ("a != b", BinOp("!=", a, b)),
+    ("(a = b) = c", BinOp("=", BinOp("=", a, b), c)),
+    ("a + b = c * d", BinOp("=", BinOp("+", a, b), BinOp("*", c, d))),
+    ("a and b = c", BinOp("and", a, BinOp("=", b, c))),
+    # the rest associate to the left, each level below the next
+    ("a - b + c", BinOp("+", BinOp("-", a, b), c)),
+    ("a ++ b + c", BinOp("++", a, BinOp("+", b, c))),
+    ("a or b and c", BinOp("or", a, BinOp("and", b, c))),
+    ("a and b or c", BinOp("or", BinOp("and", a, b), c)),
+    # prefix operators: `not` below the comparisons, # and - above them all
+    ("not not a and b", BinOp("and", Not(Not(a)), b)),
+    ("not a = b", Not(BinOp("=", a, b))),
+    ("not (a) = b", Not(BinOp("=", a, b))),
+    ("a and not b or c", BinOp("or", BinOp("and", a, Not(b)), c)),
+    ("- 3 * x", BinOp("*", Lit(-3), x)),
+    ("- - 1", Lit(1)),
+    ("-x * y", BinOp("*", BinOp("-", Lit(0), x), y)),
+    ("#s + 1", BinOp("+", Len(s), Lit(1))),
+    # atoms
+    ("<a + 1, b> ++ s", BinOp("++", SeqDisplay((BinOp("+", a, Lit(1)), b)),
+                              s)),
+    ("<1, true> ++ <>", BinOp("++", Lit((1, True)), Lit(()))),
+    ("head(if a then s else <>)", Head(IfE(a, s, Lit(())))),
+    ("x' = proj(tt, c)", BinOp("=", Primed("x"), Proj("c"))),
+    ("cs(tt) = {}", BinOp("=", Proj("?cs"), Lit(frozenset()))),
+    # `if` only at the top, its branches reaching as far as they can
+    ("if c then 1 else 2 + 3", IfE(c, Lit(1), BinOp("+", Lit(2), Lit(3)))),
+    ("(if a then b else c) = d", BinOp("=", IfE(a, b, c), d)),
+    ("1 + if c then 1 else 2", "1:5: expected an expression"),
+    ("not if a then b else c", "1:5: expected an expression"),
+    ("<if a then b else c>", "1:2: expected an expression"),
+    # comparisons do not chain, also below `not` and `and`
+    ("a = b = c", "1:7: expected end of input, found '='"),
+    ("a < b < c", "1:7: expected end of input, found '<'"),
+    ("x > y > z", "1:7: expected end of input, found '>'"),
+    ("a = b < c", "1:7: expected end of input, found '<'"),
+    ("not a = b = c", "1:11: expected end of input, found '='"),
+    ("a and b = c = d", "1:13: expected end of input, found '='"),
+    ("not a or b = c = d", "1:16: expected end of input, found '='"),
+    # `not` is no operand of a tighter operator
+    ("a = not b", "1:5: expected an expression"),
+    ("a * not b", "1:5: expected an expression"),
+    ("- not a", "1:3: expected an expression"),
+    ("# not a", "1:3: expected an expression"),
+    ("<not a>", "1:2: expected an expression"),
+    # sequence-display elements sit above comparison level
+    ("<a, b = c>", "1:7: expected '>', found '='"),
+    # and what is left unfinished
+    ("a +", "1:4: expected an expression"),
+    ("not", "1:4: expected an expression"),
+    ("(a", "1:3: expected ')', found 'end of input'"),
+    ("head(s", "1:7: expected ')', found 'end of input'"),
+    ("a b", "1:3: expected end of input, found 'b'"),
+    ("a <> b", "1:3: expected end of input, found '<>'"),
+])
+def test_the_expression_language(source, parsed):
+    # each source with the tree it reads as, or the error it is rejected
+    # with at its position; nodes compare as tuples, so repr tells 1 from true
+    if isinstance(parsed, str):
+        with pytest.raises(ParseError) as exc:
+            dsl.parse_expression(source)
+        assert str(exc.value) == parsed
+    else:
+        assert repr(dsl.parse_expression(source)) == repr(parsed)
+
+
+def _apply(op, left, right):
+    return Not(right) if op == "not" else BinOp(op, left, right)
+
+
+def test_every_nesting_of_two_operators_prints_and_parses_back():
+    # > and >= print as < and <= swapped, so the table's operators and
+    # `not` are every operator a tree can hold
+    for outer in [*PREC, "not"]:
+        for inner in [*PREC, "not"]:
+            for e in (_apply(outer, _apply(inner, a, b), c),
+                      _apply(outer, a, _apply(inner, b, c))):
+                assert repr(dsl.parse_expression(pp_expr(e))) == repr(e)
+
+
+@pytest.mark.parametrize("source, flat", [
+    ("var x : int[0..3]\nx := " + "(" * 200 + "1" + ")" * 200,
+     "var x : int[0..3]\nx := 1"),
+    ("channel a\na -> " + "(" * 200 + "skip" + ")" * 200,
+     "channel a\na -> skip"),
+], ids=["expression", "action"])
+def test_two_hundred_parentheses_load_and_calculate(source, flat):
+    tp = dsl.load_program(source)
+    assert tp.body == dsl.load_program(flat).body
+    assert calculate(tp) == calculate(dsl.load_program(flat))
 
 
 def test_length_binds_tighter_than_comparison():
