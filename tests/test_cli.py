@@ -463,14 +463,6 @@ def test_refuted_obligation_is_named(capsys):
            f"TMP/deep_{kind}.rp: program is nested too deeply"]
           for command in ("calc", "dlf", "crosscheck")
           for kind in ("seq", "action", "expr")),
-        # and one the calculator cannot recurse through
-        *([[command, "deep_loops.rp"], "program is nested too deeply"]
-          for command in ("calc", "dlf", "crosscheck")),
-        # an input value of the other kind, though true == 1 in Python
-        (["calc", "true_for_int.rp"],
-         "TMP/true_for_int.rp: value true outside the domain of 'c'"),
-        (["calc", "one_for_bool.rp"],
-         "TMP/one_for_bool.rp: value 1 outside the domain of 'c'"),
         # a file that cannot be read as a program
         (["calc", "not_utf8.rp"],
          "TMP/not_utf8.rp: 'utf-8' codec can't decode byte 0xff in "
@@ -482,6 +474,14 @@ def test_refuted_obligation_is_named(capsys):
         (["inv-check", "buffer_guarded.rp", "--invariant",
           "not " * 400 + "(#bf < 3)"],
          "--invariant: expression is nested too deeply"),
+        # and one the calculator cannot recurse through
+        *([[command, "deep_loops.rp"], "program is nested too deeply"]
+          for command in ("calc", "dlf", "crosscheck")),
+        # an input value of the other kind, though true == 1 in Python
+        (["calc", "true_for_int.rp"],
+         "TMP/true_for_int.rp: value true outside the domain of 'c'"),
+        (["calc", "one_for_bool.rp"],
+         "TMP/one_for_bool.rp: value 1 outside the domain of 'c'"),
     ],
 )
 def test_malformed_options_exit_2_with_a_message(capsys, tmp_path, argv,
